@@ -26,34 +26,12 @@ void update_pbest_compare(vgpu::Device& device, const LaunchPolicy& policy,
     cost.flops = static_cast<double>(n);
     cost.dram_read_bytes = 2.0 * n * sizeof(float);
     cost.dram_write_bytes = n * (sizeof(float) + sizeof(std::uint8_t));
-    // Fusion footprint (vgpu/graph/fusion.h): element i touches scalar i of
-    // each array; pbest_err is an aligned read-modify-write.
     const kernels::PbestCompareKernel::Args cmp_args{
         state.perror.data(), state.pbest_err.data(), state.improved.data()};
-    const auto note_footprint = [&] {
-      if (device.capturing()) {
-        device.graph_note_elements(n);
-        device.graph_note_uses(
-            {{state.perror.data(), static_cast<double>(n) * sizeof(float),
-              sizeof(float), /*write=*/false, "perror"},
-             {state.pbest_err.data(), static_cast<double>(n) * sizeof(float),
-              sizeof(float), /*write=*/false, "pbest_err"},
-             {state.pbest_err.data(), static_cast<double>(n) * sizeof(float),
-              sizeof(float), /*write=*/true, "pbest_err"},
-             {state.improved.data(), static_cast<double>(n), 1,
-              /*write=*/true, "improved"}});
-        device.graph_note_static(
-            vgpu::graph::codegen::make_static<kernels::PbestCompareKernel>(
-                cmp_args));
-      }
-    };
     if (vgpu::use_fast_path()) {
       vgpu::prof::KernelLabel klabel("best_update/compare_flag");
-      device.launch_elements(
-          decision.config, cost, n, [cmp_args](std::int64_t i) {
-            kernels::PbestCompareKernel::element(cmp_args, i);
-          });
-      note_footprint();
+      device.launch_kernel<kernels::PbestCompareKernel>(decision.config, cost,
+                                                        n, cmp_args);
     } else {
       const auto perror = san::track(state.perror.data(),
                                      static_cast<std::size_t>(n), "perror");
@@ -79,7 +57,20 @@ void update_pbest_compare(vgpu::Device& device, const LaunchPolicy& policy,
           pbest_err[i] = better ? pe : pb;
         }
       });
-      note_footprint();
+      device.graph_note_kernel<kernels::PbestCompareKernel>(n, cmp_args);
+    }
+    // Fusion footprint (vgpu/graph/fusion.h): element i touches scalar i of
+    // each array; pbest_err is an aligned read-modify-write.
+    if (device.capturing()) {
+      device.graph_note_uses(
+          {{state.perror.data(), static_cast<double>(n) * sizeof(float),
+            sizeof(float), /*write=*/false, "perror"},
+           {state.pbest_err.data(), static_cast<double>(n) * sizeof(float),
+            sizeof(float), /*write=*/false, "pbest_err"},
+           {state.pbest_err.data(), static_cast<double>(n) * sizeof(float),
+            sizeof(float), /*write=*/true, "pbest_err"},
+           {state.improved.data(), static_cast<double>(n), 1,
+            /*write=*/true, "improved"}});
     }
   }
 }
@@ -109,37 +100,13 @@ PbestStats update_pbest_finish(vgpu::Device& device,
         static_cast<double>(improved_count) * d * sizeof(float);
     cost.dram_write_bytes =
         static_cast<double>(improved_count) * d * sizeof(float);
-    // Footprint: element i reads its flag and may copy its row — the
-    // declared spans are the data-independent superset of what the flags
-    // select this iteration.
     const kernels::PbestGatherKernel::Args gather_args{
         state.improved.data(), state.positions.data(), state.pbest_pos.data(),
         d};
-    const auto note_footprint = [&] {
-      if (device.capturing()) {
-        const double row_bytes =
-            static_cast<double>(state.elements()) * sizeof(float);
-        const std::int64_t row_elem = static_cast<std::int64_t>(d * sizeof(float));
-        device.graph_note_elements(n);
-        device.graph_note_uses(
-            {{state.improved.data(), static_cast<double>(n), 1,
-              /*write=*/false, "improved"},
-             {state.positions.data(), row_bytes, row_elem, /*write=*/false,
-              "positions"},
-             {state.pbest_pos.data(), row_bytes, row_elem, /*write=*/true,
-              "pbest_pos"}});
-        device.graph_note_static(
-            vgpu::graph::codegen::make_static<kernels::PbestGatherKernel>(
-                gather_args));
-      }
-    };
     if (vgpu::use_fast_path()) {
       vgpu::prof::KernelLabel klabel("best_update/gather");
-      device.launch_elements(
-          decision.config, cost, n, [gather_args](std::int64_t i) {
-            kernels::PbestGatherKernel::element(gather_args, i);
-          });
-      note_footprint();
+      device.launch_kernel<kernels::PbestGatherKernel>(decision.config, cost,
+                                                       n, gather_args);
     } else {
       const auto improved =
           san::track(state.improved.data(), static_cast<std::size_t>(n),
@@ -158,7 +125,23 @@ PbestStats update_pbest_finish(vgpu::Device& device,
           }
         }
       });
-      note_footprint();
+      device.graph_note_kernel<kernels::PbestGatherKernel>(n, gather_args);
+    }
+    // Footprint: element i reads its flag and may copy its row — the
+    // declared spans are the data-independent superset of what the flags
+    // select this iteration.
+    if (device.capturing()) {
+      const double row_bytes =
+          static_cast<double>(state.elements()) * sizeof(float);
+      const std::int64_t row_elem =
+          static_cast<std::int64_t>(d * sizeof(float));
+      device.graph_note_uses(
+          {{state.improved.data(), static_cast<double>(n), 1,
+            /*write=*/false, "improved"},
+           {state.positions.data(), row_bytes, row_elem, /*write=*/false,
+            "positions"},
+           {state.pbest_pos.data(), row_bytes, row_elem, /*write=*/true,
+            "pbest_pos"}});
     }
   }
 
@@ -178,46 +161,37 @@ float update_gbest(vgpu::Device& device, SwarmState& state) {
     vgpu::KernelCostSpec cost;
     cost.dram_read_bytes = static_cast<double>(d) * sizeof(float);
     cost.dram_write_bytes = static_cast<double>(d) * sizeof(float);
+    const kernels::GbestCopyKernel::Args copy_args{
+        state.pbest_pos.data() + best.index * d, state.gbest_pos.data()};
+    if (vgpu::use_fast_path()) {
+      vgpu::prof::KernelLabel klabel("best_update/gbest_copy");
+      device.launch_kernel<kernels::GbestCopyKernel>(cfg, cost, d, copy_args);
+    } else {
+      const auto src =
+          san::track(state.pbest_pos.data() + best.index * d,
+                     static_cast<std::size_t>(d), "gbest_src_row");
+      const auto dst = san::track(state.gbest_pos.data(),
+                                  static_cast<std::size_t>(d), "gbest_pos");
+      san::expect_writes_exactly_once(dst);
+      san::KernelScope scope("best_update/gbest_copy");
+      device.launch(cfg, cost, [&](const vgpu::ThreadCtx& t) {
+        for (std::int64_t j = t.global_id(); j < d; j += t.grid_stride()) {
+          dst[j] = src[j];
+        }
+      });
+      device.graph_note_kernel<kernels::GbestCopyKernel>(d, copy_args);
+    }
     // Footprint: the read is an interior row of pbest_pos, so its address
     // range overlaps (unaligned) with the gather's row-sliced writes — the
     // fusion pass's hazard check is what keeps this copy out of any group.
-    const kernels::GbestCopyKernel::Args copy_args{
-        state.pbest_pos.data() + best.index * d, state.gbest_pos.data()};
-    const auto note_footprint = [&] {
-      if (device.capturing()) {
-        const double row_bytes = static_cast<double>(d) * sizeof(float);
-        device.graph_note_elements(d);
-        device.graph_note_uses(
-            {{state.pbest_pos.data() + best.index * d, row_bytes,
-              sizeof(float), /*write=*/false, "gbest_src_row"},
-             {state.gbest_pos.data(), row_bytes, sizeof(float),
-              /*write=*/true, "gbest_pos"}});
-        device.graph_note_static(
-            vgpu::graph::codegen::make_static<kernels::GbestCopyKernel>(
-                copy_args));
-      }
-    };
-    if (vgpu::use_fast_path()) {
-      vgpu::prof::KernelLabel klabel("best_update/gbest_copy");
-      device.launch_elements(cfg, cost, d, [copy_args](std::int64_t j) {
-        kernels::GbestCopyKernel::element(copy_args, j);
-      });
-      note_footprint();
-      return state.gbest_err;
+    if (device.capturing()) {
+      const double row_bytes = static_cast<double>(d) * sizeof(float);
+      device.graph_note_uses(
+          {{state.pbest_pos.data() + best.index * d, row_bytes,
+            sizeof(float), /*write=*/false, "gbest_src_row"},
+           {state.gbest_pos.data(), row_bytes, sizeof(float),
+            /*write=*/true, "gbest_pos"}});
     }
-    const auto src =
-        san::track(state.pbest_pos.data() + best.index * d,
-                   static_cast<std::size_t>(d), "gbest_src_row");
-    const auto dst = san::track(state.gbest_pos.data(),
-                                static_cast<std::size_t>(d), "gbest_pos");
-    san::expect_writes_exactly_once(dst);
-    san::KernelScope scope("best_update/gbest_copy");
-    device.launch(cfg, cost, [&](const vgpu::ThreadCtx& t) {
-      for (std::int64_t j = t.global_id(); j < d; j += t.grid_stride()) {
-        dst[j] = src[j];
-      }
-    });
-    note_footprint();
   }
   return state.gbest_err;
 }

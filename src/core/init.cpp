@@ -23,6 +23,17 @@ vgpu::KernelCostSpec fill_cost(std::int64_t elements) {
   return cost;
 }
 
+/// Fusion footprint of a fill launch (vgpu/graph/fusion.h): one write of
+/// `count` floats of `out`, `elem_bytes` per element (no-op unless
+/// capturing).
+void note_fill_footprint(vgpu::Device& device, float* out, std::int64_t count,
+                         std::int64_t elem_bytes) {
+  if (device.capturing()) {
+    device.graph_note_uses({{out, static_cast<double>(count) * sizeof(float),
+                             elem_bytes, /*write=*/true, "fill_out"}});
+  }
+}
+
 /// Grid-stride fill of `out[0, elements)` with U(lo, hi) from `stream`.
 /// Each thread produces whole 4-lane Philox blocks (element i still gets
 /// the value uniform_at(i), independent of launch shape).
@@ -33,35 +44,16 @@ void fill_uniform(vgpu::Device& device, const LaunchPolicy& policy,
   const std::int64_t blocks = (elements + 3) / 4;
   const LaunchDecision decision = policy.for_elements(blocks);
   const float span = hi - lo;
-  // Fusion footprint (vgpu/graph/fusion.h): one element = one Philox block
-  // of four floats, so element b owns out[4b, 4b+4). The static kernel is
-  // the body the fast path runs (kernels_registry.h) — compiled replay and
-  // eager execution share one element function.
   const kernels::FillUniformKernel::Args fill_args{rng, out, elements, lo,
                                                    span};
-  const auto note_footprint = [&] {
-    if (device.capturing()) {
-      device.graph_note_elements(blocks);
-      device.graph_note_uses(
-          {{out, static_cast<double>(elements) * sizeof(float),
-            4 * sizeof(float), /*write=*/true, "fill_out"}});
-      device.graph_note_static(
-          vgpu::graph::codegen::make_static<kernels::FillUniformKernel>(
-              fill_args));
-    }
-  };
   if (vgpu::use_fast_path()) {
-    // Flat loop over Philox blocks; element i gets uniform_at(i) exactly as
-    // on the tracked path, so the produced bits are identical. Same profile
-    // label as the tracked path's KernelScope. The body captures its
-    // arguments by value, so a graph captured with set_capture_bodies(true)
-    // stays executable for as long as the output buffer lives.
+    // Element i gets uniform_at(i) exactly as on the tracked path, so the
+    // produced bits are identical. Same profile label as the tracked path's
+    // KernelScope.
     vgpu::prof::KernelLabel klabel("init/fill_uniform");
-    device.launch_elements(decision.config, fill_cost(elements), blocks,
-                           [fill_args](std::int64_t b) {
-                             kernels::FillUniformKernel::element(fill_args, b);
-                           });
-    note_footprint();
+    device.launch_kernel<kernels::FillUniformKernel>(
+        decision.config, fill_cost(elements), blocks, fill_args);
+    note_fill_footprint(device, out, elements, 4 * sizeof(float));
     return;
   }
   const auto tracked_out =
@@ -84,7 +76,8 @@ void fill_uniform(vgpu::Device& device, const LaunchPolicy& policy,
                     }
                   }
                 });
-  note_footprint();
+  device.graph_note_kernel<kernels::FillUniformKernel>(blocks, fill_args);
+  note_fill_footprint(device, out, elements, 4 * sizeof(float));
 }
 
 /// Sharded fill: element b of the launch is the b-th global Philox block
@@ -107,28 +100,14 @@ void fill_uniform_slice_impl(vgpu::Device& device, const LaunchPolicy& policy,
   const float span = hi - lo;
   const kernels::FillUniformSliceKernel::Args fill_args{rng, out, offset,
                                                         count, lo, span};
-  const auto note_footprint = [&] {
-    if (device.capturing()) {
-      device.graph_note_elements(blocks);
-      // Boundary blocks straddle the shard edge, so elements do not own
-      // aligned 16-byte rows of `out`; declare the conservative whole-span
-      // write (elem_bytes = 0) instead of a per-element footprint.
-      device.graph_note_uses(
-          {{out, static_cast<double>(count) * sizeof(float),
-            /*elem_bytes=*/0, /*write=*/true, "fill_out"}});
-      device.graph_note_static(
-          vgpu::graph::codegen::make_static<kernels::FillUniformSliceKernel>(
-              fill_args));
-    }
-  };
+  // Boundary blocks straddle the shard edge, so elements do not own
+  // aligned 16-byte rows of `out`: the footprint is the conservative
+  // whole-span write (elem_bytes = 0).
   if (vgpu::use_fast_path()) {
     vgpu::prof::KernelLabel klabel("init/fill_uniform_slice");
-    device.launch_elements(
-        decision.config, fill_cost(count), blocks,
-        [fill_args](std::int64_t b) {
-          kernels::FillUniformSliceKernel::element(fill_args, b);
-        });
-    note_footprint();
+    device.launch_kernel<kernels::FillUniformSliceKernel>(
+        decision.config, fill_cost(count), blocks, fill_args);
+    note_fill_footprint(device, out, count, /*elem_bytes=*/0);
     return;
   }
   const auto tracked_out =
@@ -152,7 +131,9 @@ void fill_uniform_slice_impl(vgpu::Device& device, const LaunchPolicy& policy,
                     }
                   }
                 });
-  note_footprint();
+  device.graph_note_kernel<kernels::FillUniformSliceKernel>(blocks,
+                                                            fill_args);
+  note_fill_footprint(device, out, count, /*elem_bytes=*/0);
 }
 
 /// pbest starts at +inf so the first evaluation always improves it; the
@@ -172,18 +153,10 @@ void reset_pbest(vgpu::Device& device, const LaunchPolicy& policy,
         state.pbest_err.data(), state.perror.data(), state.positions.data(),
         state.pbest_pos.data(), d};
     vgpu::prof::KernelLabel klabel("init/pbest_reset");
-    device.launch_elements(per_particle.config, cost, n,
-                           [reset_args](std::int64_t i) {
-                             kernels::PbestResetKernel::element(reset_args, i);
-                           });
-    if (device.capturing()) {
-      // No declared footprint (this launch never fuses — it runs once,
-      // outside the iteration loop), but the registered span still
-      // accelerates node-level standalone replay.
-      device.graph_note_static(
-          vgpu::graph::codegen::make_static<kernels::PbestResetKernel>(
-              reset_args));
-    }
+    // No declared footprint: this launch never fuses (it runs once, outside
+    // the iteration loop).
+    device.launch_kernel<kernels::PbestResetKernel>(per_particle.config,
+                                                    cost, n, reset_args);
     state.gbest_err = std::numeric_limits<float>::infinity();
     return;
   }

@@ -1,24 +1,29 @@
-// Static forms of the core element kernels, for the compiled fused-loop
-// path (vgpu/graph/codegen.h, DESIGN.md §11).
+// Registered forms of the core element kernels (DESIGN.md §1, §11).
 //
 // Each kernel struct is the single source of truth for its per-element
-// code: the call site (init.cpp, swarm_update.cpp, best_update.cpp,
-// eval_schema.h) launches a lambda that calls `Kernel::element(args, i)`
-// AND registers the same struct against the captured graph node
-// (Device::graph_note_static). Compiled replay therefore runs the exact
-// code the eager launch ran — bitwise identity holds by construction, not
-// by testing alone (the differential suites in tests/test_codegen.cpp
-// still pin it).
+// code. Call sites (init.cpp, swarm_update.cpp, best_update.cpp,
+// neighborhood.cpp) launch it with Device::launch_kernel<K>(cfg, cost, n,
+// args), which accounts the launch, registers make_static<K>(args) against
+// a captured node and runs codegen::run_span<K> — K's span when it has one,
+// else the element loop — on the eager fast path, in packed dispatch and
+// in compiled replay alike. A span visits the same elements and does the
+// same arithmetic per element as element(), so every path produces the
+// same bits (the differential suites in tests/test_engine_equiv.cpp and
+// tests/test_codegen.cpp pin it). The eval kernels are the exception: the
+// batch dispatch in eval_schema.h runs the objective itself and only
+// registers make_eval_static against the captured node.
 //
-// Contract per struct (consumed by codegen::make_static):
+// Contract per struct (consumed by Device::launch_kernel and
+// codegen::make_static):
 //   struct Args        by-value argument pack; raw pointers inside follow
 //                      the captured-body lifetime promise
 //                      (Device::set_capture_bodies)
 //   static tag()       interned code tag — identifies CODE, never data
-//   static element()   the per-element kernel
-//   static span()      optional batched form when cheaper than the
-//                      per-element loop (the eval dispatch uses one
-//                      virtual eval_batch call per chunk)
+//   static element()   the per-element kernel: the reference every span
+//                      must match, and the faithful path's body
+//   static span()      optional batched form over [begin, end) when cheaper
+//                      than the per-element loop (row segments, 8-wide
+//                      Philox, one virtual eval_batch call per chunk)
 #pragma once
 
 #include <algorithm>
@@ -57,7 +62,7 @@ inline void update_element(VRef&& v, PRef&& p, float l, float g, float pb,
 }
 
 /// init/fill_uniform: element b produces one whole 4-lane Philox block
-/// (tail-clamped), exactly as the call-site fast path.
+/// (tail-clamped).
 struct FillUniformKernel {
   struct Args {
     rng::PhiloxStream rng;
@@ -74,6 +79,20 @@ struct FillUniformKernel {
         static_cast<int>(std::min<std::int64_t>(4, a.elements - base));
     for (int lane = 0; lane < count; ++lane) {
       a.out[base + lane] = a.lo + a.span * lanes[lane];
+    }
+  }
+  /// Whole blocks go through the bulk Philox fill (eight blocks per step
+  /// where the CPU allows); only a clamped tail block runs element().
+  static void span(const void* args, std::int64_t begin, std::int64_t end) {
+    const Args& a = *static_cast<const Args*>(args);
+    const std::int64_t whole_end = std::min(end, a.elements / 4);
+    if (begin < whole_end) {
+      a.rng.fill_uniform_blocks(static_cast<std::uint64_t>(begin),
+                                whole_end - begin, a.lo, a.span,
+                                a.out + begin * 4);
+    }
+    for (std::int64_t b = std::max(begin, whole_end); b < end; ++b) {
+      element(a, b);
     }
   }
 };
@@ -105,6 +124,28 @@ struct FillUniformSliceKernel {
       if (g >= a.offset && g < a.offset + a.count) {
         a.out[g - a.offset] = a.lo + a.span * lanes[lane];
       }
+    }
+  }
+  /// Blocks wholly inside the slice go through the bulk Philox fill; the
+  /// (at most two) boundary blocks run element().
+  static void span(const void* args, std::int64_t begin, std::int64_t end) {
+    const Args& a = *static_cast<const Args*>(args);
+    const std::int64_t first = a.offset / 4;
+    const std::int64_t whole_begin = std::min(
+        end, std::max(begin, a.offset % 4 == 0 ? std::int64_t{0} : 1));
+    const std::int64_t whole_end = std::max(
+        whole_begin, std::min(end, (a.offset + a.count) / 4 - first));
+    for (std::int64_t b = begin; b < whole_begin; ++b) {
+      element(a, b);
+    }
+    if (whole_begin < whole_end) {
+      a.rng.fill_uniform_blocks(
+          static_cast<std::uint64_t>(first + whole_begin),
+          whole_end - whole_begin, a.lo, a.span,
+          a.out + (first + whole_begin) * 4 - a.offset);
+    }
+    for (std::int64_t b = whole_end; b < end; ++b) {
+      element(a, b);
     }
   }
 };
@@ -193,10 +234,10 @@ struct SwarmUpdateGlobalKernel {
                    a.pbest_pos[i], a.gbest_pos[col], a.coeff);
   }
   /// Row-segment form: same elements in the same ascending order and the
-  /// same arithmetic per element, but the i%d / i/d bookkeeping is hoisted
-  /// to one carried column counter — the per-element integer divide is what
-  /// dominates the flat loop (profiled ~30 ns/element; this span is the
-  /// compiled tier's actual win on the Table 1 pipeline).
+  /// same arithmetic per element, but the 64-bit i%d is hoisted to one
+  /// carried column counter — a per-element integer divide otherwise
+  /// dominates the loop. Also the body of the shared-memory variant's fast
+  /// path (swarm_update.cpp), whose tiles compute exactly these elements.
   static void span(const void* args, std::int64_t begin, std::int64_t end) {
     const Args a = *static_cast<const Args*>(args);
     std::int64_t i = begin;

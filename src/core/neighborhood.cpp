@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "core/kernels_registry.h"
-#include "vgpu/graph/codegen.h"
 
 namespace fastpso::core {
 
@@ -24,23 +23,14 @@ void update_ring_nbest(vgpu::Device& device, const LaunchPolicy& policy,
       static_cast<double>(n) * (2 * neighbors + 1) * sizeof(float);
   cost.dram_write_bytes = static_cast<double>(n) * sizeof(std::int32_t);
 
-  // Element-wise launch with a by-value argument pack: the captured body
-  // stays valid for standalone replay (a reference-capturing ThreadCtx
-  // kernel records no replayable body, so replay froze nbest_idx at its
-  // capture values), and the registered static form lets compiled replay
-  // run the node through its span. No declared footprint — the window read
-  // is not element-aligned, so the node must stay opaque to the fusion
-  // pass.
+  // Registered by-value kernel: a graph captured with bodies replays the
+  // live window argmin (a reference-capturing per-thread kernel records no
+  // replayable body). No declared footprint — the window read is not
+  // element-aligned, so the node must stay opaque to the fusion pass.
   const kernels::RingNbestKernel::Args args{state.pbest_err.data(),
                                             nbest_idx.data(), n, neighbors};
-  device.launch_elements(decision.config, cost, n,
-                         [args](std::int64_t i) {
-                           kernels::RingNbestKernel::element(args, i);
-                         });
-  if (device.capturing()) {
-    device.graph_note_static(
-        vgpu::graph::codegen::make_static<kernels::RingNbestKernel>(args));
-  }
+  device.launch_kernel<kernels::RingNbestKernel>(decision.config, cost, n,
+                                                 args);
 }
 
 }  // namespace fastpso::core

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/kernels_registry.h"
 #include "vgpu/block.h"
@@ -34,6 +36,48 @@ vgpu::KernelCostSpec update_cost(std::int64_t elements, int d, int barriers,
   return cost;
 }
 
+/// Fusion footprint of a global or ring update (vgpu/graph/fusion.h; no-op
+/// unless capturing): one float per element across the five matrices, plus
+/// the attractor source. The global update reads the gbest row as a
+/// broadcast (elem_bytes = 0: every element may read the whole row). The
+/// ring update (`nbest_idx` set) instead gathers out of pbest_pos — a
+/// second, whole-span read — steered by the row-broadcast neighborhood
+/// index array.
+void note_update_footprint(vgpu::Device& device, const SwarmState& state,
+                           const float* l_mat, const float* g_mat,
+                           const std::int32_t* nbest_idx) {
+  if (!device.capturing()) {
+    return;
+  }
+  const double mat_bytes =
+      static_cast<double>(state.elements()) * sizeof(float);
+  std::vector<vgpu::graph::BufferUse> uses = {
+      {state.velocities.data(), mat_bytes, sizeof(float), /*write=*/false,
+       "velocities"},
+      {state.velocities.data(), mat_bytes, sizeof(float), /*write=*/true,
+       "velocities"},
+      {state.positions.data(), mat_bytes, sizeof(float), /*write=*/false,
+       "positions"},
+      {state.positions.data(), mat_bytes, sizeof(float), /*write=*/true,
+       "positions"},
+      {l_mat, mat_bytes, sizeof(float), /*write=*/false, "l_mat"},
+      {g_mat, mat_bytes, sizeof(float), /*write=*/false, "g_mat"},
+      {state.pbest_pos.data(), mat_bytes, sizeof(float), /*write=*/false,
+       "pbest_pos"}};
+  if (nbest_idx == nullptr) {
+    uses.push_back({state.gbest_pos.data(),
+                    static_cast<double>(state.d) * sizeof(float), 0,
+                    /*write=*/false, "gbest_pos"});
+  } else {
+    uses.push_back({state.pbest_pos.data(), mat_bytes, 0, /*write=*/false,
+                    "pbest_pos_gather"});
+    uses.push_back({nbest_idx,
+                    static_cast<double>(state.n) * sizeof(std::int32_t), 0,
+                    /*write=*/false, "nbest_idx"});
+  }
+  device.graph_note_uses(std::move(uses));
+}
+
 void update_global(vgpu::Device& device, const LaunchPolicy& policy,
                    SwarmState& state, const float* l_mat, const float* g_mat,
                    const UpdateCoefficients& coeff) {
@@ -43,41 +87,12 @@ void update_global(vgpu::Device& device, const LaunchPolicy& policy,
   const kernels::SwarmUpdateGlobalKernel::Args update_args{
       state.velocities.data(), state.positions.data(), l_mat,    g_mat,
       state.pbest_pos.data(),  state.gbest_pos.data(), state.d, coeff};
-  // Fusion footprint (vgpu/graph/fusion.h): one float per element across
-  // the five matrices, plus the gbest row as a broadcast read
-  // (elem_bytes = 0: every element may read the whole row).
-  const auto note_footprint = [&] {
-    if (device.capturing()) {
-      const double mat_bytes = static_cast<double>(elements) * sizeof(float);
-      device.graph_note_elements(elements);
-      device.graph_note_uses(
-          {{state.velocities.data(), mat_bytes, sizeof(float),
-            /*write=*/false, "velocities"},
-           {state.velocities.data(), mat_bytes, sizeof(float),
-            /*write=*/true, "velocities"},
-           {state.positions.data(), mat_bytes, sizeof(float),
-            /*write=*/false, "positions"},
-           {state.positions.data(), mat_bytes, sizeof(float), /*write=*/true,
-            "positions"},
-           {l_mat, mat_bytes, sizeof(float), /*write=*/false, "l_mat"},
-           {g_mat, mat_bytes, sizeof(float), /*write=*/false, "g_mat"},
-           {state.pbest_pos.data(), mat_bytes, sizeof(float),
-            /*write=*/false, "pbest_pos"},
-           {state.gbest_pos.data(), static_cast<double>(d) * sizeof(float),
-            0, /*write=*/false, "gbest_pos"}});
-      device.graph_note_static(
-          vgpu::graph::codegen::make_static<kernels::SwarmUpdateGlobalKernel>(
-              update_args));
-    }
-  };
   if (vgpu::use_fast_path()) {
     vgpu::prof::KernelLabel klabel("swarm_update/global");
-    device.launch_elements(
+    device.launch_kernel<kernels::SwarmUpdateGlobalKernel>(
         decision.config, update_cost(elements, d, 0, false), elements,
-        [update_args](std::int64_t i) {
-          kernels::SwarmUpdateGlobalKernel::element(update_args, i);
-        });
-    note_footprint();
+        update_args);
+    note_update_footprint(device, state, l_mat, g_mat, /*nbest_idx=*/nullptr);
     return;
   }
   const auto velocities =
@@ -103,7 +118,9 @@ void update_global(vgpu::Device& device, const LaunchPolicy& policy,
                                    pbest_pos[i], gbest_pos[col], coeff);
                   }
                 });
-  note_footprint();
+  device.graph_note_kernel<kernels::SwarmUpdateGlobalKernel>(elements,
+                                                             update_args);
+  note_update_footprint(device, state, l_mat, g_mat, /*nbest_idx=*/nullptr);
 }
 
 void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
@@ -119,9 +136,11 @@ void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
   const int max_tile = static_cast<int>(
       std::sqrt(static_cast<double>(device.spec().max_threads_per_block)));
   const int tile = std::clamp(
-      vgpu::tuned::lookup(vgpu::tuned::shape_key("swarm_tile", elements) +
-                              "/tile",
-                          kTileSize),
+      vgpu::tuned::enabled()
+          ? vgpu::tuned::lookup(
+                vgpu::tuned::shape_key("swarm_tile", elements) + "/tile",
+                kTileSize)
+          : kTileSize,
       2, max_tile);
   const std::int64_t tile_rows = (n + tile - 1) / tile;
   const std::int64_t tile_cols = (d + tile - 1) / tile;
@@ -136,6 +155,25 @@ void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
   // Two __syncthreads per tile trip; the busiest block runs
   // ceil(tiles / grid) trips.
   const std::int64_t trips = (tiles + cfg.grid - 1) / cfg.grid;
+  const vgpu::KernelCostSpec cost =
+      update_cost(elements, d, static_cast<int>(2 * trips), false);
+
+  if (vgpu::use_fast_path()) {
+    // Flat tiles: staging a tile into shared memory and writing it back
+    // moves values without changing them, and each element's update reads
+    // only its own tile slot and gbest column — so the whole launch is the
+    // global update's row-segment span over the same elements, accounted
+    // as the tiled block launch (same cfg, barriers, opaque graph node).
+    const kernels::SwarmUpdateGlobalKernel::Args update_args{
+        state.velocities.data(), state.positions.data(), l_mat,    g_mat,
+        state.pbest_pos.data(),  state.gbest_pos.data(), d,        coeff};
+    vgpu::prof::KernelLabel klabel("swarm_update/shared");
+    device.launch_inline(cfg, cost, [&] {
+      vgpu::graph::codegen::run_span<kernels::SwarmUpdateGlobalKernel>(
+          update_args, 0, elements);
+    });
+    return;
+  }
 
   const auto velocities =
       san::track(state.velocities.data(), elements, "velocities");
@@ -152,7 +190,7 @@ void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
 
   san::KernelScope scope("swarm_update/shared");
   device.launch_blocks(
-      cfg, update_cost(elements, d, static_cast<int>(2 * trips), false),
+      cfg, cost,
       [&](vgpu::BlockCtx& blk) {
         const int tile_elems = tile * tile;
         auto sh_v = san::track_shared(blk.shared_array<float>(tile_elems),
@@ -359,47 +397,19 @@ void swarm_update_ring(vgpu::Device& device, const LaunchPolicy& policy,
       state.velocities.data(), state.positions.data(), l_mat.data(),
       g_mat.data(),            state.pbest_pos.data(), nbest_idx,
       state.d,                 coeff};
-  // Footprint: as update_global, except the attractor is a data-dependent
-  // gather out of pbest_pos (declared as a second, whole-span read) steered
-  // by the neighborhood index array (row-broadcast: elem_bytes = 0).
-  const auto note_footprint = [&] {
-    if (device.capturing()) {
-      const double mat_bytes = static_cast<double>(elements) * sizeof(float);
-      device.graph_note_elements(elements);
-      device.graph_note_uses(
-          {{state.velocities.data(), mat_bytes, sizeof(float),
-            /*write=*/false, "velocities"},
-           {state.velocities.data(), mat_bytes, sizeof(float),
-            /*write=*/true, "velocities"},
-           {state.positions.data(), mat_bytes, sizeof(float),
-            /*write=*/false, "positions"},
-           {state.positions.data(), mat_bytes, sizeof(float), /*write=*/true,
-            "positions"},
-           {l_mat.data(), mat_bytes, sizeof(float), /*write=*/false,
-            "l_mat"},
-           {g_mat.data(), mat_bytes, sizeof(float), /*write=*/false,
-            "g_mat"},
-           {state.pbest_pos.data(), mat_bytes, sizeof(float),
-            /*write=*/false, "pbest_pos"},
-           {state.pbest_pos.data(), mat_bytes, 0, /*write=*/false,
-            "pbest_pos_gather"},
-           {nbest_idx, static_cast<double>(n) * sizeof(std::int32_t), 0,
-            /*write=*/false, "nbest_idx"}});
-      device.graph_note_static(
-          vgpu::graph::codegen::make_static<kernels::SwarmUpdateRingKernel>(
-              ring_args));
-    }
-  };
+  // The attractor is a gather out of pbest_pos, which this kernel already
+  // streams in full — under the perfect-cache (unique-address) convention
+  // the gather adds no pbest traffic, only the neighborhood index array.
+  // The gbest broadcast row of the global variant is not read here.
+  vgpu::KernelCostSpec cost = update_cost(elements, d, 0, false);
+  cost.dram_read_bytes += static_cast<double>(n) * sizeof(std::int32_t) -
+                          static_cast<double>(d) * sizeof(float);
   if (vgpu::use_fast_path()) {
-    vgpu::KernelCostSpec cost = update_cost(elements, d, 0, false);
-    cost.dram_read_bytes += static_cast<double>(n) * sizeof(std::int32_t) -
-                            static_cast<double>(d) * sizeof(float);
     vgpu::prof::KernelLabel klabel("swarm_update/ring");
-    device.launch_elements(
-        decision.config, cost, elements, [ring_args](std::int64_t i) {
-          kernels::SwarmUpdateRingKernel::element(ring_args, i);
-        });
-    note_footprint();
+    device.launch_kernel<kernels::SwarmUpdateRingKernel>(
+        decision.config, cost, elements, ring_args);
+    note_update_footprint(device, state, l_mat.data(), g_mat.data(),
+                          nbest_idx);
     return;
   }
 
@@ -416,15 +426,6 @@ void swarm_update_ring(vgpu::Device& device, const LaunchPolicy& policy,
   san::expect_writes_exactly_once(velocities);
   san::expect_writes_exactly_once(positions);
 
-  // The attractor is a gather out of pbest_pos, which this kernel already
-  // streams in full — under the perfect-cache (unique-address) convention
-  // the gather adds no pbest traffic, only the neighborhood index array.
-  // The gbest broadcast row of the global variant is not read here.
-  vgpu::KernelCostSpec cost = update_cost(elements, d, 0, false);
-  cost.dram_read_bytes +=
-      static_cast<double>(n) * sizeof(std::int32_t) -
-      static_cast<double>(d) * sizeof(float);
-
   san::KernelScope scope("swarm_update/ring");
   device.launch(decision.config, cost, [&](const vgpu::ThreadCtx& t) {
     for (std::int64_t i = t.global_id(); i < elements;
@@ -437,7 +438,9 @@ void swarm_update_ring(vgpu::Device& device, const LaunchPolicy& policy,
                      attractor, coeff);
     }
   });
-  note_footprint();
+  device.graph_note_kernel<kernels::SwarmUpdateRingKernel>(elements,
+                                                           ring_args);
+  note_update_footprint(device, state, l_mat.data(), g_mat.data(), nbest_idx);
 }
 
 UpdateCoefficients coefficients_for_iter(const UpdateCoefficients& base,

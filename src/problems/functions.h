@@ -4,7 +4,10 @@
 // Smutnicki, "Test functions for optimization needs" (2005).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <numbers>
 
 #include "problems/problem.h"
@@ -56,15 +59,39 @@ class Griewank final : public ProblemBase<Griewank> {
   [[nodiscard]] double eval_impl(const T* x, int dim) const {
     double sum = 0.0;
     double prod = 1.0;
-    for (int i = 0; i < dim; ++i) {
+    const auto term = [&](int i, double root) {
       const double xi = static_cast<double>(x[i]);
       sum += xi * xi;
-      prod *= std::cos(xi / std::sqrt(static_cast<double>(i + 1)));
+      prod *= std::cos(xi / root);
+    };
+    const int tabled = std::min(dim, kRootTableSize);
+    const double* roots = root_table();
+    for (int i = 0; i < tabled; ++i) {
+      term(i, roots[i]);
+    }
+    for (int i = tabled; i < dim; ++i) {
+      term(i, std::sqrt(static_cast<double>(i + 1)));
     }
     return sum / 4000.0 - prod + 1.0;
   }
 
  private:
+  /// sqrt(i + 1) for the first kRootTableSize dimensions, computed once per
+  /// process instead of once per dimension per evaluation. The entries are
+  /// the same std::sqrt values, so results keep every bit.
+  static constexpr int kRootTableSize = 1024;
+  static const double* root_table() {
+    static const std::array<double, kRootTableSize> table = [] {
+      std::array<double, kRootTableSize> roots{};
+      for (int i = 0; i < kRootTableSize; ++i) {
+        roots[static_cast<std::size_t>(i)] =
+            std::sqrt(static_cast<double>(i + 1));
+      }
+      return roots;
+    }();
+    return table.data();
+  }
+
   std::string name_ = "griewank";
 };
 

@@ -102,9 +102,7 @@ class BlockCtx {
 template <typename Body>
 void Device::launch_blocks(const LaunchConfig& cfg, const KernelCostSpec& cost,
                            Body&& body) {
-  pack_flush_lane();  // block kernels run inline; keep per-job ordering
-  account_launch(cfg, cost);
-  auto run = [&] {
+  launch_inline(cfg, cost, [&] {
     if (san::active()) [[unlikely]] {
       san::hook_launch_begin(cfg, cost);
       for (std::int64_t b = 0; b < cfg.grid; ++b) {
@@ -119,14 +117,7 @@ void Device::launch_blocks(const LaunchConfig& cfg, const KernelCostSpec& cost,
       BlockCtx block(*this, b, cfg, spec_.shared_mem_per_block);
       body(block);
     }
-  };
-  if (prof::active()) [[unlikely]] {
-    Stopwatch wall;
-    run();
-    prof_note_wall(wall.elapsed_s());
-    return;
-  }
-  run();
+  });
 }
 
 }  // namespace fastpso::vgpu

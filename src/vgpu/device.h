@@ -329,6 +329,17 @@ class Device {
   /// call: registration only enables compiled standalone replay when the
   /// node also captured its body.
   void graph_note_static(graph::codegen::StaticKernel kernel);
+  /// Notes registered kernel K's element domain and static form on the
+  /// node just captured (no-op unless capturing). launch_kernel does this
+  /// itself; call sites whose faithful branch launches a tracked per-thread
+  /// body call it after that launch.
+  template <typename K>
+  void graph_note_kernel(std::int64_t n_elems, const typename K::Args& args) {
+    if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
+      graph_note_elements(n_elems);
+      graph_note_static(graph::codegen::make_static<K>(args));
+    }
+  }
   /// True while a capture with body recording is open. Dispatchers that
   /// pair account_launch with their own execution (core::evaluate_positions)
   /// use this to decide whether to build standalone-replay bodies.
@@ -366,28 +377,34 @@ class Device {
                        double modeled_seconds, Fn&& run) {
     if (prof::active()) [[unlikely]] {
       prof_record_packed(label, cfg, jobs, modeled_seconds);
-      Stopwatch wall;
-      run();
-      prof_note_wall(wall.elapsed_s());
-      return;
     }
-    run();
+    run_timed(run);
   }
 
   // --- kernel launch ------------------------------------------------------
+  /// Accounts one launch of `cfg`/`cost` and runs `run()` once, inline, in
+  /// its place: the pack lane is flushed first (inline work never defers)
+  /// and a capture records an opaque node (no body, no element domain).
+  /// The shared core of launch and launch_blocks, and the fast-path form of
+  /// block kernels whose per-thread phases reduce to one flat loop
+  /// (core::swarm_update's shared-memory tiles).
+  template <typename Fn>
+  void launch_inline(const LaunchConfig& cfg, const KernelCostSpec& cost,
+                     Fn&& run) {
+    pack_flush_lane();
+    account_launch(cfg, cost);
+    run_timed(run);
+  }
+
   /// Launches `body` once per thread of `cfg`. The body receives a
   /// ThreadCtx and is expected to grid-stride over its work.
   template <typename Body>
   void launch(const LaunchConfig& cfg, const KernelCostSpec& cost,
               Body&& body) {
-    if (pack_sink_ != nullptr) [[unlikely]] {
-      pack_sink_->flush_lane();  // per-thread launches never defer
-    }
-    account_launch(cfg, cost);
-    ThreadCtx ctx;
-    ctx.block_dim = cfg.block;
-    ctx.grid_dim = cfg.grid;
-    auto run = [&] {
+    launch_inline(cfg, cost, [&] {
+      ThreadCtx ctx;
+      ctx.block_dim = cfg.block;
+      ctx.grid_dim = cfg.grid;
       if (san::active()) [[unlikely]] {
         san::hook_launch_begin(cfg, cost);
         for (std::int64_t b = 0; b < cfg.grid; ++b) {
@@ -409,14 +426,52 @@ class Device {
           body(static_cast<const ThreadCtx&>(ctx));
         }
       }
-    };
-    if (prof::active()) [[unlikely]] {
-      Stopwatch wall;
-      run();
-      prof_note_wall(wall.elapsed_s());
+    });
+  }
+
+  /// Launches a registered kernel K over elements [0, n_elems). K follows
+  /// the core/kernels_registry.h contract: a by-value `Args` pack, `tag()`,
+  /// the reference `element(args, i)` and optionally a cheaper
+  /// `span(args, begin, end)`. Accounting is launch_elements'. On the fast
+  /// path the body is codegen::run_span<K> — K's span when it defines one —
+  /// run inline, or offered as a range span to an attached pack sink for a
+  /// replay-matched launch. While capturing, the node records K's element
+  /// domain and static form, plus span/element bodies under
+  /// set_capture_bodies(true). Off the fast path K::element runs through
+  /// the faithful per-thread grid-stride engine.
+  template <typename K>
+  void launch_kernel(const LaunchConfig& cfg, const KernelCostSpec& cost,
+                     std::int64_t n_elems, const typename K::Args& args) {
+    if (!use_fast_path()) [[unlikely]] {
+      launch(cfg, cost, [&](const ThreadCtx& t) {
+        for (std::int64_t i = t.global_id(); i < n_elems;
+             i += t.grid_stride()) {
+          K::element(args, i);
+        }
+      });
+      graph_note_kernel<K>(n_elems, args);
       return;
     }
-    run();
+    account_launch(cfg, cost);
+    if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
+      graph_note_kernel<K>(n_elems, args);
+      if (capture_bodies_) {
+        // By-value copies of the argument pack; the buffers inside follow
+        // the caller's lifetime promise (set_capture_bodies).
+        graph_capture_body([args, n_elems] {
+          graph::codegen::run_span<K>(args, 0, n_elems);
+        });
+        graph_capture_elem_body(
+            [args](std::int64_t i) { K::element(args, i); });
+      }
+    }
+    if (pack_offer_range(n_elems, cost,
+                         [args](std::int64_t b, std::int64_t e) {
+                           graph::codegen::run_span<K>(args, b, e);
+                         })) {
+      return;
+    }
+    run_timed([&] { graph::codegen::run_span<K>(args, 0, n_elems); });
   }
 
   /// Launches an element-wise kernel over `[0, n_elems)`. On the fast path
@@ -474,17 +529,11 @@ class Device {
       }
       pack_sink_->flush_lane();
     }
-    if (prof::active()) [[unlikely]] {
-      Stopwatch wall;
+    run_timed([&] {
       for (std::int64_t i = 0; i < n_elems; ++i) {
         body(i);
       }
-      prof_note_wall(wall.elapsed_s());
-      return;
-    }
-    for (std::int64_t i = 0; i < n_elems; ++i) {
-      body(i);
-    }
+    });
   }
 
   /// Launches a cooperative block kernel: `body` is called once per block
@@ -630,6 +679,19 @@ class Device {
   /// `device_wide` costs (allocs, transfers, host work) synchronize and
   /// advance every stream; kernel costs advance only the current stream.
   void add_modeled(double seconds, bool device_wide = true);
+
+  /// Runs a just-accounted launch's body; under profiling its host wall
+  /// time lands on the launch's event.
+  template <typename Fn>
+  void run_timed(Fn&& run) {
+    if (prof::active()) [[unlikely]] {
+      Stopwatch wall;
+      run();
+      prof_note_wall(wall.elapsed_s());
+      return;
+    }
+    run();
+  }
 
   // Out-of-line profiler slow paths (device.cpp); reached only while
   // prof::active(). Events are recorded *before* add_modeled so t_begin is

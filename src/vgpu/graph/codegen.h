@@ -32,13 +32,15 @@
 //               group with an unregistered/opaque member — automatically,
 //               with no caller involvement.
 //
-// Why numerics stay bitwise identical: every kernel's call-site body and
-// its registered span share ONE `element()` function (identity by
-// construction), and fusion legality already guarantees that all in-group
-// same-storage dataflow is element-aligned (BufferUse::aligned_with) — so
-// any member-order-preserving schedule (per-element, chunked, or composed)
-// produces exactly the eager bits. No fast-math is enabled anywhere in the
-// build.
+// Why numerics stay bitwise identical: the eager launch and the registered
+// span both run run_span<K>, and a kernel's own span computes the same
+// elements with the same arithmetic as its reference `element()` (the
+// composed loops call element() directly); fusion legality already
+// guarantees that all in-group same-storage dataflow is element-aligned
+// (BufferUse::aligned_with) — so any member-order-preserving schedule
+// (per-element, chunked, or composed) produces exactly the eager bits. No
+// fast-math is enabled anywhere in the build, and FMA contraction is off
+// (src/CMakeLists.txt).
 //
 // Default off; enable with FASTPSO_CODEGEN=1 or codegen::set_enabled(true).
 #pragma once
@@ -103,21 +105,37 @@ void register_composed(std::vector<std::uint32_t> tags, ComposedFn fn);
 
 namespace detail {
 
-/// Generic span: the per-element loop over K::element. Kernels whose work
-/// has a cheaper batched form (e.g. the eval dispatch) define their own
-/// K::span instead of using this.
-template <typename K>
-void span_thunk(const void* args, std::int64_t begin, std::int64_t end) {
-  const auto& a = *static_cast<const typename K::Args*>(args);
-  for (std::int64_t i = begin; i < end; ++i) {
-    K::element(a, i);
-  }
-}
-
 template <typename K>
 concept HasOwnSpan = requires(const void* p, std::int64_t i) {
   { K::span(p, i, i) };
 };
+
+}  // namespace detail
+
+/// Runs kernel K over elements [begin, end), statically bound: K's own span
+/// when it defines one (a row-segment or batched form that beats the
+/// per-element loop), else the per-element loop over K::element. Every
+/// execution of a registered kernel goes through this — the eager fast
+/// path (Device::launch_kernel), packed dispatch and compiled replay.
+template <typename K>
+void run_span(const typename K::Args& args, std::int64_t begin,
+              std::int64_t end) {
+  if constexpr (detail::HasOwnSpan<K>) {
+    K::span(&args, begin, end);
+  } else {
+    for (std::int64_t i = begin; i < end; ++i) {
+      K::element(args, i);
+    }
+  }
+}
+
+namespace detail {
+
+/// Type-erased run_span<K>: the SpanFn a StaticKernel stores.
+template <typename K>
+void span_thunk(const void* args, std::int64_t begin, std::int64_t end) {
+  run_span<K>(*static_cast<const typename K::Args*>(args), begin, end);
+}
 
 /// One pass over a member sequence: chunk-wise member-major, everything
 /// statically bound. Per ~kChunk window each member's element loop runs as
@@ -151,19 +169,15 @@ void composed_thunk(const void* const* args, std::int64_t begin,
 /// Builds the StaticKernel for one launch of kernel struct K over `args`.
 /// K's contract (src/core/kernels_registry.h): a POD-ish `Args` pack, a
 /// `static std::uint32_t tag()`, and a
-/// `static void element(const Args&, std::int64_t i)` that is THE code the
-/// call-site body runs — plus optionally its own
+/// `static void element(const Args&, std::int64_t i)` — the reference code
+/// for one element — plus optionally its own
 /// `static void span(const void*, int64, int64)` when a batched form is
 /// cheaper than the per-element loop.
 template <typename K>
 [[nodiscard]] StaticKernel make_static(typename K::Args args) {
   StaticKernel k;
   k.tag = K::tag();
-  if constexpr (detail::HasOwnSpan<K>) {
-    k.span = &K::span;
-  } else {
-    k.span = &detail::span_thunk<K>;
-  }
+  k.span = &detail::span_thunk<K>;
   k.args = std::make_shared<const typename K::Args>(std::move(args));
   return k;
 }

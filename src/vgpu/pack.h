@@ -5,10 +5,11 @@
 // job still executed its own launches. These hooks are the execution half of
 // making that real (DESIGN.md §10, the Warp-Level Parallelism scheme from
 // PAPERS.md): while a PackSink is attached and a graph replay is open,
-// Device::launch_elements offers each *matched* element launch's body to the
-// sink as a span closure instead of running it inline. The sink (one lane
-// per job) later executes a whole same-shape cohort's spans through one
-// Device::packed_dispatch with grid = k x per-job blocks.
+// Device::launch_elements / launch_kernel offer each *matched* element
+// launch's body to the sink as a span closure instead of running it
+// inline. The sink (one lane per job) later executes a whole same-shape
+// cohort's spans through one Device::packed_dispatch with grid = k x
+// per-job blocks.
 //
 // Accounting is untouched by design: a deferred launch was already fully
 // accounted through the per-job replay path (counters, modeled seconds,

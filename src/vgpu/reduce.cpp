@@ -33,6 +33,9 @@ int sanitize_block(int block, const GpuSpec& spec) {
 /// Geometry-only for argmin — the result is "first strict minimum in
 /// ascending index order" at any width — so retuning it never moves gbest.
 int reduce_block(const GpuSpec& spec, std::int64_t n) {
+  if (!tuned::enabled()) {
+    return kReduceBlock;  // no key string built on the default path
+  }
   const int block =
       tuned::lookup(tuned::shape_key("reduce", n) + "/block", kReduceBlock);
   return block == kReduceBlock ? kReduceBlock : sanitize_block(block, spec);
@@ -41,11 +44,13 @@ int reduce_block(const GpuSpec& spec, std::int64_t n) {
 /// Launch shape for a reduction over n elements: one block per
 /// `block`-element chunk, capped so the partial array stays small.
 LaunchConfig reduce_config(const GpuSpec& spec, std::int64_t n, int block) {
-  const int max_blocks = std::max(
-      1, tuned::lookup(tuned::shape_key("reduce", n) + "/max_blocks",
-                       kReduceMaxBlocks));
-  auto cfg = LaunchConfig::for_elements(spec, n, block, max_blocks);
-  return cfg;
+  const int max_blocks =
+      tuned::enabled()
+          ? std::max(1, tuned::lookup(tuned::shape_key("reduce", n) +
+                                          "/max_blocks",
+                                      kReduceMaxBlocks))
+          : kReduceMaxBlocks;
+  return LaunchConfig::for_elements(spec, n, block, max_blocks);
 }
 
 /// Cost of one reduction pass over n elements of `elem_bytes` each,

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <limits>
+#include <vector>
 
 #include "core/init.h"
+#include "core/kernels_registry.h"
 #include "core/launch_policy.h"
 #include "core/swarm_state.h"
+#include "rng/philox.h"
 #include "vgpu/device.h"
 
 namespace fastpso::core {
@@ -121,6 +126,101 @@ TEST_F(InitTest, InitAccountsDeviceWork) {
   // Position + velocity fills write at least 2*n*d floats.
   EXPECT_GE(device_.counters().dram_write_useful,
             2.0 * state.elements() * sizeof(float));
+}
+
+// ---- fill kernel spans vs. the reference element() ----------------------
+
+constexpr float kFillLo = -2.5f;
+constexpr float kFillSpan = 5.0f;
+constexpr float kUnwritten = 99.0f;
+
+/// Bitwise check of out[0, count) against lo + span * uniform_at(offset + k).
+void expect_fill_exact(const rng::PhiloxStream& rng,
+                       const std::vector<float>& out, std::int64_t offset,
+                       std::int64_t count) {
+  for (std::int64_t k = 0; k < count; ++k) {
+    const float want =
+        kFillLo + kFillSpan * rng.uniform_at(static_cast<std::uint64_t>(
+                                  offset + k));
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(out[static_cast<std::size_t>(k)]),
+              std::bit_cast<std::uint32_t>(want))
+        << "offset " << offset << ", count " << count << ", value " << k;
+  }
+  for (std::size_t k = static_cast<std::size_t>(count); k < out.size(); ++k) {
+    EXPECT_EQ(out[k], kUnwritten);
+  }
+}
+
+/// Runs `kernel`'s span over [0, blocks) split into `parts` contiguous
+/// ranges, the way the packing engine hands a member's elements to packed
+/// blocks.
+template <typename K>
+void run_span_in_parts(const typename K::Args& args, std::int64_t blocks,
+                       std::int64_t parts) {
+  const std::int64_t per_part = std::max<std::int64_t>(
+      1, (blocks + parts - 1) / parts);
+  for (std::int64_t b = 0; b < blocks; b += per_part) {
+    K::span(&args, b, std::min(blocks, b + per_part));
+  }
+}
+
+// The span fills whole blocks eight at a time and clamps the tail block
+// through element(): block counts around one eight-block step, every
+// element tail (0-3 floats short of a whole block), and sub-ranges.
+TEST(FillKernelSpan, WholeArrayMatchesUniformAt) {
+  const rng::PhiloxStream rng(31, 4);
+  for (const std::int64_t blocks : {0, 1, 7, 8, 9, 33}) {
+    for (std::int64_t tail = 0; tail < 4; ++tail) {
+      const std::int64_t elements = std::max<std::int64_t>(
+          0, 4 * blocks - tail);
+      if ((elements + 3) / 4 != blocks) {
+        continue;
+      }
+      for (const std::int64_t parts : {1, 2, 3, 5}) {
+        std::vector<float> out(static_cast<std::size_t>(elements + 5),
+                               kUnwritten);
+        const kernels::FillUniformKernel::Args args{rng, out.data(), elements,
+                                                    kFillLo, kFillSpan};
+        run_span_in_parts<kernels::FillUniformKernel>(args, blocks, parts);
+        expect_fill_exact(rng, out, 0, elements);
+      }
+    }
+  }
+}
+
+// The slice form fills global elements [offset, offset+count) into a small
+// buffer: boundary blocks run element(), interior blocks the bulk fill.
+TEST(FillKernelSpan, SliceMatchesUniformAt) {
+  const rng::PhiloxStream rng(31, 4);
+  for (const std::int64_t offset : {0, 1, 2, 3, 4, 37}) {
+    for (const std::int64_t count : {1, 2, 3, 5, 31, 32, 33, 70}) {
+      const std::int64_t first = offset / 4;
+      const std::int64_t blocks = (offset + count - 1) / 4 - first + 1;
+      for (const std::int64_t parts : {1, 3}) {
+        std::vector<float> out(static_cast<std::size_t>(count + 5),
+                               kUnwritten);
+        const kernels::FillUniformSliceKernel::Args args{
+            rng, out.data(), offset, count, kFillLo, kFillSpan};
+        run_span_in_parts<kernels::FillUniformSliceKernel>(args, blocks,
+                                                           parts);
+        expect_fill_exact(rng, out, offset, count);
+      }
+    }
+  }
+}
+
+// A slice that starts three blocks below the 2^32 block-counter carry: the
+// first eight-block step straddles it. Runs through the real sharded fill
+// entry point, whose fast path is the span.
+TEST_F(InitTest, SliceFillAcrossCounterCarry) {
+  const std::int64_t offset = 4 * ((std::int64_t{1} << 32) - 3) + 1;
+  const std::int64_t count = 70;
+  vgpu::DeviceArray<float> out(device_, count + 5);
+  std::fill(out.data(), out.data() + count + 5, kUnwritten);
+  fill_uniform_slice(device_, policy_, out.data(), offset, count, /*seed=*/31,
+                     /*stream=*/4, kFillLo, kFillLo + kFillSpan);
+  std::vector<float> host(out.data(), out.data() + count + 5);
+  expect_fill_exact(rng::PhiloxStream(31, 4), host, offset, count);
 }
 
 }  // namespace

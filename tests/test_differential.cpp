@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,12 @@ struct DiffCase {
 
 std::string case_name(const ::testing::TestParamInfo<DiffCase>& info) {
   return info.param.problem;
+}
+
+// Without a printer gtest dumps the raw bytes (the `problem` pointer and
+// padding), and the discovered ctest names change from build to build.
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  *os << "d=" << c.dim << " n=" << c.particles;
 }
 
 class Differential : public ::testing::TestWithParam<DiffCase> {};

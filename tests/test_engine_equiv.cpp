@@ -7,7 +7,9 @@
 //
 //   * kernel level — init / weights / swarm update (global + ring) produce
 //     bitwise-identical positions and velocities and identical
-//     DeviceCounters with the toggle on and off;
+//     DeviceCounters with the toggle on and off; the shared-memory update's
+//     flat fast path matches its block engine (counters and barriers
+//     included) and the global-memory update bit for bit;
 //   * optimizer level — full runs on all four Table 1 problems through every
 //     implementation agree on gbest value/position/history, counters and
 //     modeled seconds;
@@ -93,14 +95,21 @@ struct KernelRun {
   vgpu::DeviceCounters counters;
 };
 
+struct PipelineShape {
+  int n = 24;
+  int d = 7;
+  std::int64_t thread_cap = 0;  ///< LaunchPolicy override; 0 = derived
+  core::UpdateTechnique technique = core::UpdateTechnique::kGlobalMemory;
+};
+
 /// A short pipeline over the raw step kernels: init, two iterations of
-/// weights + pbest/gbest + global-memory update, then one ring update.
-KernelRun run_kernels(bool fast) {
+/// weights + pbest/gbest + swarm update, then one ring update.
+KernelRun run_kernels(bool fast, const PipelineShape& shape = {}) {
   const FastPathGuard guard(fast);
-  constexpr int n = 24;
-  constexpr int d = 7;
+  const int n = shape.n;
+  const int d = shape.d;
   vgpu::Device device;
-  core::LaunchPolicy policy(device.spec());
+  core::LaunchPolicy policy(device.spec(), /*block=*/256, shape.thread_cap);
   core::SwarmState state(device, n, d);
   core::initialize_swarm(device, policy, state, /*seed=*/7, -3.0f, 3.0f,
                          /*vmax=*/1.5f);
@@ -123,7 +132,7 @@ KernelRun run_kernels(bool fast) {
     core::update_pbest(device, policy, state);
     core::update_gbest(device, state);
     core::swarm_update(device, policy, state, l_mat, g_mat, coeff,
-                       core::UpdateTechnique::kGlobalMemory);
+                       shape.technique);
   }
   std::vector<std::int32_t> ring(n);
   for (int i = 0; i < n; ++i) {
@@ -152,6 +161,33 @@ TEST(EngineEquiv, KernelStateBitwiseIdentical) {
   EXPECT_TRUE(bits_equal(fast.gbest_pos, legacy.gbest_pos));
   EXPECT_EQ(fast.gbest_err, legacy.gbest_err);
   expect_counters_equal(fast.counters, legacy.counters);
+}
+
+// The shared-memory update runs as flat row segments on the fast path and
+// as staged tiles on the block engine. 40x37 under 16x16 tiles leaves
+// partial tiles in both dimensions, and a thread cap of 1024 spreads the
+// nine tiles over four blocks, so the busiest block makes three trips.
+TEST(EngineEquiv, SharedMemoryFastPathMatchesBlockEngineAndGlobal) {
+  PipelineShape shape;
+  shape.n = 40;
+  shape.d = 37;
+  shape.thread_cap = 1024;
+  shape.technique = core::UpdateTechnique::kSharedMemory;
+  const KernelRun flat = run_kernels(true, shape);
+  const KernelRun tiled = run_kernels(false, shape);
+  shape.technique = core::UpdateTechnique::kGlobalMemory;
+  const KernelRun global = run_kernels(true, shape);
+
+  EXPECT_TRUE(bits_equal(flat.positions, tiled.positions));
+  EXPECT_TRUE(bits_equal(flat.velocities, tiled.velocities));
+  EXPECT_TRUE(bits_equal(flat.positions, global.positions));
+  EXPECT_TRUE(bits_equal(flat.velocities, global.velocities));
+  EXPECT_TRUE(bits_equal(flat.gbest_pos, global.gbest_pos));
+  EXPECT_EQ(flat.gbest_err, global.gbest_err);
+  // Counters include the tiles' __syncthreads (two per trip), which the
+  // flat path accounts without executing any.
+  expect_counters_equal(flat.counters, tiled.counters);
+  EXPECT_GT(flat.counters.barriers, global.counters.barriers);
 }
 
 // ---- optimizer level: all four Table 1 problems, every implementation ----

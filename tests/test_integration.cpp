@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "benchkit/runner.h"
 #include "core/multi_gpu.h"
@@ -81,6 +82,14 @@ struct ModeCase {
   core::Synchronization synchronization;
   bool mixed_precision;
 };
+
+// Without a printer gtest dumps the raw bytes, padding included, and the
+// discovered ctest names change from build to build.
+void PrintTo(const ModeCase& mode, std::ostream* os) {
+  *os << core::to_string(mode.technique) << '/'
+      << core::to_string(mode.synchronization) << '/'
+      << (mode.mixed_precision ? "mixed" : "fp32");
+}
 
 class EveryMode : public ::testing::TestWithParam<ModeCase> {};
 

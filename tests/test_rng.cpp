@@ -149,6 +149,54 @@ TEST(PhiloxStream, UniformPairMatchesScalarPath) {
   }
 }
 
+/// Checks out[k] == lo + span * uniform_at(4 * first_block + k) bit for bit
+/// over a bulk fill of `blocks` blocks, and that the fill stops there.
+void expect_bulk_fill_exact(const PhiloxStream& stream,
+                            std::uint64_t first_block, std::int64_t blocks) {
+  const float lo = -3.0f;
+  const float span = 6.5f;
+  constexpr float kGuard = 123.0f;
+  std::vector<float> out(static_cast<std::size_t>(4 * blocks + 4), kGuard);
+  stream.fill_uniform_blocks(first_block, blocks, lo, span, out.data());
+  for (std::int64_t k = 0; k < 4 * blocks; ++k) {
+    const float want =
+        lo + span * stream.uniform_at(4 * first_block +
+                                      static_cast<std::uint64_t>(k));
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(out[static_cast<std::size_t>(k)]),
+              std::bit_cast<std::uint32_t>(want))
+        << "first_block " << first_block << ", blocks " << blocks
+        << ", value " << k;
+  }
+  for (std::size_t k = static_cast<std::size_t>(4 * blocks); k < out.size();
+       ++k) {
+    EXPECT_EQ(out[k], kGuard);
+  }
+}
+
+// The bulk fill runs eight blocks per step (AVX2 when available) plus a
+// scalar remainder: block counts around and across one step.
+TEST(PhiloxStream, BulkFillMatchesScalarPath) {
+  const PhiloxStream stream(55, 9);
+  for (const std::int64_t blocks : {0, 1, 7, 8, 9, 33}) {
+    for (const std::uint64_t first : {0ull, 5ull}) {
+      expect_bulk_fill_exact(stream, first, blocks);
+    }
+  }
+}
+
+// Block indices are 64-bit counters split over two 32-bit words: an
+// eight-block step starting just below 2^32 carries into the high word
+// part-way through.
+TEST(PhiloxStream, BulkFillAcrossCounterCarry) {
+  const PhiloxStream stream(0x1234567890ABCDEFull, 3);
+  const std::uint64_t carry = 1ull << 32;
+  for (const std::uint64_t first : {carry - 3, carry - 8, carry - 1}) {
+    for (const std::int64_t blocks : {1, 8, 9, 17}) {
+      expect_bulk_fill_exact(stream, first, blocks);
+    }
+  }
+}
+
 TEST(PhiloxStream, DoubleHas53BitResolution) {
   const PhiloxStream stream(3, 0);
   std::set<double> seen;
