@@ -10,12 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "baselines/baselines.h"
 #include "common/check.h"
@@ -23,6 +20,7 @@
 #include "core/swarm_update.h"
 #include "rng/philox.h"
 #include "rng/xoshiro.h"
+#include "vgpu/parallel.h"
 #include "vgpu/perf_model.h"
 #include "vgpu/prof/prof.h"
 
@@ -170,32 +168,20 @@ core::Result run_fastpso_cpu(const core::Objective& objective,
     {
       ScopedTimer timer(wall, "eval");
       if (objective.batch_fn) {
-        // Devirtualized batch loop; under OpenMP each thread evaluates one
-        // contiguous chunk (same schedule(static) partition as below, so
-        // each out[i] is written by the same math either way).
-#ifdef _OPENMP
-        if (use_omp) {
-          // One thread evaluates begin==0, end==n: the same batch call the
-          // serial path makes, so the if() clause cannot change results.
-#pragma omp parallel if (elements >= kOmpMinElements)
-          {
-            const int threads = omp_get_num_threads();
-            const int tid = omp_get_thread_num();
-            const int chunk = (n + threads - 1) / threads;
-            const int begin = std::min(n, tid * chunk);
-            const int end = std::min(n, begin + chunk);
-            if (end > begin) {
-              objective.batch_fn(
-                  s.p.data() + static_cast<std::size_t>(begin) * d,
-                  end - begin, d, s.perror.data() + begin);
-            }
-          }
+        // Devirtualized batch loop over contiguous row ranges; under OpenMP
+        // the rows split across the host workers (vgpu/parallel.h). Rows
+        // are independent, so each out[i] is written by the same math
+        // whatever the partition.
+        const auto rows = [&](std::int64_t begin, std::int64_t end) {
+          objective.batch_fn(s.p.data() + begin * d,
+                             static_cast<int>(end - begin), d,
+                             s.perror.data() + begin);
+        };
+        if (use_omp && elements >= kOmpMinElements) {
+          vgpu::parallel_for(n, /*grain=*/1, rows);
         } else {
-          objective.batch_fn(s.p.data(), n, d, s.perror.data());
+          rows(0, n);
         }
-#else
-        objective.batch_fn(s.p.data(), n, d, s.perror.data());
-#endif
       } else {
 #pragma omp parallel for schedule(static) \
     if (use_omp && elements >= kOmpMinElements)

@@ -14,12 +14,14 @@
 // resource-aware launch policy.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "core/kernels_registry.h"
 #include "core/launch_policy.h"
 #include "core/objective.h"
 #include "vgpu/device.h"
+#include "vgpu/parallel.h"
 #include "vgpu/prof/prof.h"
 
 namespace fastpso::core {
@@ -40,10 +42,11 @@ void evaluation_kernel(vgpu::Device& device, const LaunchPolicy& policy,
 
 /// Evaluates `n` particle rows of `positions` into `out` through the
 /// evaluation-kernel schema: `out[i] = (float)fn(positions + i*d, d)`. On
-/// the fast path a batched objective runs one devirtualized inner loop
-/// (one dispatch per batch, identical accounting); otherwise — custom
-/// lambda objectives, sanitizer runs, fast path disabled — it falls back
-/// to the per-particle fn through evaluation_kernel.
+/// the fast path a batched objective runs one devirtualized inner loop per
+/// contiguous row range (one dispatch per host worker, identical
+/// accounting); otherwise — custom lambda objectives, sanitizer runs, fast
+/// path disabled — it falls back to the per-particle fn through
+/// evaluation_kernel.
 inline void evaluate_positions(vgpu::Device& device,
                                const LaunchPolicy& policy,
                                const Objective& objective,
@@ -102,13 +105,25 @@ inline void evaluate_positions(vgpu::Device& device,
             })) {
       return;
     }
+    // Inline, the rows split across host workers (vgpu/parallel.h) once
+    // the batch reaches 2 * kHostGrain elements' worth of rows — batch_fn
+    // is safe on disjoint row ranges concurrently (core/objective.h). The
+    // profiled branch times the same split run.
+    const auto run_rows = [&] {
+      vgpu::parallel_for(
+          n, std::max<std::int64_t>(1, vgpu::kHostGrain / d),
+          [&objective, positions, d, out](std::int64_t b, std::int64_t e) {
+            objective.batch_fn(positions + b * d, static_cast<int>(e - b), d,
+                               out + b);
+          });
+    };
     if (vgpu::prof::active()) [[unlikely]] {
       Stopwatch wall;
-      objective.batch_fn(positions, static_cast<int>(n), d, out);
+      run_rows();
       device.prof_note_wall(wall.elapsed_s());
       return;
     }
-    objective.batch_fn(positions, static_cast<int>(n), d, out);
+    run_rows();
     return;
   }
   evaluation_kernel(device, policy, n, cost, [&](std::int64_t i) {

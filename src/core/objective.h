@@ -27,6 +27,12 @@ struct Objective {
   /// (float)fn(X + i*dim, dim)` with a devirtualized inner loop (one
   /// dispatch per batch). Null for custom lambda objectives; callers fall
   /// back to the per-particle fn.
+  ///
+  /// Concurrency contract: batch_fn must be safe to call concurrently on
+  /// disjoint row ranges (X + b*dim, e - b rows, out + b). Large batches
+  /// are split into contiguous row ranges that run on several host threads
+  /// at once (core/eval_schema.h, fastpso-omp), so it must not write shared
+  /// state, and out[i] must depend only on row i.
   std::function<void(const float* X, int n, int dim, float* out)> batch_fn;
 
   /// Search domain (positions initialized uniformly in [lower, upper]).

@@ -7,6 +7,7 @@
 
 #include "core/kernels_registry.h"
 #include "vgpu/block.h"
+#include "vgpu/parallel.h"
 #include "vgpu/tuned.h"
 #include "vgpu/prof/prof.h"
 #include "vgpu/san/tracked.h"
@@ -164,13 +165,19 @@ void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
     // only its own tile slot and gbest column — so the whole launch is the
     // global update's row-segment span over the same elements, accounted
     // as the tiled block launch (same cfg, barriers, opaque graph node).
+    // Like launch_kernel's inline run, the span splits across host workers
+    // (vgpu/parallel.h) at 2 * kHostGrain elements.
     const kernels::SwarmUpdateGlobalKernel::Args update_args{
         state.velocities.data(), state.positions.data(), l_mat,    g_mat,
         state.pbest_pos.data(),  state.gbest_pos.data(), d,        coeff};
     vgpu::prof::KernelLabel klabel("swarm_update/shared");
     device.launch_inline(cfg, cost, [&] {
-      vgpu::graph::codegen::run_span<kernels::SwarmUpdateGlobalKernel>(
-          update_args, 0, elements);
+      vgpu::parallel_for(
+          elements, vgpu::kHostGrain,
+          [&update_args](std::int64_t b, std::int64_t e) {
+            vgpu::graph::codegen::run_span<kernels::SwarmUpdateGlobalKernel>(
+                update_args, b, e);
+          });
     });
     return;
   }

@@ -12,9 +12,10 @@
 namespace fastpso::vgpu {
 
 namespace {
-// Process-wide toggle; the vgpu is single-threaded by contract, so a plain
-// bool is enough. Defaults to on (FASTPSO_FAST_PATH=0 in the environment
-// starts it off, for A/B timing) — tests flip it to pin the legacy engine.
+// Process-wide toggle, read and written only by the host thread driving the
+// launches (split kernel bodies never read it), so a plain bool is enough.
+// Defaults to on (FASTPSO_FAST_PATH=0 in the environment starts it off,
+// for A/B timing) — tests flip it to pin the legacy engine.
 bool initial_fast_path() {
   const char* env = std::getenv("FASTPSO_FAST_PATH");
   return env == nullptr || std::string_view(env) != "0";

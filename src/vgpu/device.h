@@ -34,6 +34,7 @@
 #include "vgpu/device_spec.h"
 #include "vgpu/graph/graph.h"
 #include "vgpu/pack.h"
+#include "vgpu/parallel.h"
 #include "vgpu/perf_model.h"
 #include "vgpu/prof/hooks.h"
 #include "vgpu/san/hooks.h"
@@ -125,7 +126,11 @@ class MemoryPool;  // vgpu/memory_pool.h
 
 /// A virtual GPU. Owns its "device memory" (host allocations bounded by the
 /// spec's capacity), a caching MemoryPool, activity counters and the
-/// performance model. Not thread-safe: one Device per optimizer instance.
+/// performance model. Not thread-safe: one host thread drives a Device (one
+/// Device per optimizer instance). Large fast-path launches split their
+/// kernel body across host workers (vgpu/parallel.h), but a split body
+/// never touches Device state — accounting, capture, pack offers and
+/// profiler events all run on the driving thread, around the body.
 class Device {
  public:
   explicit Device(GpuSpec spec = tesla_v100());
@@ -435,7 +440,10 @@ class Device {
   /// `span(args, begin, end)`. Accounting is launch_elements'. On the fast
   /// path the body is codegen::run_span<K> — K's span when it defines one —
   /// run inline, or offered as a range span to an attached pack sink for a
-  /// replay-matched launch. While capturing, the node records K's element
+  /// replay-matched launch. The inline run splits [0, n_elems) across host
+  /// workers (vgpu/parallel.h) once it reaches 2 * kHostGrain elements;
+  /// every registered span takes arbitrary sub-ranges, so the bits do not
+  /// depend on the split. While capturing, the node records K's element
   /// domain and static form, plus span/element bodies under
   /// set_capture_bodies(true). Off the fast path K::element runs through
   /// the faithful per-thread grid-stride engine.
@@ -471,7 +479,12 @@ class Device {
                          })) {
       return;
     }
-    run_timed([&] { graph::codegen::run_span<K>(args, 0, n_elems); });
+    run_timed([&] {
+      parallel_for(n_elems, kHostGrain,
+                   [&args](std::int64_t b, std::int64_t e) {
+                     graph::codegen::run_span<K>(args, b, e);
+                   });
+    });
   }
 
   /// Launches an element-wise kernel over `[0, n_elems)`. On the fast path

@@ -15,24 +15,41 @@
 //     modeled seconds;
 //   * sanitizer level — a recording Session forces the faithful path, so
 //     the launch trace is byte-identical regardless of the toggle, and
-//     still matches the checked-in golden JSON.
+//     still matches the checked-in golden JSON;
+//   * host fan-out — vgpu::parallel_for covers every index exactly once and
+//     rethrows a range's exception on the caller, and runs large enough to
+//     split (past 2 * kHostGrain) match the faithful engine and a
+//     one-worker fast path on every buffer, counter and modeled second.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <mutex>
+#include <ostream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchkit/runner.h"
+#include "common/check.h"
 #include "core/best_update.h"
 #include "core/init.h"
+#include "core/job_run.h"
 #include "core/objective.h"
 #include "core/optimizer.h"
 #include "core/swarm_update.h"
 #include "problems/problem.h"
+#include "problems/transforms.h"
 #include "vgpu/device.h"
+#include "vgpu/parallel.h"
 #include "vgpu/san/sanitizer.h"
 
 namespace fastpso {
@@ -57,6 +74,22 @@ class FastPathGuard {
 
  private:
   bool saved_;
+};
+
+/// Sets the host worker count (the OpenMP team size vgpu::parallel_for
+/// splits over) for one scope and restores it after.
+class HostWorkers {
+ public:
+  explicit HostWorkers(int workers) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(workers);
+  }
+  ~HostWorkers() { omp_set_num_threads(saved_); }
+
+  HostWorkers(const HostWorkers&) = delete;
+  HostWorkers& operator=(const HostWorkers&) = delete;
+
+ private:
+  int saved_;
 };
 
 /// Bitwise equality for float vectors (NaN-safe, distinguishes -0.0f).
@@ -224,6 +257,273 @@ TEST(EngineEquiv, Table1RunsIdenticalAcrossPaths) {
     }
   }
 }
+
+// ---- host fan-out: the partition helper -----------------------------------
+
+struct Range {
+  std::int64_t begin = 0;
+  std::int64_t end = 0;
+};
+
+/// Runs vgpu::parallel_for over [0, n) and returns its ranges sorted by
+/// begin; every index must have been visited exactly once.
+std::vector<Range> split_ranges(std::int64_t n, std::int64_t grain) {
+  std::vector<std::atomic<int>> visits(static_cast<std::size_t>(n));
+  std::mutex mutex;
+  std::vector<Range> ranges;
+  vgpu::parallel_for(n, grain, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      visits[static_cast<std::size_t>(i)].fetch_add(1,
+                                                    std::memory_order_relaxed);
+    }
+    const std::lock_guard<std::mutex> lock(mutex);
+    ranges.push_back({b, e});
+  });
+  const auto once = std::count_if(
+      visits.begin(), visits.end(),
+      [](const std::atomic<int>& v) { return v.load() == 1; });
+  EXPECT_EQ(once, n) << "indices not visited exactly once";
+  std::sort(ranges.begin(), ranges.end(),
+            [](const Range& a, const Range& b) { return a.begin < b.begin; });
+  return ranges;
+}
+
+// Below 2 * grain the launch runs as one inline range; from there on it
+// splits into min(workers, n / grain) contiguous ranges of at least grain
+// indices. 1,000,003 is prime, so no worker count divides it evenly.
+TEST(HostFanOut, VisitsEveryIndexOnceInContiguousRanges) {
+  constexpr std::int64_t g = vgpu::kHostGrain;
+  for (const int workers : {1, 4}) {
+    const HostWorkers guard(workers);
+    for (const std::int64_t n :
+         {std::int64_t{0}, std::int64_t{1}, 2 * g - 1, 2 * g, 2 * g + 1,
+          std::int64_t{1000003}}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " n=" + std::to_string(n));
+      const std::vector<Range> ranges = split_ranges(n, g);
+      const std::int64_t expected =
+          n == 0 ? 0 : (n < 2 * g ? 1 : std::min<std::int64_t>(workers, n / g));
+      EXPECT_EQ(static_cast<std::int64_t>(ranges.size()), expected);
+      std::int64_t next = 0;
+      for (const Range& r : ranges) {
+        EXPECT_EQ(r.begin, next);
+        EXPECT_GE(r.end - r.begin, std::min(n, g));
+        next = r.end;
+      }
+      EXPECT_EQ(next, n);
+    }
+  }
+}
+
+// A parallel_for issued from inside a split range runs inline: one range
+// covering the whole domain, on the thread that called it.
+TEST(HostFanOut, NestedCallRunsInline) {
+  const HostWorkers guard(4);
+  const std::int64_t n = 4 * vgpu::kHostGrain;
+  std::atomic<int> outer_ranges{0};
+  std::atomic<int> bad_inner{0};
+  vgpu::parallel_for(n, vgpu::kHostGrain, [&](std::int64_t, std::int64_t) {
+    outer_ranges.fetch_add(1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> inner_ranges{0};
+    vgpu::parallel_for(n, vgpu::kHostGrain,
+                       [&](std::int64_t b, std::int64_t e) {
+                         inner_ranges.fetch_add(1);
+                         if (b != 0 || e != n ||
+                             std::this_thread::get_id() != caller) {
+                           bad_inner.fetch_add(1);
+                         }
+                       });
+    if (inner_ranges.load() != 1) {
+      bad_inner.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(outer_ranges.load(), 4);
+  EXPECT_EQ(bad_inner.load(), 0);
+}
+
+// An exception thrown inside a split range reaches the caller as itself,
+// as it does when the launch runs inline on one worker.
+TEST(HostFanOut, RangeExceptionReachesCaller) {
+  const std::int64_t n = 4 * vgpu::kHostGrain;
+  for (const int workers : {4, 1}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const HostWorkers guard(workers);
+    std::atomic<std::int64_t> visited{0};
+    EXPECT_THROW(vgpu::parallel_for(n, vgpu::kHostGrain,
+                                    [&](std::int64_t b, std::int64_t e) {
+                                      visited.fetch_add(e - b);
+                                      FASTPSO_CHECK_MSG(e < n,
+                                                        "last range throws");
+                                    }),
+                 CheckError);
+    // Every range still ran to its throw point before the rethrow.
+    EXPECT_EQ(visited.load(), n);
+  }
+}
+
+// The same through the optimizer: a rotated problem built for dim 131 and
+// evaluated at dim 130 fails its FASTPSO_CHECK in every row, inside a
+// batch evaluation large enough to split (1031 rows, 126-row grain). The
+// CheckError must reach optimize()'s caller — never std::terminate from a
+// worker thread — exactly as with one worker.
+TEST(HostFanOut, ObjectiveCheckErrorReachesOptimizeCaller) {
+  const problems::RotatedProblem rotated(problems::make_problem("sphere"),
+                                         131, /*seed=*/7);
+  core::PsoParams params;
+  params.particles = 1031;
+  params.dim = 130;
+  params.max_iter = 2;
+  const core::Objective objective =
+      core::objective_from_problem(rotated, params.dim);
+  for (const int workers : {4, 1}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const HostWorkers guard(workers);
+    const FastPathGuard fast(true);
+    vgpu::Device device;
+    core::Optimizer optimizer(device, params);
+    EXPECT_THROW(optimizer.optimize(objective), CheckError);
+  }
+}
+
+// ---- host fan-out: split shapes, fast path vs faithful vs one worker ------
+
+struct SplitCase {
+  int n = 0;
+  int d = 0;
+  std::string problem;
+};
+
+// Keeps the ctest names gtest_discover_tests builds from GetParam() stable
+// (the default printer dumps the string's heap pointer).
+void PrintTo(const SplitCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " d=" << c.d << " " << c.problem;
+}
+
+/// Everything a finished JobRun leaves behind: the bytes of every device
+/// buffer it owns (positions, velocities, pbest, flags, gbest, ring index,
+/// double-buffered weights), plus its Result's history and accounting.
+struct JobSnapshot {
+  std::vector<std::vector<std::byte>> buffers;
+  std::vector<float> gbest_history;
+  std::vector<float> gbest_position;
+  vgpu::DeviceCounters counters;
+  double modeled_seconds = 0;
+};
+
+JobSnapshot run_job(const core::PsoParams& params,
+                    const core::Objective& objective) {
+  vgpu::Device device;
+  core::JobRun run(device, params, objective);
+  while (!run.done()) {
+    run.step();
+  }
+  JobSnapshot snap;
+  for (const auto& [base, bytes] : run.buffer_spans()) {
+    const auto* first = static_cast<const std::byte*>(base);
+    snap.buffers.emplace_back(first, first + bytes);
+  }
+  const core::Result result = run.finish();
+  snap.gbest_history = result.gbest_history;
+  snap.gbest_position = result.gbest_position;
+  snap.counters = result.counters;
+  snap.modeled_seconds = result.modeled_seconds;
+  return snap;
+}
+
+void expect_snapshots_equal(const JobSnapshot& a, const JobSnapshot& b) {
+  ASSERT_EQ(a.buffers.size(), b.buffers.size());
+  for (std::size_t i = 0; i < a.buffers.size(); ++i) {
+    EXPECT_TRUE(a.buffers[i] == b.buffers[i]) << "buffer " << i;
+  }
+  EXPECT_TRUE(bits_equal(a.gbest_history, b.gbest_history));
+  EXPECT_TRUE(bits_equal(a.gbest_position, b.gbest_position));
+  expect_counters_equal(a.counters, b.counters);
+  EXPECT_EQ(a.modeled_seconds, b.modeled_seconds);
+}
+
+class SplitEquiv : public ::testing::TestWithParam<SplitCase> {};
+
+// Every configuration runs three ways: the fast path split over four host
+// workers, the faithful per-thread engine, and the fast path on one worker.
+// All three must leave identical bytes in every buffer and identical
+// accounting.
+TEST_P(SplitEquiv, FastPathMatchesFaithfulAndOneWorker) {
+  const SplitCase& c = GetParam();
+  const auto problem = benchkit::make_any_problem(c.problem);
+  const core::Objective objective =
+      core::objective_from_problem(*problem, c.d);
+
+  core::PsoParams base;
+  base.particles = c.n;
+  base.dim = c.d;
+  base.max_iter = 3;
+  base.seed = 11;
+  struct Config {
+    const char* name;
+    core::PsoParams params;
+  };
+  std::vector<Config> configs(4, Config{"", base});
+  configs[0].name = "global";
+  configs[1].name = "shared";
+  configs[1].params.technique = core::UpdateTechnique::kSharedMemory;
+  configs[2].name = "ring";
+  configs[2].params.topology = core::Topology::kRing;
+  configs[3].name = "overlap_init";
+  configs[3].params.overlap_init = true;
+
+  for (const Config& config : configs) {
+    SCOPED_TRACE(config.name);
+    JobSnapshot split;
+    JobSnapshot faithful;
+    JobSnapshot one_worker;
+    {
+      const FastPathGuard fast(true);
+      const HostWorkers workers(4);
+      split = run_job(config.params, objective);
+    }
+    {
+      const FastPathGuard fast(false);
+      faithful = run_job(config.params, objective);
+    }
+    {
+      const FastPathGuard fast(true);
+      const HostWorkers workers(1);
+      one_worker = run_job(config.params, objective);
+    }
+    {
+      SCOPED_TRACE("split vs faithful");
+      expect_snapshots_equal(split, faithful);
+    }
+    {
+      SCOPED_TRACE("split vs one worker");
+      expect_snapshots_equal(split, one_worker);
+    }
+  }
+}
+
+// 1031x131 = 135,061 floats: fills of 33,766 Philox blocks with a clamped
+// tail block, element ranges that end mid-row and 1031 evaluation rows
+// over a 125-row grain. 255x128 and 257x128 sit just below and just above
+// 2 * kHostGrain elements (and 2 * 128 evaluation rows).
+std::vector<SplitCase> split_cases() {
+  std::vector<SplitCase> cases;
+  for (const auto& [n, d] : {std::pair{1031, 131}, std::pair{255, 128},
+                             std::pair{257, 128}}) {
+    for (const char* problem : {"sphere", "griewank", "easom", "threadconf"}) {
+      cases.push_back({n, d, problem});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SplitShapes, SplitEquiv, ::testing::ValuesIn(split_cases()),
+    [](const ::testing::TestParamInfo<SplitCase>& case_info) {
+      const SplitCase& c = case_info.param;
+      return "n" + std::to_string(c.n) + "_d" + std::to_string(c.d) + "_" +
+             c.problem;
+    });
 
 // ---- sanitizer level -----------------------------------------------------
 
