@@ -27,9 +27,8 @@
 // here. --fuse adds a "+fusion" row per cap with the FusionPass engaged
 // (DESIGN.md §9) and a fused-modeled column; a one-kernel loop has no run
 // to fuse (groups = 0), so the column honestly matches the graph number —
-// the fusion win lives in the multi-kernel pipeline (micro_engine --fuse,
-// tests/test_fusion.cpp). Eager columns and the default CSV schema are
-// unchanged either way.
+// the fusion win lives in the multi-kernel pipeline (tests/test_fusion.cpp).
+// Eager columns and the default CSV schema are unchanged either way.
 
 #include "bench_common.h"
 #include "core/init.h"
@@ -216,13 +215,13 @@ int main(int argc, char** argv) {
   if (use_graph) {
     table.add_note("graph column: one-node graph per iteration; a single "
                    "kernel cannot amortize the graph launch, so graph "
-                   "modeled >= eager here (cf. micro_engine --graph)");
+                   "modeled >= eager here (cf. tests/test_graph.cpp)");
   }
   if (use_fuse) {
     table.add_note("+fusion rows: a one-kernel iteration has no run to "
                    "fuse (groups=0), so fused modeled = graph modeled — "
                    "fusion pays off in the multi-kernel pipeline "
-                   "(micro_engine --fuse, tests/test_fusion.cpp)");
+                   "(tests/test_fusion.cpp)");
   }
   table.print(std::cout);
   maybe_write_csv(csv, opt.csv);

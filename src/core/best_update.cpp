@@ -26,9 +26,9 @@ void update_pbest_compare(vgpu::Device& device, const LaunchPolicy& policy,
     cost.flops = static_cast<double>(n);
     cost.dram_read_bytes = 2.0 * n * sizeof(float);
     cost.dram_write_bytes = n * (sizeof(float) + sizeof(std::uint8_t));
-    const kernels::PbestCompareKernel::Args cmp_args{
-        state.perror.data(), state.pbest_err.data(), state.improved.data()};
     if (vgpu::use_fast_path()) {
+      const kernels::PbestCompareKernel::Args cmp_args{
+          state.perror.data(), state.pbest_err.data(), state.improved.data()};
       vgpu::prof::KernelLabel klabel("best_update/compare_flag");
       device.launch_kernel<kernels::PbestCompareKernel>(decision.config, cost,
                                                         n, cmp_args);
@@ -57,7 +57,7 @@ void update_pbest_compare(vgpu::Device& device, const LaunchPolicy& policy,
           pbest_err[i] = better ? pe : pb;
         }
       });
-      device.graph_note_kernel<kernels::PbestCompareKernel>(n, cmp_args);
+      device.graph_note_elements(n);
     }
     // Fusion footprint (vgpu/graph/fusion.h): element i touches scalar i of
     // each array; pbest_err is an aligned read-modify-write.
@@ -100,10 +100,10 @@ PbestStats update_pbest_finish(vgpu::Device& device,
         static_cast<double>(improved_count) * d * sizeof(float);
     cost.dram_write_bytes =
         static_cast<double>(improved_count) * d * sizeof(float);
-    const kernels::PbestGatherKernel::Args gather_args{
-        state.improved.data(), state.positions.data(), state.pbest_pos.data(),
-        d};
     if (vgpu::use_fast_path()) {
+      const kernels::PbestGatherKernel::Args gather_args{
+          state.improved.data(), state.positions.data(), state.pbest_pos.data(),
+          d};
       vgpu::prof::KernelLabel klabel("best_update/gather");
       device.launch_kernel<kernels::PbestGatherKernel>(decision.config, cost,
                                                        n, gather_args);
@@ -125,7 +125,7 @@ PbestStats update_pbest_finish(vgpu::Device& device,
           }
         }
       });
-      device.graph_note_kernel<kernels::PbestGatherKernel>(n, gather_args);
+      device.graph_note_elements(n);
     }
     // Footprint: element i reads its flag and may copy its row — the
     // declared spans are the data-independent superset of what the flags
@@ -161,9 +161,9 @@ float update_gbest(vgpu::Device& device, SwarmState& state) {
     vgpu::KernelCostSpec cost;
     cost.dram_read_bytes = static_cast<double>(d) * sizeof(float);
     cost.dram_write_bytes = static_cast<double>(d) * sizeof(float);
-    const kernels::GbestCopyKernel::Args copy_args{
-        state.pbest_pos.data() + best.index * d, state.gbest_pos.data()};
     if (vgpu::use_fast_path()) {
+      const kernels::GbestCopyKernel::Args copy_args{
+          state.pbest_pos.data() + best.index * d, state.gbest_pos.data()};
       vgpu::prof::KernelLabel klabel("best_update/gbest_copy");
       device.launch_kernel<kernels::GbestCopyKernel>(cfg, cost, d, copy_args);
     } else {
@@ -179,7 +179,7 @@ float update_gbest(vgpu::Device& device, SwarmState& state) {
           dst[j] = src[j];
         }
       });
-      device.graph_note_kernel<kernels::GbestCopyKernel>(d, copy_args);
+      device.graph_note_elements(d);
     }
     // Footprint: the read is an interior row of pbest_pos, so its address
     // range overlaps (unaligned) with the gather's row-sliced writes — the

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "core/kernels_registry.h"
 #include "core/launch_policy.h"
 #include "core/objective.h"
 #include "vgpu/device.h"
@@ -67,23 +66,6 @@ inline void evaluate_positions(vgpu::Device& device,
             "positions"},
            {out, static_cast<double>(n) * sizeof(float), sizeof(float),
             /*write=*/true, "perror"}});
-      if (objective.problem != nullptr) {
-        device.graph_note_static(
-            kernels::make_eval_static(*objective.problem, positions, d, out));
-      }
-      // account_launch bypasses launch_elements, so a bodies-enabled capture
-      // (Device::set_capture_bodies) records the batch dispatch here. The
-      // per-element form runs batch_fn on a single row — eval_batch and
-      // eval_f32 both funnel into eval_impl<float>, so the bits match.
-      if (device.capturing_bodies() && objective.batch_fn) {
-        device.graph_attach_bodies(
-            [batch = objective.batch_fn, positions, n, d, out] {
-              batch(positions, static_cast<int>(n), d, out);
-            },
-            [batch = objective.batch_fn, positions, d, out](std::int64_t i) {
-              batch(positions + i * d, 1, d, out + i);
-            });
-      }
     }
   };
   if (vgpu::use_fast_path() && objective.batch_fn) {

@@ -44,9 +44,9 @@ void fill_uniform(vgpu::Device& device, const LaunchPolicy& policy,
   const std::int64_t blocks = (elements + 3) / 4;
   const LaunchDecision decision = policy.for_elements(blocks);
   const float span = hi - lo;
-  const kernels::FillUniformKernel::Args fill_args{rng, out, elements, lo,
-                                                   span};
   if (vgpu::use_fast_path()) {
+    const kernels::FillUniformKernel::Args fill_args{rng, out, elements, lo,
+                                                     span};
     // Element i gets uniform_at(i) exactly as on the tracked path, so the
     // produced bits are identical. Same profile label as the tracked path's
     // KernelScope.
@@ -76,7 +76,7 @@ void fill_uniform(vgpu::Device& device, const LaunchPolicy& policy,
                     }
                   }
                 });
-  device.graph_note_kernel<kernels::FillUniformKernel>(blocks, fill_args);
+  device.graph_note_elements(blocks);
   note_fill_footprint(device, out, elements, 4 * sizeof(float));
 }
 
@@ -98,12 +98,12 @@ void fill_uniform_slice_impl(vgpu::Device& device, const LaunchPolicy& policy,
   const std::int64_t blocks = (offset + count - 1) / 4 - first_block + 1;
   const LaunchDecision decision = policy.for_elements(blocks);
   const float span = hi - lo;
-  const kernels::FillUniformSliceKernel::Args fill_args{rng, out, offset,
-                                                        count, lo, span};
   // Boundary blocks straddle the shard edge, so elements do not own
   // aligned 16-byte rows of `out`: the footprint is the conservative
   // whole-span write (elem_bytes = 0).
   if (vgpu::use_fast_path()) {
+    const kernels::FillUniformSliceKernel::Args fill_args{rng, out, offset,
+                                                          count, lo, span};
     vgpu::prof::KernelLabel klabel("init/fill_uniform_slice");
     device.launch_kernel<kernels::FillUniformSliceKernel>(
         decision.config, fill_cost(count), blocks, fill_args);
@@ -131,8 +131,7 @@ void fill_uniform_slice_impl(vgpu::Device& device, const LaunchPolicy& policy,
                     }
                   }
                 });
-  device.graph_note_kernel<kernels::FillUniformSliceKernel>(blocks,
-                                                            fill_args);
+  device.graph_note_elements(blocks);
   note_fill_footprint(device, out, count, /*elem_bytes=*/0);
 }
 

@@ -1,29 +1,26 @@
-// Registered forms of the core element kernels (DESIGN.md §1, §11).
+// Registered forms of the core element kernels (DESIGN.md §1).
 //
 // Each kernel struct is the single source of truth for its per-element
 // code. Call sites (init.cpp, swarm_update.cpp, best_update.cpp,
 // neighborhood.cpp) launch it with Device::launch_kernel<K>(cfg, cost, n,
-// args), which accounts the launch, registers make_static<K>(args) against
-// a captured node and runs codegen::run_span<K> — K's span when it has one,
-// else the element loop — on the eager fast path, in packed dispatch and
-// in compiled replay alike. A span visits the same elements and does the
-// same arithmetic per element as element(), so every path produces the
-// same bits (the differential suites in tests/test_engine_equiv.cpp and
-// tests/test_codegen.cpp pin it). The eval kernels are the exception: the
-// batch dispatch in eval_schema.h runs the objective itself and only
-// registers make_eval_static against the captured node.
+// args), which accounts the launch, notes its element domain while
+// capturing and runs vgpu::run_span<K> — K's span when it has one, else
+// the element loop — on the eager fast path, split across host workers
+// or handed to packed dispatch. A span visits the same elements and does
+// the same arithmetic per element as element(), so every path produces
+// the same bits (the differential suites in tests/test_engine_equiv.cpp
+// and the span tests in tests/test_core_init.cpp pin it).
 //
 // Contract per struct (consumed by Device::launch_kernel and
-// codegen::make_static):
-//   struct Args        by-value argument pack; raw pointers inside follow
-//                      the captured-body lifetime promise
-//                      (Device::set_capture_bodies)
-//   static tag()       interned code tag — identifies CODE, never data
+// vgpu::run_span):
+//   struct Args        by-value argument pack of raw pointers and scalars
+//                      (packed dispatch copies it into its deferred span)
 //   static element()   the per-element kernel: the reference every span
 //                      must match, and the faithful path's body
 //   static span()      optional batched form over [begin, end) when cheaper
 //                      than the per-element loop (row segments, 8-wide
-//                      Philox, one virtual eval_batch call per chunk)
+//                      Philox); it must accept any sub-range, since host
+//                      fan-out and packed dispatch both split the domain
 #pragma once
 
 #include <algorithm>
@@ -31,9 +28,7 @@
 #include <limits>
 
 #include "core/swarm_update.h"
-#include "problems/problem.h"
 #include "rng/philox.h"
-#include "vgpu/graph/codegen.h"
 #include "vgpu/san/sanitizer.h"
 
 namespace fastpso::core::kernels {
@@ -71,7 +66,6 @@ struct FillUniformKernel {
     float lo;
     float span;
   };
-  [[nodiscard]] static std::uint32_t tag();
   static void element(const Args& a, std::int64_t b) {
     const auto lanes = a.rng.uniform4_at(static_cast<std::uint64_t>(b));
     const std::int64_t base = b * 4;
@@ -114,7 +108,6 @@ struct FillUniformSliceKernel {
     float lo;
     float span;
   };
-  [[nodiscard]] static std::uint32_t tag();
   static void element(const Args& a, std::int64_t b) {
     const std::int64_t gb = a.offset / 4 + b;
     const auto lanes = a.rng.uniform4_at(static_cast<std::uint64_t>(gb));
@@ -159,7 +152,6 @@ struct PbestResetKernel {
     float* pbest_pos;
     int d;
   };
-  [[nodiscard]] static std::uint32_t tag();
   static void element(const Args& a, std::int64_t i) {
     a.pbest_err[i] = std::numeric_limits<float>::infinity();
     a.perror[i] = 0.0f;
@@ -176,7 +168,6 @@ struct PbestCompareKernel {
     float* pbest_err;
     std::uint8_t* improved;
   };
-  [[nodiscard]] static std::uint32_t tag();
   static void element(const Args& a, std::int64_t i) {
     const float pe = a.perror[i];
     const float pb = a.pbest_err[i];
@@ -195,7 +186,6 @@ struct PbestGatherKernel {
     float* pbest_pos;
     int d;
   };
-  [[nodiscard]] static std::uint32_t tag();
   static void element(const Args& a, std::int64_t i) {
     if (a.improved[i]) {
       for (int j = 0; j < a.d; ++j) {
@@ -211,7 +201,6 @@ struct GbestCopyKernel {
     const float* src;
     float* dst;
   };
-  [[nodiscard]] static std::uint32_t tag();
   static void element(const Args& a, std::int64_t j) { a.dst[j] = a.src[j]; }
 };
 
@@ -227,7 +216,6 @@ struct SwarmUpdateGlobalKernel {
     int d;
     UpdateCoefficients coeff;
   };
-  [[nodiscard]] static std::uint32_t tag();
   static void element(const Args& a, std::int64_t i) {
     const int col = static_cast<int>(i % a.d);
     update_element(a.velocities[i], a.positions[i], a.l[i], a.g[i],
@@ -266,7 +254,6 @@ struct SwarmUpdateRingKernel {
     int d;
     UpdateCoefficients coeff;
   };
-  [[nodiscard]] static std::uint32_t tag();
   static void element(const Args& a, std::int64_t i) {
     const std::int64_t row = i / a.d;
     const int col = static_cast<int>(i % a.d);
@@ -307,7 +294,6 @@ struct RingNbestKernel {
     int n;
     int neighbors;
   };
-  [[nodiscard]] static std::uint32_t tag();
   static void element(const Args& a, std::int64_t i) {
     std::int32_t best = static_cast<std::int32_t>(i);
     float best_err = a.pbest_err[i];
@@ -323,64 +309,5 @@ struct RingNbestKernel {
     a.out[i] = best;
   }
 };
-
-/// Shared argument pack of every eval-dispatch kernel: generic and
-/// concrete-typed forms run over identical arguments, so the registration
-/// choice (make_eval_static) never changes data flow.
-struct EvalArgs {
-  const problems::Problem* problem;
-  const float* X;
-  int d;
-  float* out;
-};
-
-/// eval/batch: the generic Table 1 dispatch for any Problem. The span runs
-/// one virtual eval_batch per chunk — the same devirtualized loop the eager
-/// batch path runs, so identity is trivial; the per-element form pays a
-/// virtual call but computes identical bits (eval_f32 and eval_batch both
-/// funnel into eval_impl<float>, problems/problem.h).
-struct EvalBatchKernel {
-  using Args = EvalArgs;
-  [[nodiscard]] static std::uint32_t tag();
-  static void element(const Args& a, std::int64_t i) {
-    a.out[i] =
-        static_cast<float>(a.problem->eval_f32(a.X + i * a.d, a.d));
-  }
-  static void span(const void* args, std::int64_t begin, std::int64_t end) {
-    const auto& a = *static_cast<const Args*>(args);
-    a.problem->eval_batch(a.X + begin * a.d, static_cast<int>(end - begin),
-                          a.d, a.out + begin);
-  }
-};
-
-/// Tag names for the concrete-typed eval kernels (one per built-in problem
-/// the composed tier covers).
-template <typename P>
-struct EvalTagName;
-
-/// eval/<problem>: concrete-typed dispatch — eval_impl<float> statically
-/// bound, so a composed loop over {..., eval, compare, gather} inlines the
-/// objective into one flat pass with no virtual call per element.
-template <typename P>
-struct EvalProblemKernel {
-  using Args = EvalArgs;
-  [[nodiscard]] static std::uint32_t tag() {
-    static const std::uint32_t t =
-        vgpu::graph::codegen::intern_tag(EvalTagName<P>::value);
-    return t;
-  }
-  static void element(const Args& a, std::int64_t i) {
-    const auto* p = static_cast<const P*>(a.problem);
-    a.out[i] = static_cast<float>(
-        p->template eval_impl<float>(a.X + i * a.d, a.d));
-  }
-};
-
-/// Builds the registered static kernel for one batched evaluation launch:
-/// a concrete-typed kernel for the built-in problems the composed tier
-/// knows (sphere/griewank/easom), the generic chunked EvalBatchKernel for
-/// everything else (e.g. tgbm's threadconf).
-[[nodiscard]] vgpu::graph::codegen::StaticKernel make_eval_static(
-    const problems::Problem& problem, const float* X, int d, float* out);
 
 }  // namespace fastpso::core::kernels

@@ -91,19 +91,6 @@ void merge_stats(vgpu::graph::FusionStats& a,
   a.elided_write_bytes += b.elided_write_bytes;
 }
 
-void merge_stats(vgpu::graph::codegen::CodegenStats& a,
-                 const vgpu::graph::codegen::CodegenStats& b) {
-  a.enabled |= b.enabled;
-  a.applied |= b.applied;
-  a.registered_groups += b.registered_groups;
-  a.composed_groups += b.composed_groups;
-  a.compiled_groups += b.compiled_groups;
-  a.interpreted_groups += b.interpreted_groups;
-  a.compiled_nodes += b.compiled_nodes;
-  a.compiled_dispatches += b.compiled_dispatches;
-  a.composed_dispatches += b.composed_dispatches;
-}
-
 }  // namespace
 
 MultiDeviceOptimizer::MultiDeviceOptimizer(MultiDeviceParams params,
@@ -261,7 +248,6 @@ Result MultiDeviceOptimizer::optimize_tile_matrix(const Objective& objective) {
     export_recorder_stats(shard->recorder, shard_stats);
     merge_stats(result.graph, shard_stats.graph);
     merge_stats(result.fusion, shard_stats.fusion);
-    merge_stats(result.codegen, shard_stats.codegen);
   }
   return result;
 }
@@ -377,7 +363,6 @@ Result MultiDeviceOptimizer::optimize_particle_split(
     export_recorder_stats(shard->recorder, shard_stats);
     merge_stats(result.graph, shard_stats.graph);
     merge_stats(result.fusion, shard_stats.fusion);
-    merge_stats(result.codegen, shard_stats.codegen);
   }
   return result;
 }

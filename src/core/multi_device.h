@@ -15,8 +15,9 @@
 //     overlaps the exchange on stream 0 — visible as parallel lanes in the
 //     per-device Chrome traces;
 //   - each shard's iteration is a captured graph under FASTPSO_GRAPH
-//     (replayed with fusion / codegen exactly like the single-device
-//     pipeline); collectives are never captured and re-account eagerly.
+//     (paired replay, priced by fusion under FASTPSO_FUSE, exactly like
+//     the single-device pipeline); collectives are never captured and
+//     re-account eagerly.
 //
 // Semantics are pinned by tests/test_multi_gpu.cpp:
 //   kTileMatrix    bitwise-identical to the legacy optimizer AND to

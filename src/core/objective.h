@@ -45,11 +45,6 @@ struct Objective {
   /// Known optimum (used only for error reporting; NaN when unknown).
   double optimum = 0.0;
   bool has_optimum = false;
-
-  /// Set by objective_from_problem so graph capture can register a static
-  /// eval kernel for the compiled fused-loop path (core/kernels_registry.h).
-  /// Null for custom lambda objectives — their launches stay interpreted.
-  const problems::Problem* problem = nullptr;
 };
 
 /// Wraps a built-in Problem as an Objective. The problem must outlive the

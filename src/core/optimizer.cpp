@@ -38,7 +38,6 @@ Objective objective_from_problem(const problems::Problem& problem, int dim) {
   objective.batch_fn = [&problem](const float* X, int n, int d, float* out) {
     problem.eval_batch(X, n, d, out);
   };
-  objective.problem = &problem;
   return objective;
 }
 

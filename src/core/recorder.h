@@ -26,7 +26,6 @@ inline void export_recorder_stats(
     const vgpu::graph::IterationRecorder& recorder, Result& result) {
   result.graph = recorder.stats();
   result.fusion = recorder.fusion_stats();
-  result.codegen = recorder.codegen_stats();
 }
 
 }  // namespace fastpso::core

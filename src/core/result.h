@@ -52,12 +52,6 @@ struct Result {
   /// modeled_seconds or the eager counters.
   vgpu::graph::FusionStats fusion;
 
-  /// Compiled fused-loop bookkeeping when FASTPSO_CODEGEN was enabled
-  /// (all-default otherwise) — how many fused groups resolved to
-  /// registered static kernels, and of those how many ran composed
-  /// single-pass loops (vgpu/graph/codegen.h, DESIGN.md §11).
-  vgpu::graph::codegen::CodegenStats codegen;
-
   /// Graph-mode modeled seconds: eager modeled time minus the amortized
   /// launch overhead a CUDA-Graph replay would save.
   [[nodiscard]] double graph_modeled_seconds() const {

@@ -19,7 +19,7 @@ namespace {
 namespace san = vgpu::san;
 
 // The canonical per-element update lives in core/kernels_registry.h so the
-// compiled fused-loop path composes the exact code every variant here runs.
+// registered update kernels run the exact code every variant here runs.
 using kernels::update_element;
 
 /// DRAM traffic + flops of one full swarm update over `elements` items.
@@ -85,10 +85,10 @@ void update_global(vgpu::Device& device, const LaunchPolicy& policy,
   const std::int64_t elements = state.elements();
   const int d = state.d;
   const LaunchDecision decision = policy.for_elements(elements);
-  const kernels::SwarmUpdateGlobalKernel::Args update_args{
-      state.velocities.data(), state.positions.data(), l_mat,    g_mat,
-      state.pbest_pos.data(),  state.gbest_pos.data(), state.d, coeff};
   if (vgpu::use_fast_path()) {
+    const kernels::SwarmUpdateGlobalKernel::Args update_args{
+        state.velocities.data(), state.positions.data(), l_mat,    g_mat,
+        state.pbest_pos.data(),  state.gbest_pos.data(), state.d, coeff};
     vgpu::prof::KernelLabel klabel("swarm_update/global");
     device.launch_kernel<kernels::SwarmUpdateGlobalKernel>(
         decision.config, update_cost(elements, d, 0, false), elements,
@@ -119,8 +119,7 @@ void update_global(vgpu::Device& device, const LaunchPolicy& policy,
                                    pbest_pos[i], gbest_pos[col], coeff);
                   }
                 });
-  device.graph_note_kernel<kernels::SwarmUpdateGlobalKernel>(elements,
-                                                             update_args);
+  device.graph_note_elements(elements);
   note_update_footprint(device, state, l_mat, g_mat, /*nbest_idx=*/nullptr);
 }
 
@@ -175,8 +174,8 @@ void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
       vgpu::parallel_for(
           elements, vgpu::kHostGrain,
           [&update_args](std::int64_t b, std::int64_t e) {
-            vgpu::graph::codegen::run_span<kernels::SwarmUpdateGlobalKernel>(
-                update_args, b, e);
+            vgpu::run_span<kernels::SwarmUpdateGlobalKernel>(update_args, b,
+                                                             e);
           });
     });
     return;
@@ -400,10 +399,6 @@ void swarm_update_ring(vgpu::Device& device, const LaunchPolicy& policy,
   const int d = state.d;
   const std::int64_t n = state.n;
   const LaunchDecision decision = policy.for_elements(elements);
-  const kernels::SwarmUpdateRingKernel::Args ring_args{
-      state.velocities.data(), state.positions.data(), l_mat.data(),
-      g_mat.data(),            state.pbest_pos.data(), nbest_idx,
-      state.d,                 coeff};
   // The attractor is a gather out of pbest_pos, which this kernel already
   // streams in full — under the perfect-cache (unique-address) convention
   // the gather adds no pbest traffic, only the neighborhood index array.
@@ -412,6 +407,10 @@ void swarm_update_ring(vgpu::Device& device, const LaunchPolicy& policy,
   cost.dram_read_bytes += static_cast<double>(n) * sizeof(std::int32_t) -
                           static_cast<double>(d) * sizeof(float);
   if (vgpu::use_fast_path()) {
+    const kernels::SwarmUpdateRingKernel::Args ring_args{
+        state.velocities.data(), state.positions.data(), l_mat.data(),
+        g_mat.data(),            state.pbest_pos.data(), nbest_idx,
+        state.d,                 coeff};
     vgpu::prof::KernelLabel klabel("swarm_update/ring");
     device.launch_kernel<kernels::SwarmUpdateRingKernel>(
         decision.config, cost, elements, ring_args);
@@ -445,8 +444,7 @@ void swarm_update_ring(vgpu::Device& device, const LaunchPolicy& policy,
                      attractor, coeff);
     }
   });
-  device.graph_note_kernel<kernels::SwarmUpdateRingKernel>(elements,
-                                                           ring_args);
+  device.graph_note_elements(elements);
   note_update_footprint(device, state, l_mat.data(), g_mat.data(), nbest_idx);
 }
 

@@ -43,11 +43,6 @@ bool GraphCache::end_iteration(const JobShape& shape, IterationMode mode) {
     if (fuse_) {
       entry.exec->apply_fusion(device_.perf());
     }
-    if (vgpu::graph::codegen::enabled()) {
-      // Idempotent when apply_fusion already ran it; covers the no-fuse
-      // configuration so the recognition stats stay comparable.
-      entry.exec->apply_codegen();
-    }
     return true;
   }
   // kReplay: a diverged replay already fell back to eager accounting for
@@ -120,30 +115,6 @@ double GraphCache::fusion_seconds_saved() const {
     }
   }
   return saved;
-}
-
-std::uint64_t GraphCache::codegen_registered_groups() const {
-  std::uint64_t count = 0;
-  for (const auto& [shape, entry] : entries_) {
-    (void)shape;
-    if (entry.exec != nullptr) {
-      count += static_cast<std::uint64_t>(
-          entry.exec->codegen_stats().registered_groups);
-    }
-  }
-  return count;
-}
-
-std::uint64_t GraphCache::codegen_composed_groups() const {
-  std::uint64_t count = 0;
-  for (const auto& [shape, entry] : entries_) {
-    (void)shape;
-    if (entry.exec != nullptr) {
-      count += static_cast<std::uint64_t>(
-          entry.exec->codegen_stats().composed_groups);
-    }
-  }
-  return count;
 }
 
 }  // namespace fastpso::serve

@@ -80,11 +80,6 @@ class GraphCache {
   [[nodiscard]] std::uint64_t graphs_poisoned() const;
   [[nodiscard]] double graph_seconds_saved() const;
   [[nodiscard]] double fusion_seconds_saved() const;
-  /// Fused groups whose members all registered static kernels, and the
-  /// subset with a composed single-pass loop (codegen recognition; serve
-  /// captures carry no bodies, so these groups are recognized, not run).
-  [[nodiscard]] std::uint64_t codegen_registered_groups() const;
-  [[nodiscard]] std::uint64_t codegen_composed_groups() const;
 
  private:
   struct Entry {

@@ -121,8 +121,6 @@ ServeStats GroupScheduler::stats() const {
     total.batch_modeled_seconds_saved += s.batch_modeled_seconds_saved;
     total.graph_modeled_seconds_saved += s.graph_modeled_seconds_saved;
     total.fusion_modeled_seconds_saved += s.fusion_modeled_seconds_saved;
-    total.codegen_registered_groups += s.codegen_registered_groups;
-    total.codegen_composed_groups += s.codegen_composed_groups;
     // Devices drain concurrently: the group makespan is the slowest
     // device's; serial work and idle gaps add.
     total.makespan_seconds = std::max(total.makespan_seconds,

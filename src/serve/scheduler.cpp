@@ -486,8 +486,6 @@ ServeStats Scheduler::stats() const {
   stats.graphs_poisoned = cache_.graphs_poisoned();
   stats.graph_modeled_seconds_saved = cache_.graph_seconds_saved();
   stats.fusion_modeled_seconds_saved = cache_.fusion_seconds_saved();
-  stats.codegen_registered_groups = cache_.codegen_registered_groups();
-  stats.codegen_composed_groups = cache_.codegen_composed_groups();
   stats.makespan_seconds = device_.modeled_seconds();
   return stats;
 }

@@ -57,14 +57,6 @@ struct ServeStats {
   double graph_modeled_seconds_saved = 0;
   double fusion_modeled_seconds_saved = 0;
 
-  // -- codegen recognition, summed over the cache -------------------------
-  // Serve captures record no kernel bodies, so the compiled fused-loop
-  // path (FASTPSO_CODEGEN) only *recognizes* groups here — fused groups
-  // whose members all registered static kernels, and the subset matching a
-  // composed single-pass loop (vgpu/graph/codegen.h).
-  std::uint64_t codegen_registered_groups = 0;
-  std::uint64_t codegen_composed_groups = 0;
-
   // -- timeline -----------------------------------------------------------
   double makespan_seconds = 0;   ///< device clock when the queue drained
   double serial_seconds = 0;     ///< sum of per-job modeled work

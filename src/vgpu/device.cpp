@@ -307,8 +307,7 @@ bool Device::graph_account(const LaunchConfig& cfg,
       perf_.kernel_seconds_resolved(node->shape, cost, &t_compute, &t_memory);
   counters_.kernel_seconds += seconds;
   if (prof::active()) [[unlikely]] {
-    prof_record_kernel_replay(cfg.grid, cfg.block, current_stream_, phase_,
-                              prof::detail::current_label(), cost, seconds,
+    prof_record_kernel_replay(cfg, cost, seconds,
                               node->shape.compute_occupancy,
                               node->shape.memory_occupancy,
                               t_memory > t_compute);
@@ -329,14 +328,6 @@ bool Device::graph_account(const LaunchConfig& cfg,
   return true;
 }
 
-void Device::graph_capture_body(std::function<void()> body) {
-  capture_graph_->attach_body(std::move(body));
-}
-
-void Device::graph_capture_elem_body(std::function<void(std::int64_t)> body) {
-  capture_graph_->attach_elem_body(std::move(body));
-}
-
 void Device::graph_note_elements(std::int64_t elems) {
   if (graph_mode_ == GraphMode::kCapturing) {
     capture_graph_->note_elements(elems);
@@ -346,20 +337,6 @@ void Device::graph_note_elements(std::int64_t elems) {
 void Device::graph_note_uses(std::vector<graph::BufferUse> uses) {
   if (graph_mode_ == GraphMode::kCapturing) {
     capture_graph_->note_uses(std::move(uses));
-  }
-}
-
-void Device::graph_note_static(graph::codegen::StaticKernel kernel) {
-  if (graph_mode_ == GraphMode::kCapturing) {
-    capture_graph_->note_static(std::move(kernel));
-  }
-}
-
-void Device::graph_attach_bodies(std::function<void()> body,
-                                 std::function<void(std::int64_t)> elem_body) {
-  if (graph_mode_ == GraphMode::kCapturing) {
-    capture_graph_->attach_body(std::move(body));
-    capture_graph_->attach_elem_body(std::move(elem_body));
   }
 }
 
@@ -420,189 +397,6 @@ void Device::attach_replay(graph::GraphExec& exec,
   graph_mode_ = GraphMode::kReplaying;
 }
 
-void Device::replay_node(const graph::GraphExec::ExecNode& en) {
-  const graph::Node& node = en.node;
-  switch (node.kind) {
-    case graph::NodeKind::kKernel: {
-      ++counters_.launches;
-      counters_.barriers += static_cast<std::uint64_t>(node.cost.barriers);
-      counters_.flops += node.cost.flops;
-      counters_.transcendentals += node.cost.transcendentals;
-      counters_.dram_read_useful += node.cost.dram_read_bytes;
-      counters_.dram_write_useful += node.cost.dram_write_bytes;
-      counters_.dram_read_fetched += node.cost.fetched_read_bytes();
-      counters_.dram_write_fetched += node.cost.fetched_write_bytes();
-      double t_compute = 0;
-      double t_memory = 0;
-      const double seconds = perf_.kernel_seconds_resolved(
-          en.shape, node.cost, &t_compute, &t_memory);
-      counters_.kernel_seconds += seconds;
-      if (prof::active()) [[unlikely]] {
-        prof_record_kernel_replay(
-            node.grid, node.block, node.stream, node.phase,
-            node.label.empty() ? nullptr : node.label.c_str(), node.cost,
-            seconds, en.shape.compute_occupancy,
-            en.shape.memory_occupancy, t_memory > t_compute);
-      }
-      counters_.modeled_seconds += seconds;
-      *en.slot += seconds;
-      stream_clock_[node.stream] += seconds;
-      if (en.compiled) {
-        // Registered span over the full element domain: the same element()
-        // code the captured body loops over, statically bound
-        // (vgpu/graph/codegen.h) — bitwise-identical output, no
-        // std::function indirection.
-        const graph::codegen::StaticKernel& k = node.static_kernel;
-        if (prof::active()) [[unlikely]] {
-          Stopwatch wall;
-          k.span(k.args.get(), 0, node.elems);
-          prof_note_wall(wall.elapsed_s());
-        } else {
-          k.span(k.args.get(), 0, node.elems);
-        }
-      } else if (node.body) {
-        if (prof::active()) [[unlikely]] {
-          Stopwatch wall;
-          node.body();
-          prof_note_wall(wall.elapsed_s());
-        } else {
-          node.body();
-        }
-      }
-      break;
-    }
-    case graph::NodeKind::kMemcpyH2D:
-    case graph::NodeKind::kMemcpyD2H:
-    case graph::NodeKind::kMemcpyD2D: {
-      // Memcpys replay through the eager entry points (they are
-      // device-synchronizing, so there is no setup to amortize); restore
-      // the captured phase first so attribution matches.
-      if (phase_ != node.phase) {
-        set_phase(node.phase);
-      }
-      const auto bytes = static_cast<std::size_t>(node.bytes);
-      if (node.kind == graph::NodeKind::kMemcpyH2D) {
-        memcpy_h2d(node.dst, node.src, bytes);
-      } else if (node.kind == graph::NodeKind::kMemcpyD2H) {
-        memcpy_d2h(node.dst, node.src, bytes);
-      } else {
-        memcpy_d2d(node.dst, node.src, bytes);
-      }
-      break;
-    }
-  }
-}
-
-void Device::replay_graph(graph::GraphExec& exec) {
-  FASTPSO_CHECK_MSG(graph_mode_ == GraphMode::kOff,
-                    "replay_graph during an open capture/replay");
-  exec.begin_standalone(modeled_breakdown_, stream_count());
-  for (const graph::GraphExec::ExecNode& en : exec.nodes()) {
-    replay_node(en);
-  }
-  exec.end_standalone();
-}
-
-void Device::replay_fused(graph::GraphExec& exec) {
-  if (exec.fused_groups().empty()) {
-    // Nothing fused (pass not applied, or no legal group): the fused
-    // schedule IS the plain schedule.
-    replay_graph(exec);
-    return;
-  }
-  FASTPSO_CHECK_MSG(graph_mode_ == GraphMode::kOff,
-                    "replay_fused during an open capture/replay");
-  exec.begin_standalone(modeled_breakdown_, stream_count());
-  const std::vector<graph::GraphExec::ExecNode>& nodes = exec.nodes();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const graph::GraphExec::ExecNode& en = nodes[i];
-    if (en.fuse_group < 0) {
-      replay_node(en);
-      continue;
-    }
-    const graph::GraphExec::FusedGroup& g =
-        exec.fused_groups()[static_cast<std::size_t>(en.fuse_group)];
-    if (static_cast<int>(i) != g.members.front()) {
-      continue;  // non-leading members are absorbed into the group dispatch
-    }
-    // One launch, priced at the merged (elided) cost spec: counters and
-    // clocks genuinely reflect the fused schedule here, unlike paired
-    // replay where fusion is reporting-only.
-    ++counters_.launches;
-    counters_.flops += g.merged_cost.flops;
-    counters_.transcendentals += g.merged_cost.transcendentals;
-    counters_.dram_read_useful += g.merged_cost.dram_read_bytes;
-    counters_.dram_write_useful += g.merged_cost.dram_write_bytes;
-    counters_.dram_read_fetched += g.merged_cost.fetched_read_bytes();
-    counters_.dram_write_fetched += g.merged_cost.fetched_write_bytes();
-    double t_compute = 0;
-    double t_memory = 0;
-    const double seconds = perf_.kernel_seconds_resolved(
-        g.shape, g.merged_cost, &t_compute, &t_memory);
-    counters_.kernel_seconds += seconds;
-    if (prof::active()) [[unlikely]] {
-      prof_record_kernel_replay(g.grid, g.block, g.stream, g.phase,
-                                g.label.c_str(), g.merged_cost, seconds,
-                                g.shape.compute_occupancy,
-                                g.shape.memory_occupancy,
-                                t_memory > t_compute);
-    }
-    counters_.modeled_seconds += seconds;
-    *en.slot += seconds;
-    stream_clock_[g.stream] += seconds;
-    // Execute the member kernels back-to-back per element — the order that
-    // makes aligned same-element dependences (and therefore the numerics)
-    // identical to eager execution. Three tiers (vgpu/graph/codegen.h),
-    // all member-order-preserving and therefore bitwise-equivalent:
-    //   composed   one fully-inlined loop running every member per element
-    //   chunked    registered member spans in order over ~kChunk windows
-    //   interpreted the per-element elem_body fallback
-    if (!g.member_spans.empty()) {
-      exec.note_compiled_dispatch(g.composed != nullptr);
-      Stopwatch wall;
-      if (g.composed != nullptr) {
-        g.composed(g.member_args.data(), 0, g.elems);
-      } else {
-        for (std::int64_t c = 0; c < g.elems;
-             c += graph::codegen::kChunk) {
-          const std::int64_t end =
-              std::min(g.elems, c + graph::codegen::kChunk);
-          for (std::size_t m = 0; m < g.member_spans.size(); ++m) {
-            g.member_spans[m](g.member_args[m], c, end);
-          }
-        }
-      }
-      if (prof::active()) [[unlikely]] {
-        prof_note_wall(wall.elapsed_s());
-      }
-    } else {
-      bool have_bodies = false;
-      for (int m : g.members) {
-        if (nodes[static_cast<std::size_t>(m)].node.elem_body) {
-          have_bodies = true;
-          break;
-        }
-      }
-      if (have_bodies) {
-        Stopwatch wall;
-        for (std::int64_t e = 0; e < g.elems; ++e) {
-          for (int m : g.members) {
-            const graph::Node& member =
-                nodes[static_cast<std::size_t>(m)].node;
-            if (member.elem_body) {
-              member.elem_body(e);
-            }
-          }
-        }
-        if (prof::active()) [[unlikely]] {
-          prof_note_wall(wall.elapsed_s());
-        }
-      }
-    }
-  }
-  exec.end_standalone_fused();
-}
-
 prof::Profile Device::take_profile() {
   if (!profile_) {
     return prof::Profile{};
@@ -614,6 +408,18 @@ prof::Profile Device::take_profile() {
 
 void Device::prof_record_kernel(const LaunchConfig& cfg,
                                 const KernelCostSpec& cost, double seconds) {
+  const KernelTimeDetail detail =
+      perf_.kernel_detail(static_cast<double>(cfg.total_threads()), cost);
+  prof_record_kernel_replay(cfg, cost, seconds, detail.compute_occupancy,
+                            detail.memory_occupancy, detail.memory_bound());
+}
+
+void Device::prof_record_kernel_replay(const LaunchConfig& cfg,
+                                       const KernelCostSpec& cost,
+                                       double seconds,
+                                       double compute_occupancy,
+                                       double memory_occupancy,
+                                       bool memory_bound) {
   if (!profile_) {
     profile_ = std::make_unique<prof::Profile>();
   }
@@ -627,36 +433,6 @@ void Device::prof_record_kernel(const LaunchConfig& cfg,
   e.block = cfg.block;
   e.cost = cost;
   e.t_begin = stream_clock_[current_stream_];
-  e.modeled_seconds = seconds;
-  const KernelTimeDetail detail =
-      perf_.kernel_detail(static_cast<double>(cfg.total_threads()), cost);
-  e.compute_occupancy = detail.compute_occupancy;
-  e.memory_occupancy = detail.memory_occupancy;
-  e.limiter =
-      detail.memory_bound() ? prof::Limiter::kMemory : prof::Limiter::kCompute;
-  profile_->events.push_back(std::move(e));
-}
-
-void Device::prof_record_kernel_replay(std::int64_t grid, int block,
-                                       int stream, const std::string& phase,
-                                       const char* label,
-                                       const KernelCostSpec& cost,
-                                       double seconds,
-                                       double compute_occupancy,
-                                       double memory_occupancy,
-                                       bool memory_bound) {
-  if (!profile_) {
-    profile_ = std::make_unique<prof::Profile>();
-  }
-  prof::Event e;
-  e.kind = prof::EventKind::kKernel;
-  e.label = label != nullptr ? label : "<unlabeled>";
-  e.phase = phase;
-  e.stream = stream;
-  e.grid = grid;
-  e.block = block;
-  e.cost = cost;
-  e.t_begin = stream_clock_[stream];
   e.modeled_seconds = seconds;
   e.compute_occupancy = compute_occupancy;
   e.memory_occupancy = memory_occupancy;

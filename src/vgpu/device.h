@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -121,6 +120,32 @@ struct DeviceCounters {
   /// allocation overheads) — the denominator of nvprof-style throughput.
   double kernel_seconds = 0;
 };
+
+namespace detail {
+
+template <typename K>
+concept HasOwnSpan = requires(const void* p, std::int64_t i) {
+  { K::span(p, i, i) };
+};
+
+}  // namespace detail
+
+/// Runs registered kernel K (core/kernels_registry.h) over elements
+/// [begin, end): K's own span when it defines one (a row-segment or
+/// batched form that beats the per-element loop), else the per-element
+/// loop over K::element. The fast-path body of Device::launch_kernel, and
+/// of the packed spans it offers.
+template <typename K>
+void run_span(const typename K::Args& args, std::int64_t begin,
+              std::int64_t end) {
+  if constexpr (detail::HasOwnSpan<K>) {
+    K::span(&args, begin, end);
+  } else {
+    for (std::int64_t i = begin; i < end; ++i) {
+      K::element(args, i);
+    }
+  }
+}
 
 class MemoryPool;  // vgpu/memory_pool.h
 
@@ -282,10 +307,6 @@ class Device {
   // setup); unmatched launches fall through to eager accounting.
   void begin_capture(graph::Graph& g);
   void end_capture();
-  /// Also captures kernel bodies on the launch_elements fast path so the
-  /// graph supports standalone replay_graph(). The caller guarantees that
-  /// everything those bodies reference outlives the graph.
-  void set_capture_bodies(bool capture) { capture_bodies_ = capture; }
   void begin_replay(graph::GraphExec& exec);
   /// Session-carrying variant: replay state (cursor, stream retarget,
   /// breakdown-slot cache) lives on the caller's session, so several
@@ -302,20 +323,6 @@ class Device {
   void detach_replay();
   void attach_replay(graph::GraphExec& exec,
                      graph::GraphExec::ReplaySession& session);
-  /// Standalone replay: re-executes the whole node list in order —
-  /// pre-resolved accounting per node, captured bodies/memcpys re-run.
-  /// Only meaningful for graphs captured with set_capture_bodies(true) (or
-  /// pure accounting graphs); requires no capture/replay to be open.
-  void replay_graph(graph::GraphExec& exec);
-  /// Fused standalone replay: like replay_graph, but each fused group
-  /// (GraphExec::apply_fusion) is dispatched ONCE — one accounted launch of
-  /// the merged cost spec, one prof event carrying the member labels, and
-  /// the member element bodies run back-to-back per element. Numerics are
-  /// bitwise-identical to replay_graph; launch counters and modeled time
-  /// genuinely drop (the applied form of the fusion saving — never used on
-  /// the eager/golden paths). Falls back to replay_graph for execs without
-  /// a fusion plan.
-  void replay_fused(graph::GraphExec& exec);
 
   /// True while a graph capture is open — call sites use this to gate the
   /// construction of fusion footprints (graph_note_uses) to capture time.
@@ -323,39 +330,14 @@ class Device {
     return graph_mode_ == GraphMode::kCapturing;
   }
   /// Notes the element domain of the node just captured (no-op unless
-  /// capturing). launch_elements does this automatically; dispatchers that
-  /// pair account_launch with their own execution call it directly.
+  /// capturing). launch_elements and launch_kernel do this automatically;
+  /// dispatchers that pair account_launch with their own execution, and
+  /// call sites whose faithful branch launches a tracked per-thread body,
+  /// call it directly.
   void graph_note_elements(std::int64_t elems);
   /// Attaches the declared buffer footprint of the node just captured
   /// (no-op unless capturing) — see graph::BufferUse.
   void graph_note_uses(std::vector<graph::BufferUse> uses);
-  /// Attaches the registered static kernel of the node just captured
-  /// (no-op unless capturing) — see vgpu/graph/codegen.h. Always safe to
-  /// call: registration only enables compiled standalone replay when the
-  /// node also captured its body.
-  void graph_note_static(graph::codegen::StaticKernel kernel);
-  /// Notes registered kernel K's element domain and static form on the
-  /// node just captured (no-op unless capturing). launch_kernel does this
-  /// itself; call sites whose faithful branch launches a tracked per-thread
-  /// body call it after that launch.
-  template <typename K>
-  void graph_note_kernel(std::int64_t n_elems, const typename K::Args& args) {
-    if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
-      graph_note_elements(n_elems);
-      graph_note_static(graph::codegen::make_static<K>(args));
-    }
-  }
-  /// True while a capture with body recording is open. Dispatchers that
-  /// pair account_launch with their own execution (core::evaluate_positions)
-  /// use this to decide whether to build standalone-replay bodies.
-  [[nodiscard]] bool capturing_bodies() const {
-    return capture_bodies_ && graph_mode_ == GraphMode::kCapturing;
-  }
-  /// Attaches standalone-replay bodies to the node just captured (no-op
-  /// unless capturing) — the external-dispatcher counterpart of what
-  /// launch_elements does automatically under set_capture_bodies(true).
-  void graph_attach_bodies(std::function<void()> body,
-                           std::function<void(std::int64_t)> elem_body);
 
   // --- cross-job batch packing (vgpu/pack.h, src/serve/packed.h) ----------
   /// Attaches/clears the deferred-execution sink. While attached and a
@@ -435,18 +417,17 @@ class Device {
   }
 
   /// Launches a registered kernel K over elements [0, n_elems). K follows
-  /// the core/kernels_registry.h contract: a by-value `Args` pack, `tag()`,
-  /// the reference `element(args, i)` and optionally a cheaper
+  /// the core/kernels_registry.h contract: a by-value `Args` pack, the
+  /// reference `element(args, i)` and optionally a cheaper
   /// `span(args, begin, end)`. Accounting is launch_elements'. On the fast
-  /// path the body is codegen::run_span<K> — K's span when it defines one —
-  /// run inline, or offered as a range span to an attached pack sink for a
+  /// path the body is run_span<K> — K's span when it defines one — run
+  /// inline, or offered as a range span to an attached pack sink for a
   /// replay-matched launch. The inline run splits [0, n_elems) across host
   /// workers (vgpu/parallel.h) once it reaches 2 * kHostGrain elements;
   /// every registered span takes arbitrary sub-ranges, so the bits do not
   /// depend on the split. While capturing, the node records K's element
-  /// domain and static form, plus span/element bodies under
-  /// set_capture_bodies(true). Off the fast path K::element runs through
-  /// the faithful per-thread grid-stride engine.
+  /// domain. Off the fast path K::element runs through the faithful
+  /// per-thread grid-stride engine.
   template <typename K>
   void launch_kernel(const LaunchConfig& cfg, const KernelCostSpec& cost,
                      std::int64_t n_elems, const typename K::Args& args) {
@@ -457,32 +438,25 @@ class Device {
           K::element(args, i);
         }
       });
-      graph_note_kernel<K>(n_elems, args);
+      if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
+        graph_note_elements(n_elems);
+      }
       return;
     }
     account_launch(cfg, cost);
     if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
-      graph_note_kernel<K>(n_elems, args);
-      if (capture_bodies_) {
-        // By-value copies of the argument pack; the buffers inside follow
-        // the caller's lifetime promise (set_capture_bodies).
-        graph_capture_body([args, n_elems] {
-          graph::codegen::run_span<K>(args, 0, n_elems);
-        });
-        graph_capture_elem_body(
-            [args](std::int64_t i) { K::element(args, i); });
-      }
+      graph_note_elements(n_elems);
     }
     if (pack_offer_range(n_elems, cost,
                          [args](std::int64_t b, std::int64_t e) {
-                           graph::codegen::run_span<K>(args, b, e);
+                           run_span<K>(args, b, e);
                          })) {
       return;
     }
     run_timed([&] {
       parallel_for(n_elems, kHostGrain,
                    [&args](std::int64_t b, std::int64_t e) {
-                     graph::codegen::run_span<K>(args, b, e);
+                     run_span<K>(args, b, e);
                    });
     });
   }
@@ -512,17 +486,6 @@ class Device {
     account_launch(cfg, cost);
     if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
       graph_note_elements(n_elems);
-      if (capture_bodies_) {
-        // Copies of the body for standalone replay; lifetime of everything
-        // they reference is the caller's promise (set_capture_bodies).
-        graph_capture_body([n_elems, body]() mutable {
-          for (std::int64_t i = 0; i < n_elems; ++i) {
-            body(i);
-          }
-        });
-        graph_capture_elem_body(
-            [body](std::int64_t i) mutable { body(i); });
-      }
     }
     if (pack_sink_ != nullptr) [[unlikely]] {
       // A replay-matched launch was fully accounted above; hand its body to
@@ -654,7 +617,6 @@ class Device {
   /// for it.
   enum class GraphMode : std::uint8_t { kOff, kCapturing, kReplaying };
   GraphMode graph_mode_ = GraphMode::kOff;
-  bool capture_bodies_ = false;
   graph::Graph* capture_graph_ = nullptr;
   graph::GraphExec* replay_exec_ = nullptr;
   /// Session the open replay accounts through (the exec's own session for
@@ -681,13 +643,6 @@ class Device {
   /// Capture/replay half of account_launch (device.cpp). Returns true when
   /// a replay match consumed the launch (fast-path accounting done).
   bool graph_account(const LaunchConfig& cfg, const KernelCostSpec& cost);
-  /// Attaches a standalone-replay body to the node just captured.
-  void graph_capture_body(std::function<void()> body);
-  /// Attaches a per-element body to the node just captured (replay_fused).
-  void graph_capture_elem_body(std::function<void(std::int64_t)> body);
-  /// Executes and accounts one standalone-replay node (replay_graph, and
-  /// the unfused steps of replay_fused).
-  void replay_node(const graph::GraphExec::ExecNode& en);
 
   /// `device_wide` costs (allocs, transfers, host work) synchronize and
   /// advance every stream; kernel costs advance only the current stream.
@@ -711,12 +666,11 @@ class Device {
   // the pre-advance stream clock.
   void prof_record_kernel(const LaunchConfig& cfg, const KernelCostSpec& cost,
                           double seconds);
-  /// Replay-path variant: occupancies and roofline terms come pre-resolved
-  /// from the graph node instead of a kernel_detail call. Label/phase follow
-  /// `label`/`phase` (node values for standalone replay, live values for
-  /// paired replay — identical to eager either way).
-  void prof_record_kernel_replay(std::int64_t grid, int block, int stream,
-                                 const std::string& phase, const char* label,
+  /// Replay-path variant: occupancies and the limiter come pre-resolved
+  /// from the matched graph node (prof_record_kernel resolves them through
+  /// kernel_detail and delegates here); label, phase and stream are the
+  /// live values, as in eager mode.
+  void prof_record_kernel_replay(const LaunchConfig& cfg,
                                  const KernelCostSpec& cost, double seconds,
                                  double compute_occupancy,
                                  double memory_occupancy, bool memory_bound);

@@ -122,11 +122,7 @@ void FusionPass::run(GraphExec& exec, const GpuPerfModel& perf) {
 
     GraphExec::FusedGroup group;
     group.members = members;
-    group.grid = first.grid;
-    group.block = first.block;
-    group.stream = first.stream;
     group.elems = first.elems;
-    group.phase = first.phase;
     group.shape = nodes[i].shape;
     group.label = "fused:";
     const std::size_t last = static_cast<std::size_t>(members.back());
@@ -197,69 +193,6 @@ void FusionPass::run(GraphExec& exec, const GpuPerfModel& perf) {
 
 void GraphExec::apply_fusion(const GpuPerfModel& perf) {
   FusionPass::run(*this, perf);
-  if (codegen::enabled()) {
-    apply_codegen();
-  }
-}
-
-void GraphExec::apply_codegen() {
-  if (codegen_stats_.applied) {
-    return;
-  }
-  codegen_stats_.applied = true;
-  codegen_stats_.enabled = codegen::enabled();
-
-  for (FusedGroup& group : fusion_groups_) {
-    bool registered = true;
-    bool have_bodies = true;
-    std::vector<std::uint32_t> tags;
-    tags.reserve(group.members.size());
-    for (int m : group.members) {
-      const Node& node = nodes_[static_cast<std::size_t>(m)].node;
-      if (!node.static_kernel.valid()) {
-        registered = false;
-        break;
-      }
-      if (!node.elem_body) {
-        have_bodies = false;
-      }
-      tags.push_back(node.static_kernel.tag);
-    }
-    if (!registered) {
-      ++codegen_stats_.interpreted_groups;
-      continue;
-    }
-    ++codegen_stats_.registered_groups;
-    const codegen::ComposedFn composed = codegen::find_composed(tags);
-    if (composed != nullptr) {
-      ++codegen_stats_.composed_groups;
-    }
-    if (!have_bodies) {
-      // Recognition without execution: a body-less graph (e.g. the serve
-      // layer's paired-replay captures) executes nothing on standalone
-      // replay today, and the compiled path must not change that.
-      continue;
-    }
-    ++codegen_stats_.compiled_groups;
-    group.composed = composed;
-    group.member_spans.reserve(group.members.size());
-    group.member_args.reserve(group.members.size());
-    for (int m : group.members) {
-      const codegen::StaticKernel& k =
-          nodes_[static_cast<std::size_t>(m)].node.static_kernel;
-      group.member_spans.push_back(k.span);
-      group.member_args.push_back(k.args.get());
-    }
-  }
-
-  // Unfused kernel nodes: span replay accelerates the captured body.
-  for (ExecNode& en : nodes_) {
-    if (en.node.kind == NodeKind::kKernel && en.fuse_group < 0 &&
-        en.node.elems > 0 && en.node.static_kernel.valid() && en.node.body) {
-      en.compiled = true;
-      ++codegen_stats_.compiled_nodes;
-    }
-  }
 }
 
 bool footprints_consistent(const Graph& graph, const san::Report& report,

@@ -6,7 +6,7 @@
 // fill, evaluation, pbest compare, pbest gather — as separate kernels, each
 // paying a modeled launch overhead and a full global-memory round trip for
 // its intermediates (perror, improved). A real CUDA stack fuses such runs
-// into one kernel; this pass reproduces that optimization over the captured
+// into one kernel; this pass prices that optimization over the captured
 // node list.
 //
 // Legality: a fused group is a maximal run of *consecutive* kernel nodes
@@ -17,10 +17,10 @@
 // never crossed. Within a run, a candidate joins the open group only if it
 // has no data hazard against ANY current member: two accesses of the same
 // storage, at least one a write, that are not element-aligned
-// (BufferUse::aligned_with). Aligned same-element accesses are safe — the
-// fused node executes the member kernels back-to-back *per element*, so
+// (BufferUse::aligned_with). Aligned same-element accesses are safe — a
+// fused kernel runs the member kernels back-to-back *per element*, so
 // element i's consumer reads element i's just-produced value exactly as in
-// eager order; numerics are bitwise-identical by construction. Footprints
+// eager order, and only such groups are priced as fused. Footprints
 // are declared at the call sites (per-element attribution cannot be
 // recovered from execution hooks) and cross-checked against the
 // sanitizer's tracked-buffer access sets by footprints_consistent().
@@ -30,9 +30,10 @@
 // (the consumer's read always; the producer's write only when no node
 // outside the group anywhere in the looped graph reads that storage) and
 // only one launch overhead charged — so PerfModel prices the fusion the
-// way a real GPU would. Under paired replay the fused pricing is
-// *reported* (FusionStats.modeled_seconds_saved, on top of the graph
-// credit); Device::replay_fused actually dispatches the fused schedule.
+// way a real GPU would. Fusion is a pricing pass only: under paired replay
+// the members still execute through their own call sites, and the fused
+// pricing is *reported* (FusionStats.modeled_seconds_saved, on top of the
+// graph credit), never applied to device clocks or counters.
 //
 // Default off; enable with FASTPSO_FUSE=1 or graph::set_fusion_enabled.
 #pragma once

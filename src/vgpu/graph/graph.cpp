@@ -79,11 +79,6 @@ void Graph::record_memcpy(NodeKind kind, void* dst, const void* src,
   nodes_.push_back(std::move(node));
 }
 
-void Graph::attach_body(std::function<void()> body) {
-  FASTPSO_CHECK_MSG(!nodes_.empty(), "attach_body on an empty graph");
-  nodes_.back().body = std::move(body);
-}
-
 void Graph::note_elements(std::int64_t elems) {
   FASTPSO_CHECK_MSG(!nodes_.empty(), "note_elements on an empty graph");
   FASTPSO_CHECK(elems > 0);
@@ -94,16 +89,6 @@ void Graph::note_uses(std::vector<BufferUse> uses) {
   FASTPSO_CHECK_MSG(!nodes_.empty(), "note_uses on an empty graph");
   nodes_.back().uses = std::move(uses);
   nodes_.back().has_uses = true;
-}
-
-void Graph::attach_elem_body(std::function<void(std::int64_t)> body) {
-  FASTPSO_CHECK_MSG(!nodes_.empty(), "attach_elem_body on an empty graph");
-  nodes_.back().elem_body = std::move(body);
-}
-
-void Graph::note_static(codegen::StaticKernel kernel) {
-  FASTPSO_CHECK_MSG(!nodes_.empty(), "note_static on an empty graph");
-  nodes_.back().static_kernel = std::move(kernel);
 }
 
 GraphExec Graph::instantiate(const GpuPerfModel& perf) const {
@@ -143,7 +128,6 @@ GraphExec Graph::instantiate(const GpuPerfModel& perf) const {
     if (node.kind == NodeKind::kKernel) {
       exec_node.shape = perf.resolve_shape(
           static_cast<double>(node.grid) * node.block);
-      ++exec.kernel_nodes_;
     }
     exec.single_stream_ =
         exec.single_stream_ && node.stream == nodes_.front().stream;
@@ -159,27 +143,6 @@ GraphExec Graph::instantiate(const GpuPerfModel& perf) const {
 }
 
 // --- GraphExec ------------------------------------------------------------
-
-void GraphExec::resolve_slots(TimeBreakdown& breakdown) {
-  // Steady state: same breakdown, no clear() since the last replay — the
-  // cached slots are still valid and the map lookups are skipped.
-  if (resolved_breakdown_ == &breakdown &&
-      resolved_epoch_ == breakdown.epoch()) {
-    return;
-  }
-  // Consecutive nodes usually share a phase; memoize the last lookup.
-  const std::string* last_phase = nullptr;
-  double* last_slot = nullptr;
-  for (ExecNode& n : nodes_) {
-    if (last_phase == nullptr || *last_phase != n.node.phase) {
-      last_slot = breakdown.slot(n.node.phase);
-      last_phase = &n.node.phase;
-    }
-    n.slot = last_slot;
-  }
-  resolved_breakdown_ = &breakdown;
-  resolved_epoch_ = breakdown.epoch();
-}
 
 void GraphExec::resolve_session_slots(ReplaySession& session,
                                       TimeBreakdown& breakdown) {
@@ -317,53 +280,6 @@ void GraphExec::note_member(ReplaySession& session, int group,
   ++a.matched;
 }
 
-void GraphExec::begin_standalone(TimeBreakdown& breakdown, int stream_count) {
-  begin_replay(own_session_, breakdown, stream_count);
-  // Standalone replay accounts through ExecNode::slot rather than the
-  // session's slot table.
-  resolve_slots(breakdown);
-}
-
-void GraphExec::end_standalone() {
-  // Standalone replay executes every node in order: all kernel nodes count
-  // as matched, nothing is skipped.
-  own_session_.pending_matched = static_cast<std::uint64_t>(kernel_nodes_);
-  stats_.replayed_launches += own_session_.pending_matched;
-  own_session_.cursor = nodes_.size();
-  own_session_.open = false;
-  ++stats_.replays;
-  stats_.modeled_seconds_saved +=
-      static_cast<double>(own_session_.pending_matched) *
-          (launch_overhead_s_ - node_gap_s_) -
-      graph_launch_s_;
-}
-
-void GraphExec::end_standalone_fused() {
-  // Fused standalone replay accounted each group as ONE launch of the
-  // merged cost — the saving is applied to the device clocks there, not
-  // reported, so the graph credit is computed from the launches actually
-  // issued and the fusion stat records the applied static delta.
-  std::uint64_t fused_away = 0;
-  for (const FusedGroup& g : fusion_groups_) {
-    fused_away += static_cast<std::uint64_t>(g.members.size() - 1);
-    fusion_stats_.modeled_seconds_saved +=
-        g.static_member_seconds - g.static_fused_seconds;
-  }
-  own_session_.pending_matched =
-      static_cast<std::uint64_t>(kernel_nodes_) - fused_away;
-  stats_.replayed_launches += own_session_.pending_matched;
-  own_session_.cursor = nodes_.size();
-  own_session_.open = false;
-  ++stats_.replays;
-  stats_.modeled_seconds_saved +=
-      static_cast<double>(own_session_.pending_matched) *
-          (launch_overhead_s_ - node_gap_s_) -
-      graph_launch_s_;
-  ++fusion_stats_.replays;
-  fusion_stats_.launches_eager += static_cast<std::uint64_t>(kernel_nodes_);
-  fusion_stats_.launches_fused += own_session_.pending_matched;
-}
-
 // --- IterationRecorder ----------------------------------------------------
 
 IterationRecorder::IterationRecorder(Device& device)
@@ -440,11 +356,6 @@ FusionStats IterationRecorder::fusion_stats() const {
   FusionStats s = exec_ != nullptr ? exec_->fusion_stats() : FusionStats{};
   s.enabled = fuse_;
   return s;
-}
-
-codegen::CodegenStats IterationRecorder::codegen_stats() const {
-  return exec_ != nullptr ? exec_->codegen_stats()
-                          : codegen::CodegenStats{};
 }
 
 }  // namespace fastpso::vgpu::graph

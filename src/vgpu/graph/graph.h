@@ -11,9 +11,9 @@
 //
 //   capture     Device::begin_capture(graph) .. end_capture(): every
 //               account_launch/memcpy is recorded as a Node (launch config,
-//               stream, phase, prof label, cost spec, optional body) while
-//               executing and accounting *eagerly* — the capture iteration
-//               is a normal iteration.
+//               stream, phase, prof label, cost spec) while executing and
+//               accounting *eagerly* — the capture iteration is a normal
+//               iteration.
 //   instantiate Graph::instantiate(perf): one-time structural audit of the
 //               captured nodes plus pre-resolution of everything derivable
 //               from the launch shape — occupancies and roofline
@@ -45,13 +45,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "vgpu/graph/codegen.h"
 #include "vgpu/perf_model.h"
 
 namespace fastpso::vgpu {
@@ -132,10 +130,6 @@ struct Node {
   void* dst = nullptr;     ///< memcpy nodes only
   const void* src = nullptr;
   double bytes = 0;        ///< memcpy nodes only
-  /// Optional kernel body for standalone replay (Device::replay_graph).
-  /// Captured only when Device::set_capture_bodies(true) — the caller
-  /// guarantees everything the body references outlives the graph.
-  std::function<void()> body;
   /// Element domain of an element-wise launch (-1: not element-wise; such
   /// nodes are never fused). Noted automatically by launch_elements while
   /// capturing, or explicitly via Device::graph_note_elements.
@@ -145,13 +139,6 @@ struct Node {
   /// conservatively count as readers of everything for write elision.
   std::vector<BufferUse> uses;
   bool has_uses = false;
-  /// Per-element body for fused standalone replay (Device::replay_fused);
-  /// captured alongside `body` under set_capture_bodies(true).
-  std::function<void(std::int64_t)> elem_body;
-  /// Registered static form of the launch (vgpu/graph/codegen.h): tag +
-  /// statically-bound span + by-value argument pack. Attached by known
-  /// call sites via Device::graph_note_static; invalid for opaque kernels.
-  codegen::StaticKernel static_kernel;
 };
 
 /// Replay bookkeeping, surfaced through core::Result for benches/tests.
@@ -213,17 +200,10 @@ class Graph {
                      const KernelCostSpec& cost);
   void record_memcpy(NodeKind kind, void* dst, const void* src, double bytes,
                      int stream, const std::string& phase);
-  /// Attaches a body to the most recently recorded node.
-  void attach_body(std::function<void()> body);
   /// Notes the element domain of the most recently recorded node.
   void note_elements(std::int64_t elems);
   /// Attaches the declared buffer footprint of the most recent node.
   void note_uses(std::vector<BufferUse> uses);
-  /// Attaches a per-element body to the most recent node (replay_fused).
-  void attach_elem_body(std::function<void(std::int64_t)> body);
-  /// Attaches the registered static kernel of the most recent node
-  /// (vgpu/graph/codegen.h).
-  void note_static(codegen::StaticKernel kernel);
 
   /// One-time validation + pre-resolution (cudaGraphInstantiate analogue).
   /// Audits every node structurally (shape within device limits, cost spec
@@ -249,31 +229,20 @@ class GraphExec {
   struct ExecNode {
     Node node;
     ResolvedLaunchShape shape;  ///< kernel nodes only
-    /// Accumulator for node.phase in the device's modeled breakdown;
-    /// resolved at begin_replay (TimeBreakdown::clear() invalidates slots).
-    double* slot = nullptr;
     /// Index into fused_groups(), or -1 when the node is unfused.
     int fuse_group = -1;
-    /// Unfused node replayable through its registered span instead of its
-    /// captured body (set by apply_codegen; requires both to be present so
-    /// the span is a pure accelerator of existing replay semantics).
-    bool compiled = false;
   };
 
   /// One fused run of >= 2 consecutive element-wise kernel nodes
   /// (installed by the FusionPass, vgpu/graph/fusion.h).
   struct FusedGroup {
     std::vector<int> members;  ///< node indices, in capture order
-    std::int64_t grid = 1;
-    int block = 1;
-    int stream = 0;
     std::int64_t elems = 0;
-    std::string phase;  ///< first member's phase
     std::string label;  ///< "fused:" + member labels joined with '+'
     /// The members' capture-time specs merged with intermediate
     /// producer/consumer traffic elided and only one launch overhead
-    /// charged (barriers are zero by legality) — what PerfModel prices and
-    /// Device::replay_fused accounts.
+    /// charged (barriers are zero by legality) — what PerfModel prices as
+    /// the fused launch (static_fused_seconds).
     KernelCostSpec merged_cost;
     ResolvedLaunchShape shape;  ///< the members' shared launch shape
     /// Capture-time elision constants, subtracted from the live cost sum
@@ -285,12 +254,6 @@ class GraphExec {
     /// Capture-time pricing of the members vs the fused node (reporting).
     double static_member_seconds = 0;
     double static_fused_seconds = 0;
-    /// Compiled execution plan (vgpu/graph/codegen.h), resolved once by
-    /// apply_codegen when every member registered a static kernel AND
-    /// carries a captured body. Empty member_spans = interpreted fallback.
-    codegen::ComposedFn composed = nullptr;
-    std::vector<codegen::SpanFn> member_spans;
-    std::vector<const void*> member_args;
   };
 
   /// Per-session accumulator for one FusedGroup's live replay (the static
@@ -334,7 +297,6 @@ class GraphExec {
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] const std::vector<ExecNode>& nodes() const { return nodes_; }
   [[nodiscard]] const GraphStats& stats() const { return stats_; }
-  [[nodiscard]] int kernel_nodes() const { return kernel_nodes_; }
 
   // --- paired replay (driven by Device::begin_replay/end_replay) ---------
   /// Opens a replay on `session`. Rewinds the match cursor; breakdown slots
@@ -386,16 +348,13 @@ class GraphExec {
   /// set_replay_stream legality condition).
   [[nodiscard]] bool single_stream() const { return single_stream_; }
 
-  // --- standalone replay bookkeeping (Device::replay_graph) --------------
-  void begin_standalone(TimeBreakdown& breakdown, int stream_count);
-  void end_standalone();
-
   // --- fusion (vgpu/graph/fusion.h) --------------------------------------
   /// Runs the FusionPass over this instantiated graph and installs its
   /// plan. After this, clean paired replays additionally price each fully
   /// matched group as a single fused launch (reported via fusion_stats(),
-  /// composing with the graph credit without double counting), and
-  /// Device::replay_fused executes the fused schedule. Idempotent.
+  /// composing with the graph credit without double counting). Nothing is
+  /// executed fused: the members still run through their call sites.
+  /// Idempotent.
   void apply_fusion(const GpuPerfModel& perf);
   [[nodiscard]] const std::vector<FusedGroup>& fused_groups() const {
     return fusion_groups_;
@@ -408,45 +367,16 @@ class GraphExec {
   /// during paired replay).
   void note_member(ReplaySession& session, int group,
                    const KernelCostSpec& cost, double seconds);
-  /// Standalone fused-replay bookkeeping (Device::replay_fused): like
-  /// end_standalone, but with the post-fusion launch count and the applied
-  /// fusion saving recorded.
-  void end_standalone_fused();
-
-  // --- compiled loops (vgpu/graph/codegen.h) ------------------------------
-  /// Resolves the compiled execution plan: fused groups whose members all
-  /// registered static kernels get their span/arg tables (and, on an exact
-  /// tag-sequence match, a composed loop); unfused registered nodes get
-  /// span replay. Execution-level resolution additionally requires captured
-  /// bodies, keeping compiled replay a pure accelerator of the existing
-  /// standalone-replay semantics (body-less graphs execute nothing, as
-  /// today). Auto-run at the end of apply_fusion when codegen::enabled();
-  /// idempotent.
-  void apply_codegen();
-  [[nodiscard]] const codegen::CodegenStats& codegen_stats() const {
-    return codegen_stats_;
-  }
-  /// Records one compiled fused-group dispatch (Device::replay_fused).
-  void note_compiled_dispatch(bool composed) {
-    ++codegen_stats_.compiled_dispatches;
-    if (composed) {
-      ++codegen_stats_.composed_dispatches;
-    }
-  }
 
  private:
   friend class Graph;
   friend class FusionPass;
   GraphExec() = default;
 
-  /// Standalone-replay slot resolution (writes ExecNode::slot; the paired
-  /// path resolves into the session instead).
-  void resolve_slots(TimeBreakdown& breakdown);
   void resolve_session_slots(ReplaySession& session,
                              TimeBreakdown& breakdown);
 
   std::vector<ExecNode> nodes_;
-  int kernel_nodes_ = 0;
   double launch_overhead_s_ = 0;
   double node_gap_s_ = 0;
   double graph_launch_s_ = 0;
@@ -455,19 +385,12 @@ class GraphExec {
   bool single_stream_ = true;
   int max_node_stream_ = 0;
 
-  /// Slot-resolution cache key (resolve_slots, standalone path).
-  const TimeBreakdown* resolved_breakdown_ = nullptr;
-  std::uint64_t resolved_epoch_ = 0;
-
   /// Built-in session backing the exec-level replay API.
   ReplaySession own_session_;
-  /// Standalone replay reuses the paired bookkeeping fields below through
-  /// own_session_.
   GraphStats stats_;
 
   std::vector<FusedGroup> fusion_groups_;
   FusionStats fusion_stats_;
-  codegen::CodegenStats codegen_stats_;
   /// Perf model the fusion plan was priced against (outlives the exec: it
   /// belongs to the Device the graph was captured on).
   const GpuPerfModel* fusion_perf_ = nullptr;
@@ -499,8 +422,6 @@ class IterationRecorder {
   [[nodiscard]] GraphStats stats() const;
   /// Fusion bookkeeping (FusionStats.enabled reflects this recorder).
   [[nodiscard]] FusionStats fusion_stats() const;
-  /// Compiled-loop bookkeeping (all-default before instantiation).
-  [[nodiscard]] codegen::CodegenStats codegen_stats() const;
 
  private:
   enum class State : std::uint8_t {

@@ -18,19 +18,15 @@
 //   * prof/san level — the Chrome trace and the sanitizer trace ignore the
 //     fusion toggle under paired replay; footprints_consistent cross-checks
 //     the declared footprints against a tracked sanitizer run;
-//   * standalone fused replay — Device::replay_fused executes the fused
-//     schedule for real: same data, fewer accounted launches, smaller
-//     modeled time than plain replay_graph, and one labeled fused prof
-//     event carrying the merged cost spec (golden below).
+//   * pricing — one clean paired replay of a fully fused three-kernel chain
+//     credits exactly the plan's static saving net of the graph credit, and
+//     the graph credit exactly its formula (DESIGN.md §8).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -773,194 +769,88 @@ TEST(Fusion, FootprintsInconsistencyIsDiagnosed) {
   EXPECT_NE(diagnosis.find("wrote"), std::string::npos) << diagnosis;
 }
 
-// ---- standalone fused replay (Device::replay_fused) ----------------------
+// ---- pricing: exact paired-replay credits --------------------------------
 
-/// Captures a three-kernel chain with bodies: a[i] = 2i, b[i] = a[i] + 1,
-/// b[i] *= 3 — all aligned, all fusible into one group.
-struct CapturedChain {
-  Graph graph;
-  std::vector<float> expected;
-};
-
-CapturedChain capture_chain(vgpu::Device& device, vgpu::DeviceArray<float>& a,
-                            vgpu::DeviceArray<float>& b, std::int64_t n) {
+/// Launches a three-kernel chain: a[i] = 2i, b[i] = a[i] + 1, b[i] *= 3 —
+/// all aligned, all fusible into one group. The footprints only land on
+/// the nodes of a capture.
+void launch_chain(vgpu::Device& device, float* pa, float* pb,
+                  std::int64_t n) {
   vgpu::LaunchConfig cfg;
   cfg.grid = 1;
   cfg.block = 64;
-  float* pa = a.data();
-  float* pb = b.data();
-  CapturedChain chain;
-  device.set_capture_bodies(true);
-  device.begin_capture(chain.graph);
-  {
-    vgpu::prof::KernelLabel label("fusion_test/k1");
-    device.launch_elements(cfg, cost_rw(static_cast<double>(n), 0, n * kFloat),
-                           n, [pa](std::int64_t i) {
-      pa[i] = static_cast<float>(i) * 2.0f;
-    });
-    device.graph_note_uses({scalar_use(pa, n, true, "a")});
-  }
-  {
-    vgpu::prof::KernelLabel label("fusion_test/k2");
-    device.launch_elements(
-        cfg, cost_rw(static_cast<double>(n), n * kFloat, n * kFloat), n,
-        [pa, pb](std::int64_t i) { pb[i] = pa[i] + 1.0f; });
-    device.graph_note_uses({scalar_use(pa, n, false, "a"),
-                            scalar_use(pb, n, true, "b")});
-  }
-  {
-    vgpu::prof::KernelLabel label("fusion_test/k3");
-    device.launch_elements(
-        cfg, cost_rw(static_cast<double>(n), n * kFloat, n * kFloat), n,
-        [pb](std::int64_t i) { pb[i] *= 3.0f; });
-    device.graph_note_uses({scalar_use(pb, n, false, "b"),
-                            scalar_use(pb, n, true, "b")});
-  }
-  device.end_capture();
-  device.set_capture_bodies(false);
-  chain.expected.resize(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    chain.expected[static_cast<std::size_t>(i)] =
-        (static_cast<float>(i) * 2.0f + 1.0f) * 3.0f;
-  }
-  return chain;
+  device.launch_elements(cfg, cost_rw(static_cast<double>(n), 0, n * kFloat),
+                         n, [pa](std::int64_t i) {
+    pa[i] = static_cast<float>(i) * 2.0f;
+  });
+  device.graph_note_uses({scalar_use(pa, n, true, "a")});
+  device.launch_elements(
+      cfg, cost_rw(static_cast<double>(n), n * kFloat, n * kFloat), n,
+      [pa, pb](std::int64_t i) { pb[i] = pa[i] + 1.0f; });
+  device.graph_note_uses({scalar_use(pa, n, false, "a"),
+                          scalar_use(pb, n, true, "b")});
+  device.launch_elements(
+      cfg, cost_rw(static_cast<double>(n), n * kFloat, n * kFloat), n,
+      [pb](std::int64_t i) { pb[i] *= 3.0f; });
+  device.graph_note_uses({scalar_use(pb, n, false, "b"),
+                          scalar_use(pb, n, true, "b")});
 }
 
-TEST(FusionReplay, ReplayFusedExecutesFusedScheduleWithFewerLaunches) {
-  const FastPathGuard fast(true);
+// The only link between the fusion plan and a priced saving: capture the
+// chain, fuse it, and replay it once through its call sites. The
+// expectations follow the code's own operation order (GraphExec::
+// end_replay), so they hold bit for bit.
+TEST(FusionPricing, PairedReplayCreditsMatchThePlanExactly) {
   constexpr std::int64_t kN = 64;
-
-  // Fused side.
   vgpu::Device device;
   device.set_phase("test");
   vgpu::DeviceArray<float> a(device, kN);
   vgpu::DeviceArray<float> b(device, kN);
-  CapturedChain chain = capture_chain(device, a, b, kN);
-  GraphExec exec = fused_exec(chain.graph, device);
+  Graph g;
+  device.begin_capture(g);
+  launch_chain(device, a.data(), b.data(), kN);
+  device.end_capture();
+  GraphExec exec = fused_exec(g, device);
   ASSERT_EQ(exec.fusion_stats().groups, 1);
   ASSERT_EQ(exec.fusion_stats().fused_members, 3);
 
   const std::vector<float> zeros(kN, 0.0f);
   b.upload(zeros);
-  const std::uint64_t launches_before = device.counters().launches;
-  const double modeled_before = device.counters().modeled_seconds;
-  device.replay_fused(exec);
+  device.begin_replay(exec);
+  launch_chain(device, a.data(), b.data(), kN);
+  ASSERT_TRUE(device.end_replay());
+
+  // Paired replay still runs every member through its call site.
   std::vector<float> out(kN);
   b.download(out);
-  EXPECT_TRUE(bits_equal(out, chain.expected));
-  // One accounted launch for the whole fused group.
-  EXPECT_EQ(device.counters().launches - launches_before, 1u);
-  const double fused_delta =
-      device.counters().modeled_seconds - modeled_before;
+  for (std::int64_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i)],
+              (static_cast<float>(i) * 2.0f + 1.0f) * 3.0f);
+  }
 
-  // Plain-replay side: identical capture, unfused standalone replay.
-  vgpu::Device plain;
-  plain.set_phase("test");
-  vgpu::DeviceArray<float> pa(plain, kN);
-  vgpu::DeviceArray<float> pb(plain, kN);
-  CapturedChain pchain = capture_chain(plain, pa, pb, kN);
-  GraphExec pexec = pchain.graph.instantiate(plain.perf());
-  pb.upload(zeros);
-  const std::uint64_t plaunches_before = plain.counters().launches;
-  const double pmodeled_before = plain.counters().modeled_seconds;
-  plain.replay_graph(pexec);
-  std::vector<float> pout(kN);
-  pb.download(pout);
-  EXPECT_TRUE(bits_equal(pout, chain.expected));
-  EXPECT_EQ(plain.counters().launches - plaunches_before, 3u);
-  const double plain_delta =
-      plain.counters().modeled_seconds - pmodeled_before;
+  const vgpu::GpuSpec& spec = device.spec();
+  const double launch_s = spec.launch_overhead_us * 1e-6;
+  const double node_gap_s = spec.graph_node_overhead_us * 1e-6;
+  const double graph_launch_s = spec.graph_launch_overhead_us * 1e-6;
 
-  // Standalone fused replay genuinely applies the saving: two launch
-  // overheads and the a/b intermediate round trips are gone.
-  EXPECT_LT(fused_delta, plain_delta);
-  EXPECT_EQ(exec.fusion_stats().replays, 1u);
-  EXPECT_EQ(exec.fusion_stats().launches_eager, 3u);
-  EXPECT_EQ(exec.fusion_stats().launches_fused, 1u);
-  EXPECT_GT(exec.fusion_stats().modeled_seconds_saved, 0.0);
-}
-
-TEST(FusionReplay, FusedReplayEmitsOneLabeledEventWithMergedCost) {
-  const FastPathGuard fast(true);
-  const ProfGuard prof(true);
-  constexpr std::int64_t kN = 64;
-  vgpu::Device device;
-  device.set_phase("test");
-  vgpu::DeviceArray<float> a(device, kN);
-  vgpu::DeviceArray<float> b(device, kN);
-  CapturedChain chain = capture_chain(device, a, b, kN);
-  GraphExec exec = fused_exec(chain.graph, device);
-  ASSERT_EQ(exec.fusion_stats().groups, 1);
-
-  (void)device.take_profile();  // drop the capture pass's events
-  device.replay_fused(exec);
-  const vgpu::prof::Profile profile = device.take_profile();
-  ASSERT_EQ(profile.kernel_count(), 1u);
+  // Fusion credit: the three members priced as one launch of the merged
+  // spec, net of the two member launches the graph credit already cut to a
+  // node gap.
   const GraphExec::FusedGroup& group = exec.fused_groups()[0];
-  bool found = false;
-  for (const vgpu::prof::Event& e : profile.events) {
-    if (e.kind == vgpu::prof::EventKind::kKernel) {
-      found = true;
-      EXPECT_EQ(e.label, "fused:fusion_test/k1+fusion_test/k2+fusion_test/k3");
-      EXPECT_EQ(e.label, group.label);
-    }
-  }
-  EXPECT_TRUE(found);
-  // The event carries the merged spec: flops are the members' sum, traffic
-  // has the a/b intermediates elided.
-  EXPECT_EQ(profile.flops(), group.merged_cost.flops);
-  EXPECT_EQ(profile.flops(), 3.0 * kN);
-  EXPECT_LT(profile.dram_read_fetched(), 2.0 * kN * kFloat);
+  const FusionStats& fusion = exec.fusion_stats();
+  EXPECT_EQ(fusion.replays, 1u);
+  EXPECT_EQ(fusion.launches_eager, 3u);
+  EXPECT_EQ(fusion.launches_fused, 1u);
+  EXPECT_EQ(fusion.modeled_seconds_saved,
+            group.static_member_seconds - group.static_fused_seconds -
+                2.0 * (launch_s - node_gap_s));
+
+  // Graph credit: three matched launches pay a node gap instead of a launch
+  // overhead, and the replay pays one graph launch.
+  EXPECT_EQ(exec.stats().replays, 1u);
+  EXPECT_EQ(exec.stats().modeled_seconds_saved,
+            3.0 * (launch_s - node_gap_s) - graph_launch_s);
 }
-
-// ---- golden fused trace --------------------------------------------------
-
-#ifdef FASTPSO_GOLDEN_DIR
-// The fused twin of ProfGolden.SphereTraceMatchesGoldenFile: the standalone
-// fused replay of the fixed three-kernel chain must serialize byte for byte
-// — catching silent changes to the fused label, the merged cost spec, the
-// modeled pricing or the JSON encoding.
-//
-// Refresh after an intentional change:
-//   FASTPSO_REFRESH_GOLDEN=1 ./build/tests/test_fusion
-//       --gtest_filter='FusionGolden.*'
-TEST(FusionGolden, FusedTraceMatchesGoldenFile) {
-  const FastPathGuard fast(true);
-  const ProfGuard prof(true);
-  constexpr std::int64_t kN = 64;
-  vgpu::Device device;
-  device.set_phase("test");
-  vgpu::DeviceArray<float> a(device, kN);
-  vgpu::DeviceArray<float> b(device, kN);
-  CapturedChain chain = capture_chain(device, a, b, kN);
-  GraphExec exec = fused_exec(chain.graph, device);
-  ASSERT_EQ(exec.fusion_stats().groups, 1);
-  (void)device.take_profile();
-  device.replay_fused(exec);
-  const std::string json = device.take_profile().chrome_trace_json();
-  EXPECT_NE(json.find("fused:fusion_test/k1"), std::string::npos);
-
-  const std::string path =
-      std::string(FASTPSO_GOLDEN_DIR) + "/prof_trace_fused.json";
-  const char* refresh = std::getenv("FASTPSO_REFRESH_GOLDEN");
-  if (refresh != nullptr && refresh[0] == '1') {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << json;
-    GTEST_SKIP() << "golden refreshed: " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good())
-      << "missing golden " << path
-      << " — generate with FASTPSO_REFRESH_GOLDEN=1";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(json, golden.str())
-      << "fused trace diverged from golden; if intentional, refresh with "
-         "FASTPSO_REFRESH_GOLDEN=1";
-}
-#endif  // FASTPSO_GOLDEN_DIR
 
 }  // namespace
 }  // namespace fastpso

@@ -16,9 +16,7 @@
 //   * divergence — a replayed sequence whose shape changes falls back to
 //     eager accounting with correct counters and stats().diverged set;
 //     conditional nodes that are captured but not re-issued are skipped
-//     without spoiling the replay;
-//   * standalone replay — a body-captured graph re-executed through
-//     Device::replay_graph reproduces the eager run's data and accounting.
+//     without spoiling the replay.
 
 #include <gtest/gtest.h>
 
@@ -33,7 +31,6 @@
 #include "core/optimizer.h"
 #include "core/params.h"
 #include "problems/problem.h"
-#include "vgpu/buffer.h"
 #include "vgpu/device.h"
 #include "vgpu/graph/graph.h"
 #include "vgpu/prof/prof.h"
@@ -429,96 +426,6 @@ TEST(Graph, ReplayUsesLiveCosts) {
   eager.set_phase("test");
   eager.account_launch(cfg_of(4, 128), cost_of(1e6, 4e4));
   eager.account_launch(cfg_of(4, 128), cost_of(5e6, 9e4));
-  expect_counters_equal(device.counters(), eager.counters());
-}
-
-// ---- standalone replay (captured bodies) ---------------------------------
-
-/// Body capture hooks into launch_elements' flat fast path; pin it on so
-/// the test is independent of the FASTPSO_FAST_PATH environment.
-class FastPathGuard {
- public:
-  explicit FastPathGuard(bool enabled) : saved_(vgpu::fast_path_enabled()) {
-    vgpu::set_fast_path_enabled(enabled);
-  }
-  ~FastPathGuard() { vgpu::set_fast_path_enabled(saved_); }
-
-  FastPathGuard(const FastPathGuard&) = delete;
-  FastPathGuard& operator=(const FastPathGuard&) = delete;
-
- private:
-  bool saved_;
-};
-
-TEST(Graph, StandaloneReplayReexecutesBodies) {
-  const FastPathGuard fast(true);
-  constexpr std::int64_t kN = 64;
-  vgpu::Device device;
-  device.set_phase("test");
-  vgpu::DeviceArray<float> buf(device, kN);
-  float* out = buf.data();
-
-  vgpu::graph::Graph g;
-  device.set_capture_bodies(true);
-  device.begin_capture(g);
-  device.launch_elements(cfg_of(1, 64), cost_of(2.0 * kN, 0), kN,
-                         [out](std::int64_t i) {
-    out[i] = static_cast<float>(i) * 2.0f;
-  });
-  device.launch_elements(cfg_of(1, 64), cost_of(1.0 * kN, kN * 4.0), kN,
-                         [out](std::int64_t i) {
-    out[i] += 1.0f;
-  });
-  device.end_capture();
-  device.set_capture_bodies(false);
-  vgpu::graph::GraphExec exec = g.instantiate(device.perf());
-  ASSERT_EQ(exec.kernel_nodes(), 2);
-
-  // Scramble the buffer, then replay the graph standalone: bodies re-run
-  // from the stored node list, accounting flows through the pre-resolved
-  // records.
-  std::vector<float> zeros(kN, 0.0f);
-  buf.upload(zeros);
-  device.replay_graph(exec);
-  std::vector<float> replayed(kN);
-  buf.download(replayed);
-  for (std::int64_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(replayed[static_cast<std::size_t>(i)],
-              static_cast<float>(i) * 2.0f + 1.0f)
-        << "element " << i;
-  }
-  EXPECT_EQ(exec.stats().replays, 1u);
-  EXPECT_EQ(exec.stats().replayed_launches, 2u);
-  // Two kernels per graph launch: the faithful amortization credit is
-  // negative (2 * 3.5us saved < one 10us graph launch) — still reported.
-  EXPECT_NE(exec.stats().modeled_seconds_saved, 0.0);
-
-  // Counters: capture pass + upload + standalone replay == the same
-  // sequence accounted eagerly.
-  vgpu::Device eager;
-  eager.set_phase("test");
-  vgpu::DeviceArray<float> ebuf(eager, kN);
-  float* eout = ebuf.data();
-  eager.launch_elements(cfg_of(1, 64), cost_of(2.0 * kN, 0), kN,
-                        [eout](std::int64_t i) {
-    eout[i] = static_cast<float>(i) * 2.0f;
-  });
-  eager.launch_elements(cfg_of(1, 64), cost_of(1.0 * kN, kN * 4.0), kN,
-                        [eout](std::int64_t i) {
-    eout[i] += 1.0f;
-  });
-  ebuf.upload(zeros);
-  eager.launch_elements(cfg_of(1, 64), cost_of(2.0 * kN, 0), kN,
-                        [eout](std::int64_t i) {
-    eout[i] = static_cast<float>(i) * 2.0f;
-  });
-  eager.launch_elements(cfg_of(1, 64), cost_of(1.0 * kN, kN * 4.0), kN,
-                        [eout](std::int64_t i) {
-    eout[i] += 1.0f;
-  });
-  std::vector<float> eager_out(kN);
-  ebuf.download(eager_out);  // mirrors the verification download above
-  EXPECT_TRUE(bits_equal(replayed, eager_out));
   expect_counters_equal(device.counters(), eager.counters());
 }
 

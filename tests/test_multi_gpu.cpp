@@ -17,7 +17,7 @@
 //     the collectives inside each device's comm stream.
 //
 // The whole suite runs unchanged under FASTPSO_GRAPH=1 / FASTPSO_FUSE=1 /
-// FASTPSO_CODEGEN=1 / FASTPSO_SAN=1 (CI's multi-device equivalence steps):
+// FASTPSO_SAN=1 (CI's multi-device equivalence steps):
 // per-device captured graphs replay with byte-identical accounting and the
 // collectives re-account eagerly, so every differential still closes.
 
