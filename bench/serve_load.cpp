@@ -261,9 +261,9 @@ int main(int argc, char** argv) {
   table.add_row({"p50 modeled latency (s)", fmt_fixed(p50, 6)});
   table.add_row({"p99 modeled latency (s)", fmt_fixed(p99, 6)});
   table.add_row({"wall (s)", fmt_fixed(wall_s, 3)});
-  table.add_note("credits are reported-only, in the style of "
-                 "Result::graph_modeled_seconds(); jobs stay bitwise equal "
-                 "to solo runs (see tests/test_serve.cpp)");
+  table.add_note("credits are reported-only, never folded into any job's "
+                 "numbers; jobs stay bitwise equal to solo runs (see "
+                 "tests/test_serve.cpp)");
   table.print(std::cout);
 
   // --pack: executed-packing comparison. The tiny-job workload (the regime

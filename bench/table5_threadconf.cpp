@@ -12,15 +12,7 @@
 //      same training RMSE (the tuning changes launch shapes, not results).
 //
 //   ./table5_threadconf [--trees 12] [--tune-particles 512]
-//                       [--tune-iters 60] [--graph] [--fuse] [--tuned]
-//
-// --graph additionally runs the FastPSO tuning step under vgpu::Graph
-// capture/replay (DESIGN.md §8) and reports the graph-mode modeled tuning
-// time next to the eager one as table notes. --fuse further engages the
-// FusionPass over the captured tuning pipeline (DESIGN.md §9) and extends
-// the notes with the fused modeled time and the per-iteration launch
-// reduction. The CSV and the eager numbers are unchanged either way —
-// graph amortization and fusion savings are reported, never folded in.
+//                       [--tune-iters 60] [--tuned]
 //
 // --tuned adds one "<dataset>+tuner" row per dataset: the configuration
 // found by the generalized offline autotuner (tune::Tuner over the per-site
@@ -36,7 +28,6 @@
 #include "tune/tuner.h"
 #include "vgpu/device.h"
 #include "vgpu/device_spec.h"
-#include "vgpu/graph/graph.h"
 #include "vgpu/tuned.h"
 
 using namespace fastpso;
@@ -51,20 +42,12 @@ int main(int argc, char** argv) {
   const int tune_iters = static_cast<int>(args.get_int("tune-iters", 60));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const std::string csv_path = args.get_string("csv", "");
-  const bool use_graph = args.get_bool("graph", false);
-  const bool use_fuse = args.get_bool("fuse", false);
   const bool use_tuned = args.get_bool("tuned", false);
   tune::TunerOptions tuner_options;
   tuner_options.particles =
       static_cast<int>(args.get_int("tuner-particles", 48));
   tuner_options.iterations = static_cast<int>(args.get_int("tuner-iters", 24));
   tuner_options.seed = seed;
-  if (use_graph) {
-    vgpu::graph::set_enabled(true);
-  }
-  if (use_fuse) {
-    vgpu::graph::set_fusion_enabled(true);  // implies capture (DESIGN.md §9)
-  }
 
   TextTable table("Table 5: MiniGBM training time w/ and w/o FastPSO tuning");
   table.set_header({"data set", "#card", "#dim", "tgbm (s)", "tgbm+pso (s)",
@@ -87,7 +70,6 @@ int main(int argc, char** argv) {
     tgbm::ThreadConfProblem problem(spec, gbm);
     const tune::ThreadConfSearch search =
         tune::search_threadconf(problem, tune_particles, tune_iters, seed);
-    const core::Result& tuned_result = search.result;
     const tgbm::ConfigSet& tuned = search.configs;
 
     // 3. retrain with tuned configs
@@ -107,24 +89,6 @@ int main(int argc, char** argv) {
                  fmt_fixed(best.modeled_seconds, 3), fmt_fixed(speedup, 3),
                  fmt_fixed(base.final_rmse(), 5),
                  fmt_fixed(best.final_rmse(), 5)});
-    if (use_graph || use_fuse) {
-      const vgpu::graph::GraphStats& g = tuned_result.graph;
-      table.add_note(
-          std::string(spec.name) + ": tune modeled " +
-          fmt_fixed(tuned_result.modeled_seconds, 3) + "s -> graph " +
-          fmt_fixed(tuned_result.graph_modeled_seconds(), 3) + "s (" +
-          std::to_string(g.replays) + " replays, " +
-          std::to_string(g.replayed_launches) + " replayed launches)");
-    }
-    if (use_fuse) {
-      const vgpu::graph::FusionStats& f = tuned_result.fusion;
-      table.add_note(
-          std::string(spec.name) + ": fused " +
-          fmt_fixed(tuned_result.fused_modeled_seconds(), 3) + "s (" +
-          std::to_string(f.groups) + " groups, " +
-          std::to_string(f.fused_members) + " members, launches -" +
-          fmt_fixed(f.launch_reduction() * 100.0, 1) + "%)");
-    }
 
     if (use_tuned) {
       // 4. the generalized autotuner: per-site subspace search over the 25

@@ -29,11 +29,9 @@
 
 #include "baselines/baselines.h"
 #include "common/stopwatch.h"
-#include "core/recorder.h"
 #include "core/swarm_update.h"
 #include "rng/philox.h"
 #include "vgpu/buffer.h"
-#include "vgpu/graph/graph.h"
 #include "vgpu/prof/prof.h"
 #include "vgpu/reduce.h"
 
@@ -134,12 +132,7 @@ core::Result run_gpu_pso(const core::Objective& objective,
   swarm_cost.read_amplification = read_amp;
   swarm_cost.write_amplification = write_amp;
 
-  // Capture/replay of the steady-state loop (vgpu/graph; FASTPSO_GRAPH=1,
-  // with FASTPSO_FUSE=1 additionally fusing the eval→pbest pair).
-  auto recorder = core::make_iteration_recorder(device);
-
   for (int iter = 0; iter < params.max_iter; ++iter) {
-    recorder.begin_iteration();
     // ---- fitness evaluation (their coalesced kernel) --------------------
     {
       ScopedTimer timer(wall, "eval");
@@ -158,18 +151,6 @@ core::Result run_gpu_pso(const core::Objective& objective,
             pe[i] = static_cast<float>(objective.fn(p + i * d, d));
           }
         });
-      }
-      // Fusion footprint (vgpu/graph/fusion.h): per-particle elements; the
-      // perror hand-off to the pbest kernel is this baseline's one fusible
-      // producer/consumer pair.
-      if (device.capturing()) {
-        device.graph_note_elements(n);
-        device.graph_note_uses(
-            {{p, static_cast<double>(elements) * sizeof(float),
-              static_cast<std::int64_t>(d * sizeof(float)), /*write=*/false,
-              "pos"},
-             {pe, static_cast<double>(n) * sizeof(float), sizeof(float),
-              /*write=*/true, "perror"}});
       }
     }
 
@@ -202,21 +183,6 @@ core::Result run_gpu_pso(const core::Objective& objective,
           }
         }
       });
-      if (device.capturing()) {
-        device.graph_note_uses(
-            {{pe, static_cast<double>(n) * sizeof(float), sizeof(float),
-              /*write=*/false, "perror"},
-             {pbe, static_cast<double>(n) * sizeof(float), sizeof(float),
-              /*write=*/false, "pbest_err"},
-             {pbe, static_cast<double>(n) * sizeof(float), sizeof(float),
-              /*write=*/true, "pbest_err"},
-             {p, static_cast<double>(elements) * sizeof(float),
-              static_cast<std::int64_t>(d * sizeof(float)), /*write=*/false,
-              "pos"},
-             {pb, static_cast<double>(elements) * sizeof(float),
-              static_cast<std::int64_t>(d * sizeof(float)), /*write=*/true,
-              "pbest_pos"}});
-      }
     }
 
     // ---- gbest (parallel reduction + row copy) ------------------------------
@@ -234,13 +200,6 @@ core::Result run_gpu_pso(const core::Objective& objective,
                                [&](std::int64_t j) {
           dst[j] = src[j];
         });
-        if (device.capturing()) {
-          device.graph_note_uses(
-              {{src, static_cast<double>(d) * sizeof(float), sizeof(float),
-                /*write=*/false, "gbest_src_row"},
-               {dst, static_cast<double>(d) * sizeof(float), sizeof(float),
-                /*write=*/true, "gbest_pos"}});
-        }
       }
     }
 
@@ -275,21 +234,7 @@ core::Result run_gpu_pso(const core::Objective& objective,
           p[e] += nv;
         }
       });
-      if (device.capturing()) {
-        const double mat_bytes =
-            static_cast<double>(elements) * sizeof(float);
-        const std::int64_t row_elem = static_cast<std::int64_t>(d * sizeof(float));
-        device.graph_note_uses(
-            {{v, mat_bytes, row_elem, /*write=*/false, "vel"},
-             {v, mat_bytes, row_elem, /*write=*/true, "vel"},
-             {p, mat_bytes, row_elem, /*write=*/false, "pos"},
-             {p, mat_bytes, row_elem, /*write=*/true, "pos"},
-             {pb, mat_bytes, row_elem, /*write=*/false, "pbest_pos"},
-             {gb, static_cast<double>(d) * sizeof(float), 0,
-              /*write=*/false, "gbest_pos"}});
-      }
     }
-    recorder.end_iteration();
   }
 
   core::Result result;
@@ -303,7 +248,6 @@ core::Result run_gpu_pso(const core::Objective& objective,
   result.modeled_seconds = device.modeled_seconds();
   result.counters = device.counters();
   result.profile = device.take_profile();
-  core::export_recorder_stats(recorder, result);
   return result;
 }
 

@@ -21,11 +21,9 @@
 
 #include "baselines/baselines.h"
 #include "common/stopwatch.h"
-#include "core/recorder.h"
 #include "core/swarm_update.h"
 #include "rng/philox.h"
 #include "vgpu/buffer.h"
-#include "vgpu/graph/graph.h"
 #include "vgpu/perf_model.h"
 #include "vgpu/prof/prof.h"
 
@@ -116,14 +114,7 @@ core::Result run_hgpu_pso(const core::Objective& objective,
   eval_cost.dram_read_bytes = static_cast<double>(elements) * sizeof(float);
   eval_cost.dram_write_bytes = static_cast<double>(n) * sizeof(float);
 
-  // Capture/replay of the device half of the loop (H2D, eval kernel, D2H);
-  // the CPU phases account through modeled_cpu either way. Fusion finds no
-  // legal group here — the lone eval kernel sits between two memcpys — so
-  // FASTPSO_FUSE=1 degenerates to plain capture (FusionStats.groups == 0).
-  auto recorder = core::make_iteration_recorder(device);
-
   for (int iter = 0; iter < params.max_iter; ++iter) {
-    recorder.begin_iteration();
     // ---- GPU evaluation: H2D positions, eval kernel, D2H fitness ---------
     {
       ScopedTimer timer(wall, "eval");
@@ -143,17 +134,6 @@ core::Result run_hgpu_pso(const core::Objective& objective,
             pe[i] = static_cast<float>(objective.fn(p + i * d, d));
           }
         });
-      }
-      // Fusion footprint (vgpu/graph/fusion.h); declared for uniformity —
-      // the surrounding memcpys keep this node groupless.
-      if (device.capturing()) {
-        device.graph_note_elements(n);
-        device.graph_note_uses(
-            {{p, static_cast<double>(elements) * sizeof(float),
-              static_cast<std::int64_t>(d * sizeof(float)), /*write=*/false,
-              "d_pos"},
-             {pe, static_cast<double>(n) * sizeof(float), sizeof(float),
-              /*write=*/true, "d_err"}});
       }
       d_err.download(perror);
     }
@@ -235,7 +215,6 @@ core::Result run_hgpu_pso(const core::Objective& objective,
               0, 5.0 * static_cast<double>(elements) * sizeof(float)),
           (10.0 + 2.0 * kCpuRngFlopsPerValue) * static_cast<double>(elements));
     }
-    recorder.end_iteration();
   }
 
   core::Result result;
@@ -256,7 +235,6 @@ core::Result run_hgpu_pso(const core::Objective& objective,
   for (auto& e : cpu_profile.events) {
     result.profile.events.push_back(std::move(e));
   }
-  core::export_recorder_stats(recorder, result);
   return result;
 }
 

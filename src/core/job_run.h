@@ -8,9 +8,9 @@
 // construction: both paths drive this one loop body, and all randomness is
 // counter-based (rng/philox), so results depend only on (seed, shape).
 //
-// The caller owns the iteration bracketing: Optimizer wraps step() in an
-// IterationRecorder (FASTPSO_GRAPH / FASTPSO_FUSE), the serve scheduler
-// wraps it in its shape-keyed graph cache's capture/replay sessions.
+// The caller owns the iteration bracketing: Optimizer runs step() eagerly,
+// the serve scheduler wraps it in its shape-keyed graph cache's
+// capture/replay sessions (serve/graph_cache.h).
 #pragma once
 
 #include <cstddef>

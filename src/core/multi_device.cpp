@@ -10,7 +10,6 @@
 #include "core/eval_schema.h"
 #include "core/init.h"
 #include "core/launch_policy.h"
-#include "core/recorder.h"
 #include "core/swarm_state.h"
 #include "core/swarm_update.h"
 #include "vgpu/memory_pool.h"
@@ -31,15 +30,13 @@ struct Shard {
         policy(spec),
         state(dev, count, dim),
         l_mat(dev, state.elements()),
-        g_mat(dev, state.elements()),
-        recorder(make_iteration_recorder(dev)) {}
+        g_mat(dev, state.elements()) {}
 
   vgpu::Device* device;
   LaunchPolicy policy;
   SwarmState state;
   vgpu::DeviceArray<float> l_mat;
   vgpu::DeviceArray<float> g_mat;
-  vgpu::graph::IterationRecorder recorder;
   int begin = 0;  ///< first owned particle row (global index)
 };
 
@@ -63,32 +60,6 @@ vgpu::KernelCostSpec eval_cost_for(const Objective& objective, int count,
       static_cast<double>(count) * d * sizeof(float);
   cost.dram_write_bytes = static_cast<double>(count) * sizeof(float);
   return cost;
-}
-
-void merge_stats(vgpu::graph::GraphStats& a, const vgpu::graph::GraphStats& b) {
-  a.enabled |= b.enabled;
-  a.instantiated |= b.instantiated;
-  a.diverged |= b.diverged;
-  a.nodes += b.nodes;
-  a.replays += b.replays;
-  a.replayed_launches += b.replayed_launches;
-  a.skipped_nodes += b.skipped_nodes;
-  a.eager_launches += b.eager_launches;
-  a.modeled_seconds_saved += b.modeled_seconds_saved;
-}
-
-void merge_stats(vgpu::graph::FusionStats& a,
-                 const vgpu::graph::FusionStats& b) {
-  a.enabled |= b.enabled;
-  a.applied |= b.applied;
-  a.groups += b.groups;
-  a.fused_members += b.fused_members;
-  a.replays += b.replays;
-  a.launches_eager += b.launches_eager;
-  a.launches_fused += b.launches_fused;
-  a.modeled_seconds_saved += b.modeled_seconds_saved;
-  a.elided_read_bytes += b.elided_read_bytes;
-  a.elided_write_bytes += b.elided_write_bytes;
 }
 
 }  // namespace
@@ -186,7 +157,6 @@ Result MultiDeviceOptimizer::optimize_tile_matrix(const Objective& objective) {
 
   for (int iter = 0; iter < pso.max_iter; ++iter) {
     for (auto& shard : shards) {
-      shard->recorder.begin_iteration();
       vgpu::Device& dev = *shard->device;
       SwarmState& state = shard->state;
       dev.set_phase("eval");
@@ -231,7 +201,6 @@ Result MultiDeviceOptimizer::optimize_tile_matrix(const Objective& objective) {
       swarm_update(*shard->device, shard->policy, shard->state, shard->l_mat,
                    shard->g_mat, coefficients_for_iter(coeff, pso, iter),
                    pso.technique);
-      shard->recorder.end_iteration();
     }
     history.push_back(gbest);
   }
@@ -243,12 +212,6 @@ Result MultiDeviceOptimizer::optimize_tile_matrix(const Objective& objective) {
   result.iterations = pso.max_iter;
   result.gbest_history = std::move(history);
   result.wall_seconds = watch.elapsed_s();
-  for (auto& shard : shards) {
-    Result shard_stats;
-    export_recorder_stats(shard->recorder, shard_stats);
-    merge_stats(result.graph, shard_stats.graph);
-    merge_stats(result.fusion, shard_stats.fusion);
-  }
   return result;
 }
 
@@ -296,7 +259,6 @@ Result MultiDeviceOptimizer::optimize_particle_split(
   for (int iter = 0; iter < pso.max_iter; ++iter) {
     for (int k = 0; k < devices; ++k) {
       auto& shard = *shards[k];
-      shard.recorder.begin_iteration();
       vgpu::Device& dev = *shard.device;
       SwarmState& state = shard.state;
       dev.set_phase("init");
@@ -314,7 +276,6 @@ Result MultiDeviceOptimizer::optimize_particle_split(
       dev.set_phase("swarm");
       swarm_update(dev, shard.policy, state, shard.l_mat, shard.g_mat,
                    coefficients_for_iter(coeff, pso, iter), pso.technique);
-      shard.recorder.end_iteration();
     }
 
     // Group-best exchange at the configured cadence.
@@ -358,12 +319,6 @@ Result MultiDeviceOptimizer::optimize_particle_split(
   result.iterations = pso.max_iter;
   result.gbest_history = std::move(history);
   result.wall_seconds = watch.elapsed_s();
-  for (auto& shard : shards) {
-    Result shard_stats;
-    export_recorder_stats(shard->recorder, shard_stats);
-    merge_stats(result.graph, shard_stats.graph);
-    merge_stats(result.fusion, shard_stats.fusion);
-  }
   return result;
 }
 

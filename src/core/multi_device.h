@@ -13,11 +13,7 @@
 //   - collectives run on a dedicated per-device comm stream, so the
 //     gbest-independent work of the next step (the L/G weight fills)
 //     overlaps the exchange on stream 0 — visible as parallel lanes in the
-//     per-device Chrome traces;
-//   - each shard's iteration is a captured graph under FASTPSO_GRAPH
-//     (paired replay, priced by fusion under FASTPSO_FUSE, exactly like
-//     the single-device pipeline); collectives are never captured and
-//     re-account eagerly.
+//     per-device Chrome traces.
 //
 // Semantics are pinned by tests/test_multi_gpu.cpp:
 //   kTileMatrix    bitwise-identical to the legacy optimizer AND to

@@ -13,11 +13,9 @@
 
 #include "core/job_run.h"
 #include "core/neighborhood.h"
-#include "core/recorder.h"
 #include "core/stop_tracker.h"
 #include "rng/philox.h"
 #include "core/swarm_update.h"
-#include "vgpu/graph/graph.h"
 #include "vgpu/memory_pool.h"
 #include "vgpu/prof/prof.h"
 #include "vgpu/san/tracked.h"
@@ -81,25 +79,13 @@ Result Optimizer::optimize_sync(const Objective& objective,
   // can drive the identical loop one iteration at a time on a shared
   // device — solo-vs-scheduled bitwise equivalence by construction.
   JobRun run(device_, params_, objective, JobRun::Mode::kSolo);
-
-  // Capture-once/replay-many of the per-iteration launch sequence
-  // (vgpu/graph): iteration 1 records while running eagerly, iterations
-  // 2..T replay with pre-resolved accounting. Inert unless FASTPSO_GRAPH=1
-  // or FASTPSO_FUSE=1 (the latter also runs the fusion pass over the
-  // captured iteration — vgpu/graph/fusion.h).
-  auto recorder = make_iteration_recorder(device_);
   while (!run.done()) {
-    recorder.begin_iteration();
     run.step();
-    recorder.end_iteration();
     if (callback && !callback(run.iterations() - 1, run.gbest())) {
       break;
     }
   }
-
-  Result result = run.finish();
-  export_recorder_stats(recorder, result);
-  return result;
+  return run.finish();
 }
 
 Result Optimizer::optimize_async(const Objective& objective,
@@ -191,21 +177,9 @@ Result Optimizer::optimize_async(const Objective& objective,
     });
   }
 
-  // Per-iteration capture/replay, as in the sync loop. The async fused
-  // iteration is a single launch, so the graph is tiny — the replay still
-  // skips the per-launch setup, but the amortization model may report a
-  // (faithful) negative saving: one cudaGraphLaunch costs more than one
-  // kernel launch's overhead. Kernel fusion is explicitly off: the async
-  // update is already one fused per-particle kernel, so there is no run of
-  // element-wise stages for the pass to merge.
-  vgpu::graph::IterationRecorder recorder(
-      device_, vgpu::graph::enabled() || vgpu::graph::fusion_enabled(),
-      /*fuse=*/false);
-
   StopTracker stop(params_);
   int completed = 0;
   for (int iter = 0; iter < params_.max_iter; ++iter) {
-    recorder.begin_iteration();
     device_.set_phase("swarm");
     ScopedTimer timer(wall, "swarm");
     const UpdateCoefficients it_coeff =
@@ -260,7 +234,6 @@ Result Optimizer::optimize_async(const Objective& objective,
         }
       }
     });
-    recorder.end_iteration();
 
     completed = iter + 1;
     result.gbest_history.push_back(state.gbest_err);
@@ -283,7 +256,6 @@ Result Optimizer::optimize_async(const Objective& objective,
   result.modeled_seconds = device_.modeled_seconds();
   result.counters = device_.counters();
   result.profile = device_.take_profile();
-  export_recorder_stats(recorder, result);
   return result;
 }
 

@@ -8,7 +8,6 @@
 
 #include "common/stopwatch.h"
 #include "vgpu/device.h"
-#include "vgpu/graph/graph.h"
 #include "vgpu/prof/prof.h"
 
 namespace fastpso::core {
@@ -41,31 +40,6 @@ struct Result {
   /// otherwise). CPU implementations record modeled host regions into it
   /// via Profile::add_host so the Figure 5 pipeline has one source.
   vgpu::prof::Profile profile;
-
-  /// Capture/replay bookkeeping when FASTPSO_GRAPH was enabled (all-default
-  /// otherwise). modeled_seconds_saved is the amortization credit the graph
-  /// model reports; it is never folded into modeled_seconds.
-  vgpu::graph::GraphStats graph;
-
-  /// Kernel-fusion bookkeeping when FASTPSO_FUSE was enabled (all-default
-  /// otherwise). Like GraphStats, reported only — never folded into
-  /// modeled_seconds or the eager counters.
-  vgpu::graph::FusionStats fusion;
-
-  /// Graph-mode modeled seconds: eager modeled time minus the amortized
-  /// launch overhead a CUDA-Graph replay would save.
-  [[nodiscard]] double graph_modeled_seconds() const {
-    return modeled_seconds - graph.modeled_seconds_saved;
-  }
-
-  /// Fused-graph modeled seconds: graph_modeled_seconds further reduced by
-  /// the kernel-fusion saving (fewer launches + elided intermediate
-  /// traffic). The fusion credit is computed net of the graph credit, so
-  /// the two compose without double counting.
-  [[nodiscard]] double fused_modeled_seconds() const {
-    return modeled_seconds - graph.modeled_seconds_saved -
-           fusion.modeled_seconds_saved;
-  }
 
   /// |gbest - optimum| against a known optimum value.
   [[nodiscard]] double error_to(double optimum) const {

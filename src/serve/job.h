@@ -64,9 +64,8 @@ struct JobOutcome {
   /// Bitwise-identical to the same spec run solo on a fresh device
   /// (gbest value/position/history, iterations, counters, breakdown and
   /// modeled_seconds) — the serve differential suite's contract. The
-  /// profiler timeline and graph/fusion stats are not populated: the
-  /// profile interleaves all jobs and stays on the device, and graph
-  /// bookkeeping lives in the scheduler's shape cache.
+  /// profiler timeline is not populated: it interleaves all jobs and stays
+  /// on the device. Graph bookkeeping lives in the scheduler's shape cache.
   core::Result result;
 
   /// Modeled timeline points on the shared device clock.

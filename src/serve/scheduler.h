@@ -30,9 +30,9 @@
 // either for real (options.pack / FASTPSO_SERVE_PACK=1: lockstep substep
 // stepping with merged cohort dispatches, serve/packed.h) or as a priced
 // counterfactual (serve::Batcher, the default). Both credits flow through
-// ServeStats in the style of Result::graph_modeled_seconds() and are never
-// folded into any job's numbers — packed execution preserves bitwise
-// equivalence because deferral moves execution, not accounting.
+// ServeStats as reported side channels and are never folded into any
+// job's numbers — packed execution preserves bitwise equivalence because
+// deferral moves execution, not accounting.
 #pragma once
 
 #include <cstddef>

@@ -1,11 +1,10 @@
 // Aggregate bookkeeping of one serve::Scheduler run.
 //
 // Every number here is either a real counter of issued device work or a
-// credit in the style of Result::graph_modeled_seconds() /
-// fused_modeled_seconds(): graph amortization, fused pricing and cross-job
-// batch packing are accounted against the shape cache and NEVER folded
-// into the eager clocks or any job's counters — solo-vs-scheduled results
-// stay bitwise identical, and the savings are auditable side channels.
+// reported credit: graph amortization, fused pricing and cross-job batch
+// packing are accounted against the shape cache and NEVER folded into the
+// eager clocks or any job's counters — solo-vs-scheduled results stay
+// bitwise identical, and the savings are auditable side channels.
 //
 // Cross-job batching is a tri-state (see SchedulerOptions / README):
 //   * packed (FASTPSO_SERVE_PACK=1 or options.pack): cohorts EXECUTE as
@@ -92,10 +91,9 @@ struct ServeStats {
   }
 
   // Each *_modeled_seconds() helper is an INDEPENDENT counterfactual
-  // against the serial work total (the serve analogue of
-  // Result::graph_modeled_seconds() — reported, never applied). The
-  // credits answer different what-ifs and are not additive: do not sum
-  // them against makespan_seconds or each other.
+  // against the serial work total — reported, never applied. The credits
+  // answer different what-ifs and are not additive: do not sum them
+  // against makespan_seconds or each other.
 
   /// Serial modeled work if same-shape cohort launches were block-packed.
   [[nodiscard]] double batched_modeled_seconds() const {

@@ -63,9 +63,9 @@ struct GpuSpec {
   /// CUDA-Graph amortization constants (vgpu/graph): replaying an
   /// instantiated graph pays one cudaGraphLaunch-equivalent per replay plus
   /// a small residual gap per node, instead of launch_overhead_us per
-  /// kernel. Used only for the *reported* graph-mode modeled time —
-  /// device clocks and counters always accrue the eager overheads so every
-  /// eager-mode golden stays byte-identical.
+  /// kernel. Used only for the *reported* graph-replay credit
+  /// (serve::GraphCache) — device clocks and counters always accrue the
+  /// eager overheads so every golden stays byte-identical.
   double graph_launch_overhead_us = 10.0;  ///< per graph replay
   double graph_node_overhead_us = 0.5;     ///< residual per node in a replay
 

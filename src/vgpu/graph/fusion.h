@@ -35,7 +35,8 @@
 // pricing is *reported* (FusionStats.modeled_seconds_saved, on top of the
 // graph credit), never applied to device clocks or counters.
 //
-// Default off; enable with FASTPSO_FUSE=1 or graph::set_fusion_enabled.
+// The one caller is serve::GraphCache, which runs the pass over each
+// instantiated shape graph when SchedulerOptions::fuse is set.
 #pragma once
 
 #include <string>

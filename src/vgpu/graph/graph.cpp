@@ -2,38 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "common/check.h"
-#include "vgpu/device.h"
 
 namespace fastpso::vgpu::graph {
-
-namespace {
-// Process-wide toggle, FASTPSO_FAST_PATH-style; the vgpu is single-threaded
-// by contract. Defaults to off so every eager-mode golden stays untouched.
-bool initial_graph_enabled() {
-  const char* env = std::getenv("FASTPSO_GRAPH");
-  return env != nullptr && std::string_view(env) == "1";
-}
-bool g_graph_enabled = initial_graph_enabled();
-
-bool initial_fusion_enabled() {
-  const char* env = std::getenv("FASTPSO_FUSE");
-  return env != nullptr && std::string_view(env) == "1";
-}
-bool g_fusion_enabled = initial_fusion_enabled();
-}  // namespace
-
-bool enabled() { return g_graph_enabled; }
-
-void set_enabled(bool enable) { g_graph_enabled = enable; }
-
-bool fusion_enabled() { return g_fusion_enabled; }
-
-void set_fusion_enabled(bool enable) { g_fusion_enabled = enable; }
 
 const char* to_string(NodeKind kind) {
   switch (kind) {
@@ -278,84 +251,6 @@ void GraphExec::note_member(ReplaySession& session, int group,
   a.live_sum += cost;
   a.member_seconds += seconds;
   ++a.matched;
-}
-
-// --- IterationRecorder ----------------------------------------------------
-
-IterationRecorder::IterationRecorder(Device& device)
-    : IterationRecorder(device, enabled() || fusion_enabled(),
-                        fusion_enabled()) {}
-
-IterationRecorder::IterationRecorder(Device& device, bool enable)
-    : IterationRecorder(device, enable, /*fuse=*/false) {}
-
-IterationRecorder::IterationRecorder(Device& device, bool enable, bool fuse)
-    : device_(device),
-      state_(enable ? State::kIdle : State::kDisabled),
-      fuse_(fuse && enable) {}
-
-IterationRecorder::~IterationRecorder() {
-  // Safety net for early exits (callback break, exception): close whatever
-  // session is open so the device leaves graph mode.
-  if (state_ == State::kCapturing) {
-    device_.end_capture();
-  } else if (state_ == State::kReplaying) {
-    (void)device_.end_replay();
-  }
-}
-
-void IterationRecorder::begin_iteration() {
-  switch (state_) {
-    case State::kIdle:
-      graph_.clear();
-      device_.begin_capture(graph_);
-      state_ = State::kCapturing;
-      break;
-    case State::kArmed:
-      device_.begin_replay(*exec_);
-      state_ = State::kReplaying;
-      break;
-    default:
-      break;
-  }
-}
-
-void IterationRecorder::end_iteration() {
-  switch (state_) {
-    case State::kCapturing:
-      device_.end_capture();
-      if (graph_.empty()) {
-        state_ = State::kEager;
-        break;
-      }
-      exec_ = std::make_unique<GraphExec>(
-          graph_.instantiate(device_.perf()));
-      if (fuse_) {
-        exec_->apply_fusion(device_.perf());
-      }
-      state_ = State::kArmed;
-      break;
-    case State::kReplaying:
-      state_ = device_.end_replay() ? State::kArmed : State::kEager;
-      break;
-    default:
-      break;
-  }
-}
-
-GraphStats IterationRecorder::stats() const {
-  GraphStats s = exec_ != nullptr ? exec_->stats() : GraphStats{};
-  s.enabled = state_ != State::kDisabled;
-  if (exec_ == nullptr) {
-    s.nodes = static_cast<int>(graph_.size());
-  }
-  return s;
-}
-
-FusionStats IterationRecorder::fusion_stats() const {
-  FusionStats s = exec_ != nullptr ? exec_->fusion_stats() : FusionStats{};
-  s.enabled = fuse_;
-  return s;
 }
 
 }  // namespace fastpso::vgpu::graph

@@ -40,35 +40,20 @@
 // into GraphStats.modeled_seconds_saved, modeling one cudaGraphLaunch per
 // replay plus a residual per-node gap instead of a full per-kernel launch.
 //
-// Default off; enable with FASTPSO_GRAPH=1 or graph::set_enabled(true).
+// The one production client is the serve layer's shape-keyed graph cache
+// (serve/graph_cache.h), which captures each job shape once and replays it
+// for every later same-shape job; there is no process-wide toggle.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "vgpu/perf_model.h"
 
-namespace fastpso::vgpu {
-
-class Device;  // vgpu/device.h
-
-namespace graph {
-
-/// Process-wide graph-mode toggle (default off; FASTPSO_GRAPH=1 starts it
-/// on). Gates only the IterationRecorder convenience — explicit
-/// capture/replay calls work regardless.
-[[nodiscard]] bool enabled();
-void set_enabled(bool enabled);
-
-/// Process-wide fusion toggle (default off; FASTPSO_FUSE=1 starts it on).
-/// Fusion implies graph capture: an IterationRecorder records whenever
-/// either toggle is on, and applies the fusion pass when this one is.
-[[nodiscard]] bool fusion_enabled();
-void set_fusion_enabled(bool enabled);
+namespace fastpso::vgpu::graph {
 
 enum class NodeKind : std::uint8_t {
   kKernel,
@@ -141,9 +126,8 @@ struct Node {
   bool has_uses = false;
 };
 
-/// Replay bookkeeping, surfaced through core::Result for benches/tests.
+/// Replay bookkeeping of one GraphExec (GraphExec::stats()).
 struct GraphStats {
-  bool enabled = false;       ///< graph mode was on for this run
   bool instantiated = false;  ///< a capture completed and was instantiated
   bool diverged = false;      ///< some replay fell back to eager
   int nodes = 0;              ///< captured nodes (kernels + memcpys)
@@ -157,11 +141,10 @@ struct GraphStats {
   double modeled_seconds_saved = 0;
 };
 
-/// Fusion bookkeeping, surfaced through core::Result for benches/tests.
-/// Like GraphStats, every number here is *reported* — under paired replay
-/// the fused pricing never touches device clocks, counters or traces.
+/// Fusion bookkeeping of one GraphExec (GraphExec::fusion_stats()). Like
+/// GraphStats, every number here is *reported* — under paired replay the
+/// fused pricing never touches device clocks, counters or traces.
 struct FusionStats {
-  bool enabled = false;  ///< fusion mode was on for this run
   bool applied = false;  ///< the pass ran over an instantiated graph
   int groups = 0;        ///< fused groups of >= 2 members
   int fused_members = 0; ///< member kernels across all groups
@@ -319,8 +302,8 @@ class GraphExec {
   /// the replay was clean.
   bool end_replay(ReplaySession& session);
 
-  /// Exec-level convenience API over the built-in session (the solo-run
-  /// path: IterationRecorder, tests). Identical semantics.
+  /// Exec-level convenience API over the built-in session (the graph
+  /// cache's per-job bracket, tests). Identical semantics.
   void begin_replay(TimeBreakdown& breakdown, int stream_count) {
     begin_replay(own_session_, breakdown, stream_count);
   }
@@ -396,49 +379,4 @@ class GraphExec {
   const GpuPerfModel* fusion_perf_ = nullptr;
 };
 
-/// Capture-once/replay-many driver for an iteration loop: wrap each
-/// iteration in begin_iteration()/end_iteration(). Iteration 1 captures
-/// while executing eagerly, end of iteration 1 instantiates, iterations
-/// 2..T replay; any divergence falls back to eager permanently. Inert when
-/// graph mode is disabled, so call sites need no gating.
-class IterationRecorder {
- public:
-  /// Records when either graph mode or fusion mode is enabled; applies the
-  /// fusion pass after instantiation when fusion mode is enabled (so
-  /// FASTPSO_FUSE=1 alone drives capture + fusion).
-  explicit IterationRecorder(Device& device);
-  IterationRecorder(Device& device, bool enable);
-  IterationRecorder(Device& device, bool enable, bool fuse);
-  ~IterationRecorder();
-
-  IterationRecorder(const IterationRecorder&) = delete;
-  IterationRecorder& operator=(const IterationRecorder&) = delete;
-
-  void begin_iteration();
-  void end_iteration();
-
-  [[nodiscard]] bool active() const { return state_ != State::kDisabled; }
-  /// Merged stats: capture size + replay bookkeeping.
-  [[nodiscard]] GraphStats stats() const;
-  /// Fusion bookkeeping (FusionStats.enabled reflects this recorder).
-  [[nodiscard]] FusionStats fusion_stats() const;
-
- private:
-  enum class State : std::uint8_t {
-    kDisabled,   ///< graph mode off: begin/end are no-ops
-    kIdle,       ///< next iteration captures
-    kCapturing,  ///< inside the capture iteration
-    kArmed,      ///< instantiated; next iteration replays
-    kReplaying,  ///< inside a replay iteration
-    kEager,      ///< permanent fallback (empty capture or divergence)
-  };
-
-  Device& device_;
-  Graph graph_;
-  std::unique_ptr<GraphExec> exec_;
-  State state_ = State::kDisabled;
-  bool fuse_ = false;
-};
-
-}  // namespace graph
-}  // namespace fastpso::vgpu
+}  // namespace fastpso::vgpu::graph

@@ -196,7 +196,9 @@ double CpuPerfModel::region_seconds(int threads, double flops,
   const int cores = std::min(threads, spec_.cores);
   const double eff =
       cores == 1 ? 1.0 : spec_.omp_efficiency;  // fork/join + imbalance
-  // CPU transcendentals run in the scalar libm at roughly 20 FLOP-equivalents.
+  // Each CPU transcendental (scalar libm) is charged 12 FLOP-equivalents.
+  // The value is assumed, not yet checked against a measured run; the CPU
+  // cost-model item in ROADMAP.md is to measure it.
   constexpr double kCpuSfuCost = 12.0;
   const double flop_work = flops + transcendentals * kCpuSfuCost;
   const double t_compute =

@@ -9,8 +9,8 @@
 namespace fastpso::vgpu::tuned {
 namespace {
 
-// Process-wide state, FASTPSO_GRAPH-style: the vgpu is single-threaded by
-// contract, so plain statics suffice.
+// Process-wide state, FASTPSO_FAST_PATH-style: the vgpu is single-threaded
+// by contract, so plain statics suffice.
 bool initial_enabled() {
   const char* env = std::getenv("FASTPSO_TUNED");
   return env != nullptr && std::string_view(env) == "1";
@@ -155,8 +155,14 @@ std::string shape_key(std::string_view kernel, std::int64_t elements) {
   return key;
 }
 
-ScopedTuning::ScopedTuning()
-    : saved_values_(store()), saved_enabled_(g_enabled) {}
+ScopedTuning::ScopedTuning() {
+  // Snapshot after the startup table load: a scope opened before the first
+  // lookup must neither drop FASTPSO_TUNED_TABLE's entries on exit nor have
+  // them merged over the values set inside it.
+  startup_load_once();
+  saved_values_ = store();
+  saved_enabled_ = g_enabled;
+}
 
 ScopedTuning::~ScopedTuning() {
   store() = std::move(saved_values_);

@@ -3,8 +3,11 @@
 // Fusion is a pure pricing/scheduling optimization over the captured node
 // list: under paired replay it must change no result bit, no counter, no
 // breakdown bucket, no prof event and no san trace, while its *reported*
-// stats prove real groups formed and real launches were priced away. This
-// suite pins that contract:
+// stats prove real groups formed and real launches were priced away. The
+// pass runs where serve runs it — serve::GraphCache with fuse on — so the
+// optimizer-level checks step a core::JobRun through a fusing GraphCache
+// exactly as serve::Scheduler brackets a job. This suite pins that
+// contract:
 //
 //   * legality — property tests on hand-built graphs: aligned
 //     producer/consumer chains fuse with their intermediate traffic elided;
@@ -12,12 +15,12 @@
 //     footprint-less nodes are never crossed; shape/stream mismatches split
 //     runs; an outside reader keeps the producer's write in the merged spec;
 //   * optimizer level — bitwise fused-vs-eager equivalence on the four
-//     Table 1 problems across the sync variants and both GPU baselines,
-//     with the FastPSO sync path's per-iteration launch count reduced >=40%
-//     (d = 4) and the elided intermediate traffic visible in the stats;
-//   * prof/san level — the Chrome trace and the sanitizer trace ignore the
-//     fusion toggle under paired replay; footprints_consistent cross-checks
-//     the declared footprints against a tracked sanitizer run;
+//     Table 1 problems for the sync and ring variants, with the sync
+//     pipeline's per-iteration launch count reduced >=40% (d = 4) and the
+//     elided intermediate traffic visible in the stats;
+//   * prof/san level — the Chrome trace and the sanitizer trace of a fused
+//     replayed run match the eager run's; footprints_consistent
+//     cross-checks the declared footprints against a tracked sanitizer run;
 //   * pricing — one clean paired replay of a fully fused three-kernel chain
 //     credits exactly the plan's static saving net of the graph credit, and
 //     the graph credit exactly its formula (DESIGN.md §8).
@@ -32,16 +35,19 @@
 
 #include "benchkit/runner.h"
 #include "core/best_update.h"
+#include "core/job_run.h"
 #include "core/launch_policy.h"
 #include "core/objective.h"
 #include "core/optimizer.h"
 #include "core/params.h"
 #include "core/swarm_state.h"
 #include "problems/problem.h"
+#include "serve/graph_cache.h"
 #include "vgpu/buffer.h"
 #include "vgpu/device.h"
 #include "vgpu/graph/fusion.h"
 #include "vgpu/graph/graph.h"
+#include "vgpu/memory_pool.h"
 #include "vgpu/prof/prof.h"
 #include "vgpu/san/sanitizer.h"
 #include "vgpu/san/tracked.h"
@@ -49,9 +55,6 @@
 namespace fastpso {
 namespace {
 
-using benchkit::Impl;
-using benchkit::RunOutcome;
-using benchkit::RunSpec;
 using vgpu::graph::BufferUse;
 using vgpu::graph::FusionPass;
 using vgpu::graph::FusionStats;
@@ -61,35 +64,6 @@ using vgpu::graph::Node;
 using vgpu::graph::NodeKind;
 
 // ---- RAII toggles (mirroring test_graph.cpp) -----------------------------
-
-class FusionGuard {
- public:
-  explicit FusionGuard(bool enabled)
-      : saved_(vgpu::graph::fusion_enabled()) {
-    vgpu::graph::set_fusion_enabled(enabled);
-  }
-  ~FusionGuard() { vgpu::graph::set_fusion_enabled(saved_); }
-
-  FusionGuard(const FusionGuard&) = delete;
-  FusionGuard& operator=(const FusionGuard&) = delete;
-
- private:
-  bool saved_;
-};
-
-class GraphGuard {
- public:
-  explicit GraphGuard(bool enabled) : saved_(vgpu::graph::enabled()) {
-    vgpu::graph::set_enabled(enabled);
-  }
-  ~GraphGuard() { vgpu::graph::set_enabled(saved_); }
-
-  GraphGuard(const GraphGuard&) = delete;
-  GraphGuard& operator=(const GraphGuard&) = delete;
-
- private:
-  bool saved_;
-};
 
 class ProfGuard {
  public:
@@ -446,20 +420,61 @@ TEST(FusionLegality, ApplyFusionIsIdempotent) {
 
 // ---- optimizer level: bitwise fused-vs-eager ------------------------------
 
+/// A run stepped through a fusing serve graph cache, plus its shape
+/// graph's fusion bookkeeping.
+struct FusedRun {
+  core::Result result;
+  FusionStats fusion;
+};
+
+/// Runs the synchronous pipeline with the setup of
+/// core::Optimizer::optimize_sync, but brackets every iteration in a
+/// serve::GraphCache with fusion on, the way serve::Scheduler does under
+/// SchedulerOptions::fuse: iteration 1 captures and the fusion pass runs
+/// over the instantiated graph, iterations 2..T replay it.
+FusedRun run_fused(vgpu::Device& device, const core::PsoParams& params,
+                   const core::Objective& objective) {
+  device.reset_counters();
+  device.pool().set_enabled(params.memory_caching);
+  core::JobRun run(device, params, objective);
+  serve::GraphCache cache(device, /*fuse=*/true);
+  const serve::JobShape shape{};
+  while (!run.done()) {
+    const auto mode = cache.begin_iteration(shape, /*stream=*/0);
+    run.step();
+    cache.end_iteration(shape, mode);
+  }
+  FusedRun out;
+  out.result = run.finish();
+  const GraphExec* exec = cache.exec(shape);
+  EXPECT_NE(exec, nullptr) << "the shape graph was poisoned";
+  if (exec != nullptr) {
+    out.fusion = exec->fusion_stats();
+  }
+  return out;
+}
+
+core::Result run_eager(vgpu::Device& device, const core::PsoParams& params,
+                       const core::Objective& objective) {
+  core::Optimizer optimizer(device, params);
+  return optimizer.optimize(objective);
+}
+
 struct Variant {
   const char* name;
   std::function<void(core::PsoParams&)> apply;
   /// Minimum per-iteration launch reduction the fused sync pipeline must
-  /// reach under this variant (overlap_init moves the weight fills to a
-  /// second stream, ring appends extra launches — both dilute the ratio).
+  /// reach under this variant (ring appends extra launches, diluting the
+  /// ratio).
   double min_reduction;
 };
 
+/// The variants the serve scheduler accepts: async runs one fused kernel
+/// per iteration outside JobRun, and overlap_init needs a second stream, so
+/// neither is ever captured.
 const std::vector<Variant>& sync_variants() {
   static const std::vector<Variant> v = {
       {"sync", [](core::PsoParams&) {}, 0.40},
-      {"overlap_init", [](core::PsoParams& p) { p.overlap_init = true; },
-       1.0 / 3.0},
       {"ring",
        [](core::PsoParams& p) {
          p.topology = core::Topology::kRing;
@@ -470,21 +485,28 @@ const std::vector<Variant>& sync_variants() {
   return v;
 }
 
-core::Result run_optimizer(const std::string& problem, int dim,
-                           const std::function<void(core::PsoParams&)>& apply,
-                           bool fuse) {
-  const GraphGuard graph(false);
-  const FusionGuard fusion(fuse);
-  vgpu::Device device;
+/// The same (problem, params) run fused-and-replayed and eagerly, each on
+/// a fresh device.
+struct FusedVsEager {
+  FusedRun fused;
+  core::Result eager;
+};
+
+FusedVsEager run_both(const std::string& problem, int dim,
+                      const std::function<void(core::PsoParams&)>& apply) {
   core::PsoParams params;
   params.particles = 16;
   params.dim = dim;
   params.max_iter = 6;
   params.seed = 42;
   apply(params);
-  core::Optimizer optimizer(device, params);
   const auto prob = benchkit::make_any_problem(problem);
-  return optimizer.optimize(core::objective_from_problem(*prob, params.dim));
+  const core::Objective objective =
+      core::objective_from_problem(*prob, params.dim);
+  vgpu::Device fused_device;
+  vgpu::Device eager_device;
+  return {run_fused(fused_device, params, objective),
+          run_eager(eager_device, params, objective)};
 }
 
 TEST(Fusion, OptimizerVariantsBitwiseIdenticalAndLaunchesReduced) {
@@ -496,14 +518,10 @@ TEST(Fusion, OptimizerVariantsBitwiseIdenticalAndLaunchesReduced) {
   for (const std::string& problem : problems) {
     for (const Variant& variant : sync_variants()) {
       SCOPED_TRACE(problem + " / " + variant.name);
-      const core::Result fused =
-          run_optimizer(problem, 4, variant.apply, true);
-      const core::Result eager =
-          run_optimizer(problem, 4, variant.apply, false);
-      expect_results_equal(fused, eager);
+      const FusedVsEager runs = run_both(problem, 4, variant.apply);
+      expect_results_equal(runs.fused.result, runs.eager);
 
-      const FusionStats& stats = fused.fusion;
-      EXPECT_TRUE(stats.enabled);
+      const FusionStats& stats = runs.fused.fusion;
       EXPECT_TRUE(stats.applied);
       EXPECT_GE(stats.groups, 1);
       EXPECT_EQ(stats.replays, 5u);  // max_iter - 1
@@ -513,14 +531,6 @@ TEST(Fusion, OptimizerVariantsBitwiseIdenticalAndLaunchesReduced) {
       EXPECT_GT(stats.modeled_seconds_saved, 0.0);
       // Intermediate traffic (perror, improved) visibly elided.
       EXPECT_GT(stats.elided_read_bytes, 0.0);
-      // The fused estimate composes with the graph credit: strictly below
-      // the graph estimate, which sits at or below the eager total.
-      EXPECT_LT(fused.fused_modeled_seconds(), fused.graph_modeled_seconds());
-      EXPECT_LT(fused.graph_modeled_seconds(), fused.modeled_seconds);
-      // Fusion off: inert stats.
-      EXPECT_FALSE(eager.fusion.enabled);
-      EXPECT_EQ(eager.fusion.groups, 0);
-      EXPECT_EQ(eager.fused_modeled_seconds(), eager.modeled_seconds);
     }
   }
 }
@@ -529,138 +539,44 @@ TEST(Fusion, SyncPipelineElidesIntermediateWrites) {
   // Global-memory technique, no ring: perror and improved are produced and
   // consumed entirely inside the fused group, so their writes vanish from
   // the merged spec too (nothing outside the group reads them).
-  const core::Result fused =
-      run_optimizer("sphere", 4, [](core::PsoParams&) {}, true);
-  EXPECT_GT(fused.fusion.elided_write_bytes, 0.0);
+  const FusedVsEager runs = run_both("sphere", 4, [](core::PsoParams&) {});
+  EXPECT_GT(runs.fused.fusion.elided_write_bytes, 0.0);
 }
 
 TEST(Fusion, DimEightSplitsFillFromEvalButStillReducesAThird) {
   // dim = 8: the fill domain (2n philox blocks) no longer matches the
   // particle domain, so the pipeline fuses as {fill,fill} + {eval,compare,
   // gather} — two groups, still >= 1/3 of the launches gone.
-  const core::Result fused =
-      run_optimizer("sphere", 8, [](core::PsoParams&) {}, true);
-  const core::Result eager =
-      run_optimizer("sphere", 8, [](core::PsoParams&) {}, false);
-  expect_results_equal(fused, eager);
-  EXPECT_EQ(fused.fusion.groups, 2);
-  EXPECT_GE(fused.fusion.launch_reduction(), 1.0 / 3.0);
-}
-
-TEST(Fusion, AsyncVariantStaysUnfusedButBitwiseIdentical) {
-  const auto async = [](core::PsoParams& p) {
-    p.synchronization = core::Synchronization::kAsynchronous;
-  };
-  const core::Result fused = run_optimizer("sphere", 4, async, true);
-  const core::Result eager = run_optimizer("sphere", 4, async, false);
-  expect_results_equal(fused, eager);
-  // The async loop is already one fused kernel per iteration — the recorder
-  // captures (FASTPSO_FUSE implies capture) but applies no fusion pass.
-  EXPECT_FALSE(fused.fusion.enabled);
-  EXPECT_EQ(fused.fusion.groups, 0);
-  EXPECT_EQ(fused.fused_modeled_seconds(), fused.graph_modeled_seconds());
-}
-
-TEST(Fusion, ComposesWithGraphModeBitwise) {
-  const auto run = [&](bool on) {
-    const GraphGuard graph(on);
-    const FusionGuard fusion(on);
-    vgpu::Device device;
-    core::PsoParams params;
-    params.particles = 16;
-    params.dim = 4;
-    params.max_iter = 6;
-    params.seed = 42;
-    core::Optimizer optimizer(device, params);
-    const auto prob = problems::make_problem("sphere");
-    return optimizer.optimize(
-        core::objective_from_problem(*prob, params.dim));
-  };
-  const core::Result both = run(true);
-  const core::Result off = run(false);
-  expect_results_equal(both, off);
-  EXPECT_TRUE(both.graph.instantiated);
-  EXPECT_GE(both.fusion.groups, 1);
-  EXPECT_GT(both.graph.modeled_seconds_saved, 0.0);
-  EXPECT_GT(both.fusion.modeled_seconds_saved, 0.0);
-}
-
-// ---- baselines through the unified runner --------------------------------
-
-RunOutcome run_cell(Impl impl, const std::string& problem, bool fuse) {
-  const GraphGuard graph(false);
-  const FusionGuard fusion(fuse);
-  RunSpec spec;
-  spec.impl = impl;
-  spec.problem = problem;
-  spec.particles = 20;
-  spec.dim = 6;
-  spec.iters = 12;
-  spec.executed_iters = 6;
-  spec.seed = 42;
-  return benchkit::run_spec(spec);
-}
-
-TEST(Fusion, BaselinesBitwiseIdentical) {
-  const std::vector<std::string> problems = {"sphere", "griewank", "easom",
-                                             "threadconf"};
-  for (const std::string& problem : problems) {
-    for (Impl impl : {Impl::kGpuPso, Impl::kHgpuPso, Impl::kFastPso}) {
-      SCOPED_TRACE(problem + " / " + benchkit::to_string(impl));
-      const RunOutcome fused = run_cell(impl, problem, true);
-      const RunOutcome eager = run_cell(impl, problem, false);
-      EXPECT_EQ(fused.result.gbest_value, eager.result.gbest_value);
-      EXPECT_TRUE(bits_equal(fused.result.gbest_position,
-                             eager.result.gbest_position));
-      EXPECT_TRUE(bits_equal(fused.result.gbest_history,
-                             eager.result.gbest_history));
-      EXPECT_EQ(fused.result.modeled_seconds, eager.result.modeled_seconds);
-      EXPECT_EQ(fused.modeled_seconds_full, eager.modeled_seconds_full);
-      expect_counters_equal(fused.result.counters, eager.result.counters);
-      EXPECT_TRUE(fused.result.fusion.enabled);
-      EXPECT_TRUE(fused.result.fusion.applied);
-      if (impl == Impl::kHgpuPso) {
-        // hgpu's lone eval kernel sits between two memcpys every iteration:
-        // fusion honestly finds nothing and degenerates to plain capture.
-        EXPECT_EQ(fused.result.fusion.groups, 0);
-        EXPECT_EQ(fused.result.fused_modeled_seconds(),
-                  fused.result.graph_modeled_seconds());
-      } else {
-        EXPECT_GE(fused.result.fusion.groups, 1);
-        EXPECT_GT(fused.result.fusion.modeled_seconds_saved, 0.0);
-      }
-    }
-  }
+  const FusedVsEager runs = run_both("sphere", 8, [](core::PsoParams&) {});
+  expect_results_equal(runs.fused.result, runs.eager);
+  EXPECT_EQ(runs.fused.fusion.groups, 2);
+  EXPECT_GE(runs.fused.fusion.launch_reduction(), 1.0 / 3.0);
 }
 
 // ---- prof level ----------------------------------------------------------
-
-core::Result run_profiled(bool fuse) {
-  const GraphGuard graph(false);
-  const FusionGuard fusion(fuse);
-  const ProfGuard prof(true);
-  vgpu::Device device;
-  core::PsoParams params;
-  params.particles = 12;
-  params.dim = 4;
-  params.max_iter = 5;
-  params.seed = 42;
-  core::Optimizer optimizer(device, params);
-  const auto problem = problems::make_problem("sphere");
-  return optimizer.optimize(
-      core::objective_from_problem(*problem, params.dim));
-}
 
 // Under paired replay the fused pricing is reported, never emitted: the
 // deterministic Chrome trace stays byte-identical, and in-order aggregation
 // over the fused-mode profile still reproduces the device counters.
 TEST(Fusion, ChromeTraceBytesIdenticalAndCountersReproduced) {
-  const core::Result fused = run_profiled(true);
-  const core::Result eager = run_profiled(false);
+  const ProfGuard prof(true);
+  core::PsoParams params;
+  params.particles = 12;
+  params.dim = 4;
+  params.max_iter = 5;
+  params.seed = 42;
+  const auto problem = problems::make_problem("sphere");
+  const core::Objective objective =
+      core::objective_from_problem(*problem, params.dim);
+  vgpu::Device fused_device;
+  const FusedRun run = run_fused(fused_device, params, objective);
+  vgpu::Device eager_device;
+  const core::Result eager = run_eager(eager_device, params, objective);
+  const core::Result& fused = run.result;
   ASSERT_FALSE(fused.profile.empty());
   EXPECT_EQ(fused.profile.chrome_trace_json(),
             eager.profile.chrome_trace_json());
-  EXPECT_GE(fused.fusion.groups, 1);
+  EXPECT_GE(run.fusion.groups, 1);
   EXPECT_EQ(fused.profile.kernel_count(), fused.counters.launches);
   EXPECT_EQ(fused.profile.kernel_seconds(), fused.counters.kernel_seconds);
   EXPECT_EQ(fused.profile.modeled_seconds(), fused.counters.modeled_seconds);
@@ -670,38 +586,29 @@ TEST(Fusion, ChromeTraceBytesIdenticalAndCountersReproduced) {
 
 // ---- sanitizer level -----------------------------------------------------
 
-std::string traced_pipeline_json() {
+std::string traced_pipeline_json(bool fuse) {
   vgpu::Device device;
   core::PsoParams params;
   params.particles = 8;
   params.dim = 3;
   params.max_iter = 2;
   params.seed = 42;
-  core::Optimizer optimizer(device, params);
   const auto problem = problems::make_problem("sphere");
   const auto objective = core::objective_from_problem(*problem, params.dim);
 
   vgpu::san::Session session;
-  optimizer.optimize(objective);
+  if (fuse) {
+    run_fused(device, params, objective);
+  } else {
+    run_eager(device, params, objective);
+  }
   const vgpu::san::Report& report = session.finish();
   EXPECT_TRUE(report.clean()) << report.summary();
   return report.to_json();
 }
 
 TEST(Fusion, SanitizerTraceIgnoresFusionToggle) {
-  std::string fused;
-  std::string eager;
-  {
-    const GraphGuard graph(false);
-    const FusionGuard fusion(true);
-    fused = traced_pipeline_json();
-  }
-  {
-    const GraphGuard graph(false);
-    const FusionGuard fusion(false);
-    eager = traced_pipeline_json();
-  }
-  EXPECT_EQ(fused, eager);
+  EXPECT_EQ(traced_pipeline_json(true), traced_pipeline_json(false));
 }
 
 // The declared footprints are cross-checked against what a tracked run

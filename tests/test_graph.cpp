@@ -1,18 +1,22 @@
 // vgpu::Graph capture & replay equivalence (DESIGN.md §8).
 //
-// Graph mode is a pure launch-setup optimization: replaying an instantiated
-// graph must change no result bit, no counter, no modeled second, no prof
-// event and no sanitizer trace. This suite pins that contract:
+// Replaying an instantiated graph is a pure launch-setup optimization: it
+// must change no result bit, no counter, no modeled second, no prof event
+// and no sanitizer trace. Capture and replay run where serve uses them —
+// serve::GraphCache — so the optimizer-level checks step a core::JobRun
+// through a GraphCache exactly as serve::Scheduler brackets a job. This
+// suite pins that contract:
 //
-//   * optimizer level — full runs on all four Table 1 problems, across the
-//     sync / async / overlap_init / ring variants and the GPU baselines,
-//     agree bitwise with FASTPSO_GRAPH on and off, while the graph stats
-//     prove replay actually engaged (captured, instantiated, T-1 replays);
-//   * prof level — the deterministic Chrome trace is byte-identical under
-//     graph mode, and the graph-on profile still reproduces the device
-//     counters bit-for-bit (the event-trace contract);
+//   * optimizer level — replayed runs on all four Table 1 problems, for the
+//     sync and ring variants, agree bitwise with eager core::Optimizer
+//     runs, while the exec's stats prove replay actually engaged
+//     (instantiated, T-1 clean replays);
+//   * prof level — the deterministic Chrome trace of a replayed run is
+//     byte-identical to the eager one, and the replayed profile still
+//     reproduces the device counters bit-for-bit (the event-trace
+//     contract);
 //   * sanitizer level — a recording Session yields a byte-identical trace
-//     whatever the graph toggle says;
+//     for a replayed and an eager run;
 //   * divergence — a replayed sequence whose shape changes falls back to
 //     eager accounting with correct counters and stats().diverged set;
 //     conditional nodes that are captured but not re-issued are skipped
@@ -27,37 +31,20 @@
 
 #include "benchkit/runner.h"
 #include "common/check.h"
+#include "core/job_run.h"
 #include "core/objective.h"
 #include "core/optimizer.h"
 #include "core/params.h"
 #include "problems/problem.h"
+#include "serve/graph_cache.h"
 #include "vgpu/device.h"
 #include "vgpu/graph/graph.h"
+#include "vgpu/memory_pool.h"
 #include "vgpu/prof/prof.h"
 #include "vgpu/san/sanitizer.h"
 
 namespace fastpso {
 namespace {
-
-using benchkit::Impl;
-using benchkit::RunOutcome;
-using benchkit::RunSpec;
-
-/// RAII toggle so a failing assertion cannot leave graph mode on for the
-/// rest of the test binary.
-class GraphGuard {
- public:
-  explicit GraphGuard(bool enabled) : saved_(vgpu::graph::enabled()) {
-    vgpu::graph::set_enabled(enabled);
-  }
-  ~GraphGuard() { vgpu::graph::set_enabled(saved_); }
-
-  GraphGuard(const GraphGuard&) = delete;
-  GraphGuard& operator=(const GraphGuard&) = delete;
-
- private:
-  bool saved_;
-};
 
 /// RAII profiler toggle (FASTPSO_PROF equivalent).
 class ProfGuard {
@@ -112,52 +99,67 @@ void expect_results_equal(const core::Result& graph,
   expect_counters_equal(graph.counters, eager.counters);
 }
 
+// ---- replayed vs eager runs ----------------------------------------------
+
+/// A run stepped through the serve graph cache, plus its shape graph's
+/// bookkeeping.
+struct ReplayedRun {
+  core::Result result;
+  vgpu::graph::GraphStats stats;
+};
+
+/// Runs the synchronous pipeline with the setup of
+/// core::Optimizer::optimize_sync, but brackets every iteration in a
+/// serve::GraphCache the way serve::Scheduler does: iteration 1 captures,
+/// iterations 2..T replay the instantiated graph.
+ReplayedRun run_replayed(vgpu::Device& device, const core::PsoParams& params,
+                         const core::Objective& objective) {
+  device.reset_counters();
+  device.pool().set_enabled(params.memory_caching);
+  core::JobRun run(device, params, objective);
+  serve::GraphCache cache(device, /*fuse=*/false);
+  const serve::JobShape shape{};
+  while (!run.done()) {
+    const auto mode = cache.begin_iteration(shape, /*stream=*/0);
+    run.step();
+    cache.end_iteration(shape, mode);
+  }
+  ReplayedRun out;
+  out.result = run.finish();
+  const vgpu::graph::GraphExec* exec = cache.exec(shape);
+  EXPECT_NE(exec, nullptr) << "the shape graph was poisoned";
+  if (exec != nullptr) {
+    out.stats = exec->stats();
+  }
+  return out;
+}
+
+core::Result run_eager(vgpu::Device& device, const core::PsoParams& params,
+                       const core::Objective& objective) {
+  core::Optimizer optimizer(device, params);
+  return optimizer.optimize(objective);
+}
+
 // ---- optimizer level: variants x Table 1 problems ------------------------
 
+/// The variants the serve scheduler accepts: async runs one fused kernel
+/// per iteration outside JobRun, and overlap_init needs a second stream, so
+/// neither is ever captured.
 struct Variant {
   const char* name;
   std::function<void(core::PsoParams&)> apply;
-  /// Whether one replay covers several kernel launches, making the
-  /// amortization credit (matched * per-launch saving - graph launch)
-  /// positive. The async variant's fused loop is a single-node graph, so
-  /// its faithful credit is negative — still reported, just not asserted
-  /// positive here.
-  bool multi_kernel;
 };
 
 const std::vector<Variant>& variants() {
   static const std::vector<Variant> v = {
-      {"sync", [](core::PsoParams&) {}, true},
-      {"async",
-       [](core::PsoParams& p) {
-         p.synchronization = core::Synchronization::kAsynchronous;
-       },
-       false},
-      {"overlap_init", [](core::PsoParams& p) { p.overlap_init = true; },
-       true},
+      {"sync", [](core::PsoParams&) {}},
       {"ring",
        [](core::PsoParams& p) {
          p.topology = core::Topology::kRing;
          p.ring_neighbors = 1;
-       },
-       true},
+       }},
   };
   return v;
-}
-
-core::Result run_optimizer(const std::string& problem, const Variant& variant,
-                           bool graph_on) {
-  const GraphGuard guard(graph_on);
-  vgpu::Device device;
-  core::PsoParams params;
-  params.particles = 16;
-  params.dim = 5;
-  params.max_iter = 6;
-  params.seed = 42;
-  variant.apply(params);
-  core::Optimizer optimizer(device, params);
-  const auto prob = benchkit::make_any_problem(problem);
-  return optimizer.optimize(core::objective_from_problem(*prob, params.dim));
 }
 
 TEST(Graph, OptimizerVariantsBitwiseIdentical) {
@@ -166,115 +168,73 @@ TEST(Graph, OptimizerVariantsBitwiseIdentical) {
   for (const std::string& problem : problems) {
     for (const Variant& variant : variants()) {
       SCOPED_TRACE(problem + " / " + variant.name);
-      const core::Result with_graph = run_optimizer(problem, variant, true);
-      const core::Result eager = run_optimizer(problem, variant, false);
-      expect_results_equal(with_graph, eager);
+      core::PsoParams params;
+      params.particles = 16;
+      params.dim = 5;
+      params.max_iter = 6;
+      params.seed = 42;
+      variant.apply(params);
+      const auto prob = benchkit::make_any_problem(problem);
+      const core::Objective objective =
+          core::objective_from_problem(*prob, params.dim);
+      vgpu::Device replay_device;
+      const ReplayedRun replayed =
+          run_replayed(replay_device, params, objective);
+      vgpu::Device eager_device;
+      const core::Result eager = run_eager(eager_device, params, objective);
+      expect_results_equal(replayed.result, eager);
 
       // Replay must actually have engaged, not silently fallen to eager.
-      const vgpu::graph::GraphStats& stats = with_graph.graph;
-      EXPECT_TRUE(stats.enabled);
+      const vgpu::graph::GraphStats& stats = replayed.stats;
       EXPECT_TRUE(stats.instantiated);
       EXPECT_FALSE(stats.diverged);
       EXPECT_GT(stats.nodes, 0);
       EXPECT_EQ(stats.replays, 5u);  // max_iter - 1
       EXPECT_GT(stats.replayed_launches, 0u);
-      if (variant.multi_kernel) {
-        EXPECT_GT(stats.modeled_seconds_saved, 0.0);
-        EXPECT_LT(with_graph.graph_modeled_seconds(),
-                  with_graph.modeled_seconds);
-      } else {
-        EXPECT_NE(stats.modeled_seconds_saved, 0.0);
-      }
-      // Eager runs report inert stats — unless ambient FASTPSO_FUSE keeps
-      // capture engaged even with the graph toggle off (the fusion pass
-      // rides on capture; results above stay byte-identical either way).
-      if (!vgpu::graph::fusion_enabled()) {
-        EXPECT_FALSE(eager.graph.enabled);
-        EXPECT_EQ(eager.graph.replays, 0u);
-        EXPECT_EQ(eager.graph_modeled_seconds(), eager.modeled_seconds);
-      }
-    }
-  }
-}
-
-// ---- baselines (gpu-pso / hgpu-pso) through the unified runner -----------
-
-RunOutcome run_cell(Impl impl, const std::string& problem, bool graph_on) {
-  const GraphGuard guard(graph_on);
-  RunSpec spec;
-  spec.impl = impl;
-  spec.problem = problem;
-  spec.particles = 20;
-  spec.dim = 6;
-  spec.iters = 12;
-  spec.executed_iters = 6;
-  spec.seed = 42;
-  return benchkit::run_spec(spec);
-}
-
-TEST(Graph, BaselinesBitwiseIdentical) {
-  const std::vector<std::string> problems = {"sphere", "griewank", "easom",
-                                             "threadconf"};
-  const std::vector<Impl> impls = {Impl::kGpuPso, Impl::kHgpuPso,
-                                   Impl::kFastPso};
-  for (const std::string& problem : problems) {
-    for (Impl impl : impls) {
-      SCOPED_TRACE(problem + " / " + benchkit::to_string(impl));
-      const RunOutcome with_graph = run_cell(impl, problem, true);
-      const RunOutcome eager = run_cell(impl, problem, false);
-      EXPECT_EQ(with_graph.result.gbest_value, eager.result.gbest_value);
-      EXPECT_TRUE(bits_equal(with_graph.result.gbest_position,
-                             eager.result.gbest_position));
-      EXPECT_TRUE(bits_equal(with_graph.result.gbest_history,
-                             eager.result.gbest_history));
-      EXPECT_EQ(with_graph.result.modeled_seconds,
-                eager.result.modeled_seconds);
-      EXPECT_EQ(with_graph.modeled_seconds_full, eager.modeled_seconds_full);
-      expect_counters_equal(with_graph.result.counters,
-                            eager.result.counters);
-      EXPECT_TRUE(with_graph.result.graph.instantiated);
-      EXPECT_FALSE(with_graph.result.graph.diverged);
-      EXPECT_EQ(with_graph.result.graph.replays, 5u);
+      EXPECT_GT(stats.modeled_seconds_saved, 0.0);
     }
   }
 }
 
 // ---- prof level ----------------------------------------------------------
 
-core::Result run_profiled(bool graph_on) {
-  const GraphGuard guard(graph_on);
+ReplayedRun run_profiled(bool replay) {
   const ProfGuard prof(true);
-  vgpu::Device device;
   core::PsoParams params;
   params.particles = 12;
   params.dim = 4;
   params.max_iter = 5;
   params.seed = 42;
-  core::Optimizer optimizer(device, params);
   const auto problem = problems::make_problem("sphere");
-  return optimizer.optimize(
-      core::objective_from_problem(*problem, params.dim));
+  const core::Objective objective =
+      core::objective_from_problem(*problem, params.dim);
+  vgpu::Device device;
+  if (replay) {
+    return run_replayed(device, params, objective);
+  }
+  return {run_eager(device, params, objective), {}};
 }
 
 // The deterministic Chrome trace (modeled timeline; wall seconds excluded by
-// design) must be byte-identical with graph mode on — replayed kernels emit
-// the same events in the same order with the same doubles.
+// design) must be byte-identical under replay — replayed kernels emit the
+// same events in the same order with the same doubles.
 TEST(Graph, ChromeTraceBytesIdentical) {
-  const core::Result with_graph = run_profiled(true);
-  const core::Result eager = run_profiled(false);
-  ASSERT_FALSE(with_graph.profile.empty());
-  EXPECT_EQ(with_graph.profile.chrome_trace_json(),
+  const ReplayedRun replayed = run_profiled(true);
+  const core::Result eager = run_profiled(false).result;
+  ASSERT_FALSE(replayed.result.profile.empty());
+  EXPECT_EQ(replayed.result.profile.chrome_trace_json(),
             eager.profile.chrome_trace_json());
-  EXPECT_TRUE(with_graph.graph.instantiated);
-  EXPECT_FALSE(with_graph.graph.diverged);
+  EXPECT_TRUE(replayed.stats.instantiated);
+  EXPECT_FALSE(replayed.stats.diverged);
 }
 
-// Event-trace contract under replay: in-order aggregation over the graph-on
+// Event-trace contract under replay: in-order aggregation over the replayed
 // profile reproduces the device counters bit-for-bit, exactly as in eager
 // mode (test_prof.cpp).
 TEST(Graph, ProfileAggregatesReproduceCountersUnderReplay) {
-  const core::Result r = run_profiled(true);
-  EXPECT_TRUE(r.graph.instantiated);
+  const ReplayedRun replayed = run_profiled(true);
+  const core::Result& r = replayed.result;
+  EXPECT_TRUE(replayed.stats.instantiated);
   EXPECT_EQ(r.profile.kernel_count(), r.counters.launches);
   EXPECT_EQ(r.profile.kernel_seconds(), r.counters.kernel_seconds);
   EXPECT_EQ(r.profile.modeled_seconds(), r.counters.modeled_seconds);
@@ -286,39 +246,32 @@ TEST(Graph, ProfileAggregatesReproduceCountersUnderReplay) {
 
 // ---- sanitizer level -----------------------------------------------------
 
-std::string traced_pipeline_json() {
+std::string traced_pipeline_json(bool replay) {
   vgpu::Device device;
   core::PsoParams params;
   params.particles = 8;
   params.dim = 3;
   params.max_iter = 2;
   params.seed = 42;
-  core::Optimizer optimizer(device, params);
   const auto problem = problems::make_problem("sphere");
   const auto objective = core::objective_from_problem(*problem, params.dim);
 
   vgpu::san::Session session;
-  optimizer.optimize(objective);
+  if (replay) {
+    run_replayed(device, params, objective);
+  } else {
+    run_eager(device, params, objective);
+  }
   const vgpu::san::Report& report = session.finish();
   EXPECT_TRUE(report.clean()) << report.summary();
   return report.to_json();
 }
 
-// A recording Session's launch trace is byte-identical whatever the graph
-// toggle says: replay changes the accounting path's setup cost, never which
-// launches happen or what they declare.
+// A recording Session's launch trace is byte-identical for a replayed and
+// an eager run: replay changes the accounting path's setup cost, never
+// which launches happen or what they declare.
 TEST(Graph, SanitizerTraceIgnoresGraphToggle) {
-  std::string with_graph;
-  std::string eager;
-  {
-    const GraphGuard guard(true);
-    with_graph = traced_pipeline_json();
-  }
-  {
-    const GraphGuard guard(false);
-    eager = traced_pipeline_json();
-  }
-  EXPECT_EQ(with_graph, eager);
+  EXPECT_EQ(traced_pipeline_json(true), traced_pipeline_json(false));
 }
 
 // ---- divergence & skip-forward (hand-built sequences) --------------------

@@ -16,10 +16,9 @@
 //     exchange_seconds; modern modeled time is max(device_seconds) with
 //     the collectives inside each device's comm stream.
 //
-// The whole suite runs unchanged under FASTPSO_GRAPH=1 / FASTPSO_FUSE=1 /
-// FASTPSO_SAN=1 (CI's multi-device equivalence steps):
-// per-device captured graphs replay with byte-identical accounting and the
-// collectives re-account eagerly, so every differential still closes.
+// The whole suite runs unchanged under FASTPSO_SAN=1 (CI's multi-device
+// equivalence step): the sanitizer only records launches, so every
+// differential still closes.
 
 #include <gtest/gtest.h>
 
