@@ -10,9 +10,36 @@
 #include <cstddef>
 #include <numbers>
 
+#include "common/dmath.h"
 #include "problems/problem.h"
 
 namespace fastpso::problems {
+
+namespace detail {
+
+/// Calls use(i, f(arg(i))) for i in [0, n) in index order, where `f_n` is a
+/// dmath batch function (dmath::cos_n, dmath::sin_n). Arguments are staged
+/// kChunk at a time, one batch call per chunk; each value is the scalar
+/// form's bits, so accumulating in index order keeps every result bit.
+inline constexpr int kChunk = 64;
+template <typename Arg, typename Use>
+void map_chunked(void (*f_n)(const double*, double*, std::size_t), int n,
+                 Arg arg, Use use) {
+  // Every entry read below is written first in the same chunk.
+  double buf[kChunk];
+  for (int base = 0; base < n; base += kChunk) {
+    const int len = std::min(kChunk, n - base);
+    for (int j = 0; j < len; ++j) {
+      buf[j] = arg(base + j);
+    }
+    f_n(buf, buf, static_cast<std::size_t>(len));
+    for (int j = 0; j < len; ++j) {
+      use(base + j, buf[j]);
+    }
+  }
+}
+
+}  // namespace detail
 
 /// f(x) = sum x_i^2, domain (-5.12, 5.12), f* = 0 at x = 0.
 class Sphere final : public ProblemBase<Sphere> {
@@ -59,19 +86,20 @@ class Griewank final : public ProblemBase<Griewank> {
   [[nodiscard]] double eval_impl(const T* x, int dim) const {
     double sum = 0.0;
     double prod = 1.0;
-    const auto term = [&](int i, double root) {
-      const double xi = static_cast<double>(x[i]);
-      sum += xi * xi;
-      prod *= std::cos(xi / root);
-    };
-    const int tabled = std::min(dim, kRootTableSize);
     const double* roots = root_table();
-    for (int i = 0; i < tabled; ++i) {
-      term(i, roots[i]);
-    }
-    for (int i = tabled; i < dim; ++i) {
-      term(i, std::sqrt(static_cast<double>(i + 1)));
-    }
+    detail::map_chunked(
+        dmath::cos_n, dim,
+        [&](int i) {
+          const double root = i < kRootTableSize
+                                  ? roots[i]
+                                  : std::sqrt(static_cast<double>(i + 1));
+          return static_cast<double>(x[i]) / root;
+        },
+        [&](int i, double c) {
+          const double xi = static_cast<double>(x[i]);
+          sum += xi * xi;
+          prod *= c;
+        });
     return sum / 4000.0 - prod + 1.0;
   }
 
@@ -128,15 +156,15 @@ class Easom final : public ProblemBase<Easom> {
   [[nodiscard]] double eval_impl(const T* x, int dim) const {
     double prod = 1.0;
     double sq = 0.0;
-    for (int i = 0; i < dim; ++i) {
-      const double xi = static_cast<double>(x[i]);
-      const double c = std::cos(xi);
-      prod *= c * c;
-      const double delta = xi - std::numbers::pi;
-      sq += delta * delta;
-    }
+    detail::map_chunked(
+        dmath::cos_n, dim, [&](int i) { return static_cast<double>(x[i]); },
+        [&](int i, double c) {
+          prod *= c * c;
+          const double delta = static_cast<double>(x[i]) - std::numbers::pi;
+          sq += delta * delta;
+        });
     const double sign = dim % 2 == 0 ? -1.0 : 1.0;
-    return sign * prod * std::exp(-sq);
+    return sign * prod * dmath::exp(-sq);
   }
 
  private:
@@ -160,10 +188,15 @@ class Rastrigin final : public ProblemBase<Rastrigin> {
   template <typename T>
   [[nodiscard]] double eval_impl(const T* x, int dim) const {
     double acc = 10.0 * dim;
-    for (int i = 0; i < dim; ++i) {
-      const double xi = static_cast<double>(x[i]);
-      acc += xi * xi - 10.0 * std::cos(2.0 * std::numbers::pi * xi);
-    }
+    detail::map_chunked(
+        dmath::cos_n, dim,
+        [&](int i) {
+          return 2.0 * std::numbers::pi * static_cast<double>(x[i]);
+        },
+        [&](int i, double c) {
+          const double xi = static_cast<double>(x[i]);
+          acc += xi * xi - 10.0 * c;
+        });
     return acc;
   }
 
@@ -220,14 +253,19 @@ class Ackley final : public ProblemBase<Ackley> {
   [[nodiscard]] double eval_impl(const T* x, int dim) const {
     double sum_sq = 0.0;
     double sum_cos = 0.0;
-    for (int i = 0; i < dim; ++i) {
-      const double xi = static_cast<double>(x[i]);
-      sum_sq += xi * xi;
-      sum_cos += std::cos(2.0 * std::numbers::pi * xi);
-    }
+    detail::map_chunked(
+        dmath::cos_n, dim,
+        [&](int i) {
+          return 2.0 * std::numbers::pi * static_cast<double>(x[i]);
+        },
+        [&](int i, double c) {
+          const double xi = static_cast<double>(x[i]);
+          sum_sq += xi * xi;
+          sum_cos += c;
+        });
     const double inv_d = 1.0 / dim;
-    return -20.0 * std::exp(-0.2 * std::sqrt(sum_sq * inv_d)) -
-           std::exp(sum_cos * inv_d) + 20.0 + std::numbers::e;
+    return -20.0 * dmath::exp(-0.2 * std::sqrt(sum_sq * inv_d)) -
+           dmath::exp(sum_cos * inv_d) + 20.0 + std::numbers::e;
   }
 
  private:
@@ -251,10 +289,10 @@ class Schwefel final : public ProblemBase<Schwefel> {
   template <typename T>
   [[nodiscard]] double eval_impl(const T* x, int dim) const {
     double acc = 418.9828872724338 * dim;
-    for (int i = 0; i < dim; ++i) {
-      const double xi = static_cast<double>(x[i]);
-      acc -= xi * std::sin(std::sqrt(std::abs(xi)));
-    }
+    detail::map_chunked(
+        dmath::sin_n, dim,
+        [&](int i) { return std::sqrt(std::abs(static_cast<double>(x[i]))); },
+        [&](int i, double s) { acc -= static_cast<double>(x[i]) * s; });
     return acc;
   }
 
@@ -311,15 +349,17 @@ class Levy final : public ProblemBase<Levy> {
     auto w = [&](int i) {
       return 1.0 + (static_cast<double>(x[i]) - 1.0) / 4.0;
     };
-    const double s0 = std::sin(std::numbers::pi * w(0));
+    const double s0 = dmath::sin(std::numbers::pi * w(0));
     double acc = s0 * s0;
-    for (int i = 0; i + 1 < dim; ++i) {
-      const double wi = w(i);
-      const double s = std::sin(std::numbers::pi * wi + 1.0);
-      acc += (wi - 1.0) * (wi - 1.0) * (1.0 + 10.0 * s * s);
-    }
+    detail::map_chunked(
+        dmath::sin_n, dim - 1,
+        [&](int i) { return std::numbers::pi * w(i) + 1.0; },
+        [&](int i, double s) {
+          const double wi = w(i);
+          acc += (wi - 1.0) * (wi - 1.0) * (1.0 + 10.0 * s * s);
+        });
     const double wd = w(dim - 1);
-    const double sd = std::sin(2.0 * std::numbers::pi * wd);
+    const double sd = dmath::sin(2.0 * std::numbers::pi * wd);
     acc += (wd - 1.0) * (wd - 1.0) * (1.0 + sd * sd);
     return acc;
   }

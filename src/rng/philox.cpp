@@ -3,27 +3,18 @@
 #include <cmath>
 #include <numbers>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define FASTPSO_PHILOX_AVX2 1
+#include "common/cpu.h"
+
+#ifdef FASTPSO_X86_AVX2
 #include <immintrin.h>
 #endif
 
 namespace fastpso::rng {
 
-#ifdef FASTPSO_PHILOX_AVX2
+#ifdef FASTPSO_X86_AVX2
 namespace {
 
 #define FASTPSO_AVX2 __attribute__((target("avx2")))
-
-/// One-time CPU check; the build targets baseline x86-64, so the AVX2 fill
-/// is compiled per function and only entered when the CPU has it.
-bool cpu_has_avx2() {
-  static const bool has = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return has;
-}
 
 /// detail::mulhilo on eight lanes: the 32x32 -> 64-bit products of `x`
 /// with the constant `m`, split into high and low words.
@@ -119,7 +110,7 @@ FASTPSO_AVX2 void fill_blocks_avx2(std::uint64_t first, std::int64_t steps,
 #undef FASTPSO_AVX2
 
 }  // namespace
-#endif  // FASTPSO_PHILOX_AVX2
+#endif  // FASTPSO_X86_AVX2
 
 PhiloxStream::PhiloxStream(std::uint64_t seed, std::uint64_t stream)
     : seed_(seed), stream_(stream) {
@@ -131,7 +122,7 @@ void PhiloxStream::fill_uniform_blocks(std::uint64_t first_block,
                                        std::int64_t blocks, float lo,
                                        float span, float* out) const {
   std::int64_t done = 0;
-#ifdef FASTPSO_PHILOX_AVX2
+#ifdef FASTPSO_X86_AVX2
   if (blocks >= 8 && cpu_has_avx2()) {
     const std::int64_t steps = blocks / 8;
     fill_blocks_avx2(first_block, steps, stream_, key_, lo, span, out);
