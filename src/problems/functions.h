@@ -1,45 +1,21 @@
 // The built-in benchmark functions (paper Section 3.2 mentions Sphere,
 // Griewank and Easom as built-ins; Section 4.1 uses the first three below
 // plus ThreadConf). Domains follow the paper; formulas follow Molga &
-// Smutnicki, "Test functions for optimization needs" (2005).
+// Smutnicki, "Test functions for optimization needs" (2005). Each formula
+// is written once, as eval_lanes over the row views of problems/lanes.h: one
+// row per lane, a double for one row or a four-double vector for four.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
 #include <numbers>
 
 #include "common/dmath.h"
+#include "problems/lanes.h"
 #include "problems/problem.h"
 
 namespace fastpso::problems {
-
-namespace detail {
-
-/// Calls use(i, f(arg(i))) for i in [0, n) in index order, where `f_n` is a
-/// dmath batch function (dmath::cos_n, dmath::sin_n). Arguments are staged
-/// kChunk at a time, one batch call per chunk; each value is the scalar
-/// form's bits, so accumulating in index order keeps every result bit.
-inline constexpr int kChunk = 64;
-template <typename Arg, typename Use>
-void map_chunked(void (*f_n)(const double*, double*, std::size_t), int n,
-                 Arg arg, Use use) {
-  // Every entry read below is written first in the same chunk.
-  double buf[kChunk];
-  for (int base = 0; base < n; base += kChunk) {
-    const int len = std::min(kChunk, n - base);
-    for (int j = 0; j < len; ++j) {
-      buf[j] = arg(base + j);
-    }
-    f_n(buf, buf, static_cast<std::size_t>(len));
-    for (int j = 0; j < len; ++j) {
-      use(base + j, buf[j]);
-    }
-  }
-}
-
-}  // namespace detail
 
 /// f(x) = sum x_i^2, domain (-5.12, 5.12), f* = 0 at x = 0.
 class Sphere final : public ProblemBase<Sphere> {
@@ -54,14 +30,12 @@ class Sphere final : public ProblemBase<Sphere> {
             .vector_passes = 2.0};
   }
 
-  template <typename T>
-  [[nodiscard]] double eval_impl(const T* x, int dim) const {
-    double acc = 0.0;
-    for (int i = 0; i < dim; ++i) {
-      const double xi = static_cast<double>(x[i]);
-      acc += xi * xi;
-    }
-    return acc;
+  template <typename Rows>
+  void eval_lanes(const Rows& x, int dim, typename Rows::Lane& f) const {
+    using V = typename Rows::Lane;
+    V acc{};
+    lanes::each(x, dim, [&](int, const V& xi) { acc += xi * xi; });
+    f = acc;
   }
 
  private:
@@ -82,25 +56,25 @@ class Griewank final : public ProblemBase<Griewank> {
             .vector_passes = 6.0};
   }
 
-  template <typename T>
-  [[nodiscard]] double eval_impl(const T* x, int dim) const {
-    double sum = 0.0;
-    double prod = 1.0;
+  template <typename Rows>
+  void eval_lanes(const Rows& x, int dim, typename Rows::Lane& f) const {
+    using V = typename Rows::Lane;
+    V sum{};
+    V prod = V{} + 1.0;
     const double* roots = root_table();
-    detail::map_chunked(
-        dmath::cos_n, dim,
-        [&](int i) {
+    lanes::map<lanes::kCos>(
+        x, dim,
+        [&](int i, V& a) {
           const double root = i < kRootTableSize
                                   ? roots[i]
                                   : std::sqrt(static_cast<double>(i + 1));
-          return static_cast<double>(x[i]) / root;
+          a = a / root;
         },
-        [&](int i, double c) {
-          const double xi = static_cast<double>(x[i]);
+        [&](int, const V& xi, const V& c) {
           sum += xi * xi;
           prod *= c;
         });
-    return sum / 4000.0 - prod + 1.0;
+    f = sum / 4000.0 - prod + 1.0;
   }
 
  private:
@@ -152,19 +126,22 @@ class Easom final : public ProblemBase<Easom> {
             .vector_passes = 8.0};  // fixed: the final exp
   }
 
-  template <typename T>
-  [[nodiscard]] double eval_impl(const T* x, int dim) const {
-    double prod = 1.0;
-    double sq = 0.0;
-    detail::map_chunked(
-        dmath::cos_n, dim, [&](int i) { return static_cast<double>(x[i]); },
-        [&](int i, double c) {
+  template <typename Rows>
+  void eval_lanes(const Rows& x, int dim, typename Rows::Lane& f) const {
+    using V = typename Rows::Lane;
+    V prod = V{} + 1.0;
+    V sq{};
+    lanes::map<lanes::kCos>(
+        x, dim, [](int, V&) {},
+        [&](int, const V& xi, const V& c) {
           prod *= c * c;
-          const double delta = static_cast<double>(x[i]) - std::numbers::pi;
+          const V delta = xi - std::numbers::pi;
           sq += delta * delta;
         });
     const double sign = dim % 2 == 0 ? -1.0 : 1.0;
-    return sign * prod * dmath::exp(-sq);
+    V e = -sq;
+    lanes::apply(e, dmath::exp);
+    f = sign * prod * e;
   }
 
  private:
@@ -185,19 +162,14 @@ class Rastrigin final : public ProblemBase<Rastrigin> {
             .vector_passes = 5.0};
   }
 
-  template <typename T>
-  [[nodiscard]] double eval_impl(const T* x, int dim) const {
-    double acc = 10.0 * dim;
-    detail::map_chunked(
-        dmath::cos_n, dim,
-        [&](int i) {
-          return 2.0 * std::numbers::pi * static_cast<double>(x[i]);
-        },
-        [&](int i, double c) {
-          const double xi = static_cast<double>(x[i]);
-          acc += xi * xi - 10.0 * c;
-        });
-    return acc;
+  template <typename Rows>
+  void eval_lanes(const Rows& x, int dim, typename Rows::Lane& f) const {
+    using V = typename Rows::Lane;
+    V acc = V{} + 10.0 * dim;
+    lanes::map<lanes::kCos>(
+        x, dim, [](int, V& a) { a = 2.0 * std::numbers::pi * a; },
+        [&](int, const V& xi, const V& c) { acc += xi * xi - 10.0 * c; });
+    f = acc;
   }
 
  private:
@@ -218,17 +190,18 @@ class Rosenbrock final : public ProblemBase<Rosenbrock> {
             .vector_passes = 6.0};
   }
 
-  template <typename T>
-  [[nodiscard]] double eval_impl(const T* x, int dim) const {
-    double acc = 0.0;
-    for (int i = 0; i + 1 < dim; ++i) {
-      const double xi = static_cast<double>(x[i]);
-      const double xn = static_cast<double>(x[i + 1]);
-      const double a = xn - xi * xi;
-      const double b = 1.0 - xi;
+  template <typename Rows>
+  void eval_lanes(const Rows& x, int dim, typename Rows::Lane& f) const {
+    using V = typename Rows::Lane;
+    V acc{};
+    lanes::each(x, dim - 1, [&](int i, const V& xi) {
+      V xn{};
+      x.load(i + 1, xn);
+      const V a = xn - xi * xi;
+      const V b = 1.0 - xi;
       acc += 100.0 * a * a + b * b;
-    }
-    return acc;
+    });
+    f = acc;
   }
 
  private:
@@ -249,23 +222,24 @@ class Ackley final : public ProblemBase<Ackley> {
             .vector_passes = 7.0};
   }
 
-  template <typename T>
-  [[nodiscard]] double eval_impl(const T* x, int dim) const {
-    double sum_sq = 0.0;
-    double sum_cos = 0.0;
-    detail::map_chunked(
-        dmath::cos_n, dim,
-        [&](int i) {
-          return 2.0 * std::numbers::pi * static_cast<double>(x[i]);
-        },
-        [&](int i, double c) {
-          const double xi = static_cast<double>(x[i]);
+  template <typename Rows>
+  void eval_lanes(const Rows& x, int dim, typename Rows::Lane& f) const {
+    using V = typename Rows::Lane;
+    V sum_sq{};
+    V sum_cos{};
+    lanes::map<lanes::kCos>(
+        x, dim, [](int, V& a) { a = 2.0 * std::numbers::pi * a; },
+        [&](int, const V& xi, const V& c) {
           sum_sq += xi * xi;
           sum_cos += c;
         });
     const double inv_d = 1.0 / dim;
-    return -20.0 * dmath::exp(-0.2 * std::sqrt(sum_sq * inv_d)) -
-           dmath::exp(sum_cos * inv_d) + 20.0 + std::numbers::e;
+    V spread = sum_sq * inv_d;
+    lanes::apply(spread,
+                 [](double v) { return dmath::exp(-0.2 * std::sqrt(v)); });
+    V ripple = sum_cos * inv_d;
+    lanes::apply(ripple, dmath::exp);
+    f = -20.0 * spread - ripple + 20.0 + std::numbers::e;
   }
 
  private:
@@ -286,14 +260,17 @@ class Schwefel final : public ProblemBase<Schwefel> {
             .vector_passes = 5.0};
   }
 
-  template <typename T>
-  [[nodiscard]] double eval_impl(const T* x, int dim) const {
-    double acc = 418.9828872724338 * dim;
-    detail::map_chunked(
-        dmath::sin_n, dim,
-        [&](int i) { return std::sqrt(std::abs(static_cast<double>(x[i]))); },
-        [&](int i, double s) { acc -= static_cast<double>(x[i]) * s; });
-    return acc;
+  template <typename Rows>
+  void eval_lanes(const Rows& x, int dim, typename Rows::Lane& f) const {
+    using V = typename Rows::Lane;
+    V acc = V{} + 418.9828872724338 * dim;
+    lanes::map<lanes::kSin>(
+        x, dim,
+        [](int, V& a) {
+          lanes::apply(a, [](double v) { return std::sqrt(std::abs(v)); });
+        },
+        [&](int, const V& xi, const V& s) { acc -= xi * s; });
+    f = acc;
   }
 
  private:
@@ -314,17 +291,17 @@ class Zakharov final : public ProblemBase<Zakharov> {
             .vector_passes = 5.0};
   }
 
-  template <typename T>
-  [[nodiscard]] double eval_impl(const T* x, int dim) const {
-    double sum_sq = 0.0;
-    double sum_lin = 0.0;
-    for (int i = 0; i < dim; ++i) {
-      const double xi = static_cast<double>(x[i]);
+  template <typename Rows>
+  void eval_lanes(const Rows& x, int dim, typename Rows::Lane& f) const {
+    using V = typename Rows::Lane;
+    V sum_sq{};
+    V sum_lin{};
+    lanes::each(x, dim, [&](int i, const V& xi) {
       sum_sq += xi * xi;
       sum_lin += 0.5 * (i + 1) * xi;
-    }
-    const double s2 = sum_lin * sum_lin;
-    return sum_sq + s2 + s2 * s2;
+    });
+    const V s2 = sum_lin * sum_lin;
+    f = sum_sq + s2 + s2 * s2;
   }
 
  private:
@@ -344,24 +321,35 @@ class Levy final : public ProblemBase<Levy> {
             .vector_passes = 8.0};
   }
 
-  template <typename T>
-  [[nodiscard]] double eval_impl(const T* x, int dim) const {
-    auto w = [&](int i) {
-      return 1.0 + (static_cast<double>(x[i]) - 1.0) / 4.0;
-    };
-    const double s0 = dmath::sin(std::numbers::pi * w(0));
-    double acc = s0 * s0;
-    detail::map_chunked(
-        dmath::sin_n, dim - 1,
-        [&](int i) { return std::numbers::pi * w(i) + 1.0; },
-        [&](int i, double s) {
-          const double wi = w(i);
+  template <typename Rows>
+  void eval_lanes(const Rows& x, int dim, typename Rows::Lane& f) const {
+    using V = typename Rows::Lane;
+    // w = 1 + (x - 1) / 4, in place.
+    const auto to_w = [](V& v) { v = 1.0 + (v - 1.0) / 4.0; };
+    V s0{};
+    x.load(0, s0);
+    to_w(s0);
+    s0 = std::numbers::pi * s0;
+    lanes::trig<lanes::kSin>(s0);
+    V acc = s0 * s0;
+    lanes::map<lanes::kSin>(
+        x, dim - 1,
+        [&](int, V& a) {
+          to_w(a);
+          a = std::numbers::pi * a + 1.0;
+        },
+        [&](int, const V& xi, const V& s) {
+          V wi = xi;
+          to_w(wi);
           acc += (wi - 1.0) * (wi - 1.0) * (1.0 + 10.0 * s * s);
         });
-    const double wd = w(dim - 1);
-    const double sd = dmath::sin(2.0 * std::numbers::pi * wd);
+    V wd{};
+    x.load(dim - 1, wd);
+    to_w(wd);
+    V sd = 2.0 * std::numbers::pi * wd;
+    lanes::trig<lanes::kSin>(sd);
     acc += (wd - 1.0) * (wd - 1.0) * (1.0 + sd * sd);
-    return acc;
+    f = acc;
   }
 
  private:
@@ -384,15 +372,15 @@ class StyblinskiTang final : public ProblemBase<StyblinskiTang> {
             .vector_passes = 5.0};
   }
 
-  template <typename T>
-  [[nodiscard]] double eval_impl(const T* x, int dim) const {
-    double acc = 0.0;
-    for (int i = 0; i < dim; ++i) {
-      const double xi = static_cast<double>(x[i]);
-      const double sq = xi * xi;
+  template <typename Rows>
+  void eval_lanes(const Rows& x, int dim, typename Rows::Lane& f) const {
+    using V = typename Rows::Lane;
+    V acc{};
+    lanes::each(x, dim, [&](int, const V& xi) {
+      const V sq = xi * xi;
       acc += sq * sq - 16.0 * sq + 5.0 * xi;
-    }
-    return 0.5 * acc;
+    });
+    f = 0.5 * acc;
   }
 
  private:

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "problems/lanes.h"
+
 namespace fastpso::problems {
 
 /// Per-evaluation operation counts for the performance model.
@@ -77,26 +79,47 @@ class Problem {
   }
 };
 
-/// CRTP helper so each concrete problem writes its formula once as
-/// `template <typename T> double eval_impl(const T* x, int dim) const`.
+/// CRTP helper so each concrete problem writes its formula once, as either
+/// - `template <typename Rows> void eval_lanes(const Rows& x, int dim,
+///   typename Rows::Lane& f) const` over the row views of problems/lanes.h
+///   (the built-ins): eval_batch then evaluates four rows per AVX2 vector;
+/// - or `template <typename T> double eval_impl(const T* x, int dim) const`,
+///   evaluated one row at a time.
 template <typename Derived>
 class ProblemBase : public Problem {
  public:
   [[nodiscard]] double eval_f32(const float* x, int dim) const final {
-    return static_cast<const Derived*>(this)->template eval_impl<float>(x,
-                                                                        dim);
+    return eval_row(x, dim);
   }
   [[nodiscard]] double eval_f64(const double* x, int dim) const final {
-    return static_cast<const Derived*>(this)->template eval_impl<double>(x,
-                                                                         dim);
+    return eval_row(x, dim);
   }
-  /// Devirtualized batch loop: the concrete eval_impl<float> is known at
-  /// compile time here, so the whole batch costs one virtual call.
+  /// Devirtualized batch loop: the concrete formula is known at compile
+  /// time here, so the whole batch costs one virtual call. A lane formula
+  /// takes the rows four at a time where the CPU has AVX2; the rest go
+  /// through eval_row, with the same bits.
   void eval_batch(const float* X, int n, int d, float* out) const final {
-    const auto* self = static_cast<const Derived*>(this);
-    for (int i = 0; i < n; ++i) {
-      out[i] = static_cast<float>(self->template eval_impl<float>(
-          X + static_cast<std::size_t>(i) * d, d));
+    int done = 0;
+    if constexpr (lanes::LaneFormula<Derived>) {
+      done = lanes::eval_rows4(self(), X, n, d, out);
+    }
+    for (int i = done; i < n; ++i) {
+      out[i] = static_cast<float>(
+          eval_row(X + static_cast<std::size_t>(i) * d, d));
+    }
+  }
+
+ private:
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
+
+  template <typename T>
+  double eval_row(const T* x, int dim) const {
+    if constexpr (lanes::LaneFormula<Derived>) {
+      double f = 0.0;
+      self().eval_lanes(lanes::Row<T>{x}, dim, f);
+      return f;
+    } else {
+      return self().template eval_impl<T>(x, dim);
     }
   }
 };

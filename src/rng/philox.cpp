@@ -1,8 +1,5 @@
 #include "rng/philox.h"
 
-#include <cmath>
-#include <numbers>
-
 #include "common/cpu.h"
 
 #ifdef FASTPSO_X86_AVX2
@@ -36,10 +33,72 @@ FASTPSO_AVX2 inline __m256 scaled_unit8(__m256i x, __m256 lo, __m256 span) {
   return _mm256_add_ps(lo, _mm256_mul_ps(span, unit));
 }
 
-/// `steps` x 8 consecutive Philox blocks from `first`: the counters of
-/// eight blocks ride in the lanes of four vectors (one per counter word),
-/// and the outputs are transposed back to block-major order.
-FASTPSO_AVX2 void fill_blocks_avx2(std::uint64_t first, std::int64_t steps,
+/// The four counter words of eight consecutive blocks, one block per lane.
+struct Group8 {
+  __m256i c0;
+  __m256i c1;
+  __m256i c2;
+  __m256i c3;
+};
+
+/// The counters of blocks first..first+7, built in registers. Block
+/// indices are 64-bit, split over two counter words.
+FASTPSO_AVX2 inline Group8 counters8(std::uint64_t first, __m256i stream_lo,
+                                     __m256i stream_hi) {
+  const __m256i lo =
+      _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(first)));
+  const __m256i hi = _mm256_set1_epi32(
+      static_cast<int>(static_cast<std::uint32_t>(first >> 32)));
+  const __m256i w0 =
+      _mm256_add_epi32(lo, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  // Where lo + lane wrapped past 2^32, w0 is below lo: carry one there.
+  const __m256i no_wrap = _mm256_cmpeq_epi32(_mm256_max_epu32(w0, lo), w0);
+  const __m256i carry = _mm256_andnot_si256(no_wrap, _mm256_set1_epi32(1));
+  return {w0, _mm256_add_epi32(hi, carry), stream_lo, stream_hi};
+}
+
+/// One Philox round (detail::philox_round) on the eight blocks of `g`.
+FASTPSO_AVX2 inline void round8(Group8& g, __m256i m0, __m256i m1,
+                                __m256i key0, __m256i key1) {
+  __m256i hi0;
+  __m256i lo0;
+  __m256i hi1;
+  __m256i lo1;
+  mulhilo8(m0, g.c0, hi0, lo0);
+  mulhilo8(m1, g.c2, hi1, lo1);
+  g.c0 = _mm256_xor_si256(_mm256_xor_si256(hi1, g.c1), key0);
+  g.c1 = lo1;
+  g.c2 = _mm256_xor_si256(_mm256_xor_si256(hi0, g.c3), key1);
+  g.c3 = lo0;
+}
+
+/// The 32 scaled uniforms of `g` in block-major order. Word c<k> holds
+/// output k of the eight blocks, so the words transpose 4x8 -> 8x4.
+FASTPSO_AVX2 inline void store8(const Group8& g, __m256 lo, __m256 span,
+                                float* dst) {
+  const __m256 r0 = scaled_unit8(g.c0, lo, span);
+  const __m256 r1 = scaled_unit8(g.c1, lo, span);
+  const __m256 r2 = scaled_unit8(g.c2, lo, span);
+  const __m256 r3 = scaled_unit8(g.c3, lo, span);
+  const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+  const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+  const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+  const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+  const __m256 b04 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 b15 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 b26 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 b37 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  _mm256_storeu_ps(dst, _mm256_permute2f128_ps(b04, b15, 0x20));
+  _mm256_storeu_ps(dst + 8, _mm256_permute2f128_ps(b26, b37, 0x20));
+  _mm256_storeu_ps(dst + 16, _mm256_permute2f128_ps(b04, b15, 0x31));
+  _mm256_storeu_ps(dst + 24, _mm256_permute2f128_ps(b26, b37, 0x31));
+}
+
+/// `groups` x 8 consecutive Philox blocks from `first`, eight blocks per
+/// group, one block per lane. A step runs the rounds of two groups side by
+/// side: their chains are independent, so one group's multiplies fill the
+/// other's latency. An odd last group runs alone.
+FASTPSO_AVX2 void fill_blocks_avx2(std::uint64_t first, std::int64_t groups,
                                    std::uint64_t stream, PhiloxKey key,
                                    float lo, float span, float* out) {
   const __m256i m0 = _mm256_set1_epi32(static_cast<int>(detail::kPhiloxM0));
@@ -59,51 +118,26 @@ FASTPSO_AVX2 void fill_blocks_avx2(std::uint64_t first, std::int64_t steps,
   }
   const __m256 lo_v = _mm256_set1_ps(lo);
   const __m256 span_v = _mm256_set1_ps(span);
-  for (std::int64_t s = 0; s < steps; ++s) {
-    // Block indices are 64-bit: the low and high counter words are split
-    // per lane so a step may straddle a 2^32 carry.
-    alignas(32) std::uint32_t index_lo[8];
-    alignas(32) std::uint32_t index_hi[8];
-    const std::uint64_t base = first + 8 * static_cast<std::uint64_t>(s);
-    for (int j = 0; j < 8; ++j) {
-      const std::uint64_t b = base + static_cast<std::uint64_t>(j);
-      index_lo[j] = static_cast<std::uint32_t>(b);
-      index_hi[j] = static_cast<std::uint32_t>(b >> 32);
-    }
-    __m256i c0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(index_lo));
-    __m256i c1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(index_hi));
-    __m256i c2 = stream_lo;
-    __m256i c3 = stream_hi;
+  const auto block = [first](std::int64_t group) {
+    return first + 8 * static_cast<std::uint64_t>(group);
+  };
+  std::int64_t g = 0;
+  for (; g + 2 <= groups; g += 2) {
+    Group8 a = counters8(block(g), stream_lo, stream_hi);
+    Group8 b = counters8(block(g + 1), stream_lo, stream_hi);
     for (int round = 0; round < 10; ++round) {
-      __m256i hi0;
-      __m256i lo0;
-      __m256i hi1;
-      __m256i lo1;
-      mulhilo8(m0, c0, hi0, lo0);
-      mulhilo8(m1, c2, hi1, lo1);
-      c0 = _mm256_xor_si256(_mm256_xor_si256(hi1, c1), round_key0[round]);
-      c1 = lo1;
-      c2 = _mm256_xor_si256(_mm256_xor_si256(hi0, c3), round_key1[round]);
-      c3 = lo0;
+      round8(a, m0, m1, round_key0[round], round_key1[round]);
+      round8(b, m0, m1, round_key0[round], round_key1[round]);
     }
-    // r<k> holds output lane k of blocks 0..7; transpose 4x8 -> 8x4.
-    const __m256 r0 = scaled_unit8(c0, lo_v, span_v);
-    const __m256 r1 = scaled_unit8(c1, lo_v, span_v);
-    const __m256 r2 = scaled_unit8(c2, lo_v, span_v);
-    const __m256 r3 = scaled_unit8(c3, lo_v, span_v);
-    const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
-    const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
-    const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
-    const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
-    const __m256 b04 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 b15 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-    const __m256 b26 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 b37 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-    float* dst = out + 32 * s;
-    _mm256_storeu_ps(dst, _mm256_permute2f128_ps(b04, b15, 0x20));
-    _mm256_storeu_ps(dst + 8, _mm256_permute2f128_ps(b26, b37, 0x20));
-    _mm256_storeu_ps(dst + 16, _mm256_permute2f128_ps(b04, b15, 0x31));
-    _mm256_storeu_ps(dst + 24, _mm256_permute2f128_ps(b26, b37, 0x31));
+    store8(a, lo_v, span_v, out + 32 * g);
+    store8(b, lo_v, span_v, out + 32 * (g + 1));
+  }
+  if (g < groups) {
+    Group8 a = counters8(block(g), stream_lo, stream_hi);
+    for (int round = 0; round < 10; ++round) {
+      round8(a, m0, m1, round_key0[round], round_key1[round]);
+    }
+    store8(a, lo_v, span_v, out + 32 * g);
   }
 }
 
@@ -124,9 +158,9 @@ void PhiloxStream::fill_uniform_blocks(std::uint64_t first_block,
   std::int64_t done = 0;
 #ifdef FASTPSO_X86_AVX2
   if (blocks >= 8 && cpu_has_avx2()) {
-    const std::int64_t steps = blocks / 8;
-    fill_blocks_avx2(first_block, steps, stream_, key_, lo, span, out);
-    done = 8 * steps;
+    const std::int64_t groups = blocks / 8;
+    fill_blocks_avx2(first_block, groups, stream_, key_, lo, span, out);
+    done = 8 * groups;
   }
 #endif
   for (std::int64_t b = done; b < blocks; ++b) {
@@ -135,15 +169,6 @@ void PhiloxStream::fill_uniform_blocks(std::uint64_t first_block,
       out[4 * b + lane] = lo + span * lanes[lane];
     }
   }
-}
-
-float PhiloxStream::normal_at(std::uint64_t index) const {
-  // Box–Muller; u1 is kept away from 0 so the log is finite.
-  const float u1 = uniform_at(2 * index) + 1.0e-12f;
-  const float u2 = uniform_at(2 * index + 1);
-  const float radius = std::sqrt(-2.0f * std::log(u1));
-  const float theta = 2.0f * std::numbers::pi_v<float> * u2;
-  return radius * std::cos(theta);
 }
 
 }  // namespace fastpso::rng

@@ -89,9 +89,6 @@ class PhiloxStream {
   [[nodiscard]] float uniform_at(std::uint64_t index, float lo,
                                  float hi) const;
 
-  /// Standard normal via Box–Muller; consumes uint indices 2*i, 2*i+1.
-  [[nodiscard]] float normal_at(std::uint64_t index) const;
-
   /// All four uniforms of one Philox block: element `block_index*4 + lane`
   /// equals uniform_at(block_index*4 + lane). One Philox evaluation instead
   /// of four — the fast path for bulk fills.
@@ -99,10 +96,11 @@ class PhiloxStream {
       std::uint64_t block_index) const;
 
   /// Bulk fill of whole blocks: out[k] = lo + span * uniform_at(4 *
-  /// first_block + k) for k in [0, 4 * blocks), bit for bit. Runs eight
-  /// Philox blocks per step with AVX2 when the CPU has it (checked once),
-  /// else uniform4_at per block. Both are exact: Philox is integer math and
-  /// the scaling is one unfused multiply and add per value.
+  /// first_block + k) for k in [0, 4 * blocks), bit for bit. With AVX2
+  /// (checked once) it runs groups of eight blocks, one per lane, two
+  /// groups in flight; the other blocks take uniform4_at. Both are exact:
+  /// Philox is integer math and the scaling is one unfused multiply and add
+  /// per value.
   void fill_uniform_blocks(std::uint64_t first_block, std::int64_t blocks,
                            float lo, float span, float* out) const;
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <numbers>
 #include <string>
 #include <vector>
@@ -349,6 +350,102 @@ TEST(ProblemBits, EveryBuiltinIsPinned) {
   }
   EXPECT_EQ(checked, std::size(kBitPins));
   EXPECT_TRUE(moved.empty()) << "rows that differ from kBitPins:\n" << moved;
+}
+
+// ---- batch rows against single rows ----------------------------------------
+
+/// `n` rows of `d` seeded domain points, row-major, starting `offset` floats
+/// into the returned buffer.
+std::vector<float> domain_rows(const Problem& problem, int n, int d,
+                               int offset, std::uint64_t seed) {
+  rng::SplitMix64 gen(seed);
+  std::vector<float> buf(static_cast<std::size_t>(offset + n * d));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<float>(
+        problem.lower_bound() +
+        (problem.upper_bound() - problem.lower_bound()) * gen.next_unit());
+  }
+  return buf;
+}
+
+/// Whether eval_batch over the n rows at X equals (float)eval_f32 of each
+/// row bit for bit; the first differing row is reported with `what`. A NaN
+/// matches any NaN: IEEE 754 leaves open which NaN operand an operation
+/// returns, and gcc commutes operands and folds x * -1.0 into -x, so the
+/// sign of a NaN is not fixed by the source (Easom's sign * prod * exp(-sq)
+/// yields -NaN in one instantiation and +NaN in the other).
+bool batch_matches_rows(const Problem& problem, const float* X, int n, int d,
+                        const std::string& what) {
+  std::vector<float> out(static_cast<std::size_t>(n));
+  problem.eval_batch(X, n, d, out.data());
+  for (int i = 0; i < n; ++i) {
+    const float got = out[static_cast<std::size_t>(i)];
+    const float want = static_cast<float>(
+        problem.eval_f32(X + static_cast<std::size_t>(i) * d, d));
+    const auto got_bits = std::bit_cast<std::uint32_t>(got);
+    const auto want_bits = std::bit_cast<std::uint32_t>(want);
+    if (got_bits != want_bits && !(std::isnan(got) && std::isnan(want))) {
+      ADD_FAILURE() << problem.name() << " " << what << ": row " << i
+                    << " of n=" << n << ", d=" << d << " gave " << std::hex
+                    << got_bits << ", eval_f32 " << want_bits;
+      return false;
+    }
+  }
+  return true;
+}
+
+// With AVX2, eval_batch evaluates four rows per vector (problems/lanes.h)
+// and the n % 4 tail rows one at a time; both must give eval_f32's bits.
+// The batch sizes cover tails 0-3 and several groups; the row blocks start
+// on and one float off alignment. Special groups put one odd value in one
+// row, at each lane position: NaN, +-Inf, a value past dmath's fast trig
+// range for every built-in (3e12), and a Griewank argument that needs
+// dmath's third reduction stage (4608148 in column 148: 4608148 / sqrt(149)
+// lies within 2^-49 relative of 240333 pi/2, dmath's third-stage
+// threshold). The AVX2 kernels take such a group lane by lane.
+TEST(ProblemBits, BatchRowsMatchEvalF32) {
+  for (const auto& name : builtin_problem_names()) {
+    const auto problem = make_problem(name);
+    for (const int d : {1, 2, 3, 4, 5, 8, 64, 200, 1025}) {
+      for (const int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 64}) {
+        for (const int offset : {0, 1}) {
+          const auto buf = domain_rows(*problem, n, d, offset,
+                                       static_cast<std::uint64_t>(n * d));
+          ASSERT_TRUE(batch_matches_rows(*problem, buf.data() + offset, n, d,
+                                         "offset " + std::to_string(offset)));
+        }
+      }
+    }
+    const int d = 200;
+    constexpr int kStageThreeColumn = 148;
+    const float inf = std::numeric_limits<float>::infinity();
+    const struct {
+      const char* what;
+      float value;
+      int column;
+    } specials[] = {
+        {"NaN", std::numeric_limits<float>::quiet_NaN(), 0},
+        {"NaN", std::numeric_limits<float>::quiet_NaN(), kStageThreeColumn},
+        {"+Inf", inf, 0},
+        {"-Inf", -inf, kStageThreeColumn},
+        {"past the fast range", 3e12f, 0},
+        {"past the fast range", -3e12f, kStageThreeColumn},
+        {"third reduction stage", 4608148.0f, kStageThreeColumn},
+    };
+    for (const auto& special : specials) {
+      for (int lane = 0; lane < 4; ++lane) {
+        for (const int n : {4, 9}) {
+          auto buf = domain_rows(*problem, n, d, 1, 7);
+          buf[static_cast<std::size_t>(1 + lane * d + special.column)] =
+              special.value;
+          ASSERT_TRUE(batch_matches_rows(
+              *problem, buf.data() + 1, n, d,
+              std::string(special.what) + " in lane " + std::to_string(lane) +
+                  ", column " + std::to_string(special.column)));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -173,25 +173,29 @@ void expect_bulk_fill_exact(const PhiloxStream& stream,
   }
 }
 
-// The bulk fill runs eight blocks per step (AVX2 when available) plus a
-// scalar remainder: block counts around and across one step.
+// The bulk fill runs eight-block groups (AVX2 when available), two groups
+// per step, plus a scalar remainder: block counts around one group, and two
+// to five groups with and without a remainder.
 TEST(PhiloxStream, BulkFillMatchesScalarPath) {
   const PhiloxStream stream(55, 9);
-  for (const std::int64_t blocks : {0, 1, 7, 8, 9, 33}) {
+  for (const std::int64_t blocks : {0, 1, 7, 8, 9, 16, 24, 25, 33, 40, 41}) {
     for (const std::uint64_t first : {0ull, 5ull}) {
       expect_bulk_fill_exact(stream, first, blocks);
     }
   }
 }
 
-// Block indices are 64-bit counters split over two 32-bit words: an
-// eight-block step starting just below 2^32 carries into the high word
-// part-way through.
+// Block indices are 64-bit counters split over two 32-bit words: a fill
+// starting just below 2^32 carries into the high word inside the first or
+// the second group of a pair (2^32 - 3, 2^32 - 12), at the second group's
+// first block (2^32 - 8), and at the first block of a lone last group or of
+// the scalar remainder (2^32 - 16).
 TEST(PhiloxStream, BulkFillAcrossCounterCarry) {
   const PhiloxStream stream(0x1234567890ABCDEFull, 3);
   const std::uint64_t carry = 1ull << 32;
-  for (const std::uint64_t first : {carry - 3, carry - 8, carry - 1}) {
-    for (const std::int64_t blocks : {1, 8, 9, 17}) {
+  for (const std::uint64_t first :
+       {carry - 3, carry - 8, carry - 1, carry - 12, carry - 16}) {
+    for (const std::int64_t blocks : {1, 8, 9, 16, 17, 24}) {
       expect_bulk_fill_exact(stream, first, blocks);
     }
   }
@@ -207,20 +211,6 @@ TEST(PhiloxStream, DoubleHas53BitResolution) {
     seen.insert(u);
   }
   EXPECT_EQ(seen.size(), 1000u);  // no collisions at double resolution
-}
-
-TEST(PhiloxStream, NormalMomentsRoughlyStandard) {
-  const PhiloxStream stream(17, 0);
-  const int n = 100000;
-  double sum = 0;
-  double sum_sq = 0;
-  for (int i = 0; i < n; ++i) {
-    const double z = stream.normal_at(i);
-    sum += z;
-    sum_sq += z * z;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.02);
-  EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
 }
 
 // ---- SplitMix64 ----------------------------------------------------------
