@@ -2,7 +2,7 @@
 // path (DESIGN.md §1). Five probes:
 //
 //   1. launch throughput — a trivial element-wise kernel dispatched through
-//      Device::launch_elements with the fast path on (flat index loop) and
+//      Device::launch_kernel with the fast path on (flat element loop) and
 //      off (faithful per-virtual-thread grid-stride), in launches/sec.
 //   2. eval throughput — Problem::eval_batch (one virtual call per batch,
 //      devirtualized inner loop) vs. one virtual eval_f32 call per particle,
@@ -56,6 +56,17 @@ using namespace fastpso::benchkit;
 
 namespace {
 
+/// The trivial element kernel both launch probes dispatch.
+struct MaddKernel {
+  struct Args {
+    const float* src;
+    float* dst;
+  };
+  static void element(const Args& a, std::int64_t i) {
+    a.dst[i] = a.src[i] * 2.0f + 1.0f;
+  }
+};
+
 struct LaunchResult {
   double fast_per_s = 0;
   double legacy_per_s = 0;
@@ -89,9 +100,7 @@ LaunchResult bench_launch(std::int64_t n_elems, int reps) {
     vgpu::set_fast_path_enabled(fast);
     auto run = [&](int count) {
       for (int rep = 0; rep < count; ++rep) {
-        device.launch_elements(cfg, cost, n_elems, [&](std::int64_t i) {
-          dst[i] = src[i] * 2.0f + 1.0f;
-        });
+        device.launch_kernel<MaddKernel>(cfg, cost, n_elems, {src, dst});
       }
     };
     run(reps / 10 + 1);  // warmup
@@ -215,9 +224,7 @@ ProfOverheadResult bench_prof_overhead(std::int64_t n_elems, int reps) {
     vgpu::prof::set_enabled(prof_on);
     auto run = [&](int count) {
       for (int rep = 0; rep < count; ++rep) {
-        device.launch_elements(cfg, cost, n_elems, [&](std::int64_t i) {
-          dst[i] = src[i] * 2.0f + 1.0f;
-        });
+        device.launch_kernel<MaddKernel>(cfg, cost, n_elems, {src, dst});
       }
     };
     run(reps / 10 + 1);            // warmup

@@ -177,10 +177,7 @@ int main(int argc, char** argv) {
 
   SchedulerOptions options;
   options.policy = policy_from_string(args.get_string("policy", "fifo"));
-  // Fallback is the FASTPSO_SERVE_STREAMS-aware default, so the env knob
-  // works here too; --streams still wins when given.
-  options.streams =
-      static_cast<int>(args.get_int("streams", default_stream_count()));
+  options.streams = static_cast<int>(args.get_int("streams", 4));
   options.max_active = static_cast<int>(args.get_int("max-active", 32));
   options.use_graphs = !args.get_bool("no-graphs", false);
   options.batching = !args.get_bool("no-batching", false);

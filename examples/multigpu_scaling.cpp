@@ -10,7 +10,7 @@
 
 #include "common/cli.h"
 #include "common/table.h"
-#include "core/multi_gpu.h"
+#include "core/multi_device.h"
 #include "core/optimizer.h"
 #include "problems/problem.h"
 
@@ -37,11 +37,11 @@ int main(int argc, char** argv) {
   for (auto strategy : {core::MultiGpuStrategy::kTileMatrix,
                         core::MultiGpuStrategy::kParticleSplit}) {
     for (int devices : {1, 2, 4}) {
-      core::MultiGpuParams params;
+      core::MultiDeviceParams params;
       params.pso = pso;
       params.devices = devices;
       params.strategy = strategy;
-      core::MultiGpuOptimizer optimizer(params);
+      core::MultiDeviceOptimizer optimizer(params);
       const core::Result result = optimizer.optimize(objective);
 
       std::string per_device;

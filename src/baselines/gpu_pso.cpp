@@ -29,6 +29,7 @@
 
 #include "baselines/baselines.h"
 #include "common/stopwatch.h"
+#include "core/kernels_registry.h"
 #include "core/swarm_update.h"
 #include "rng/philox.h"
 #include "vgpu/buffer.h"
@@ -39,6 +40,87 @@ namespace fastpso::baselines {
 namespace {
 
 constexpr int kBlock = 256;
+
+// gpu-pso's per-particle element kernels (core/kernels_registry.h
+// contract: a by-value Args and a per-element body; the gbest row copy is
+// core's GbestCopyKernel). Each index writes only its own row, so
+// launch_kernel may split a launch across host workers.
+
+/// gpu_pso/init: particle i draws its position and velocity rows and
+/// resets its personal best.
+struct InitKernel {
+  struct Args {
+    rng::PhiloxStream rng;
+    float* p;
+    float* v;
+    float* pb;
+    float* pe;
+    int d;
+    float lo;
+    float hi;
+    float v_init;
+  };
+  static void element(const Args& a, std::int64_t i) {
+    const int d = a.d;
+    for (int j = 0; j < d; ++j) {
+      const std::uint64_t e = static_cast<std::uint64_t>(i) * d + j;
+      const auto r = a.rng.uniform_pair_at(e);
+      a.p[i * d + j] = a.lo + (a.hi - a.lo) * r[0];
+      a.v[i * d + j] = -a.v_init + 2.0f * a.v_init * r[1];
+      a.pb[i * d + j] = a.p[i * d + j];
+    }
+    a.pe[i] = std::numeric_limits<float>::infinity();
+  }
+};
+
+/// gpu_pso/pbest: particle i adopts its position row when it improved.
+struct PbestKernel {
+  struct Args {
+    const float* p;
+    float* pb;
+    const float* pe;
+    float* pbe;
+    int d;
+  };
+  static void element(const Args& a, std::int64_t i) {
+    if (a.pe[i] < a.pbe[i]) {
+      a.pbe[i] = a.pe[i];
+      for (int j = 0; j < a.d; ++j) {
+        a.pb[i * a.d + j] = a.p[i * a.d + j];
+      }
+    }
+  }
+};
+
+/// gpu_pso/swarm: particle i walks its d dimensions serially, drawing its
+/// randoms inline.
+struct SwarmKernel {
+  struct Args {
+    rng::PhiloxStream rng;
+    core::UpdateCoefficients coeff;
+    float* p;
+    float* v;
+    const float* pb;
+    const float* gb;
+    int d;
+  };
+  static void element(const Args& a, std::int64_t i) {
+    const core::UpdateCoefficients& k = a.coeff;
+    for (int j = 0; j < a.d; ++j) {
+      const std::int64_t e = i * a.d + j;
+      const auto r = a.rng.uniform_pair_at(static_cast<std::uint64_t>(e));
+      const float r1 = r[0];
+      const float r2 = r[1];
+      float nv = k.omega * a.v[e] + k.c1 * r1 * (a.pb[e] - a.p[e]) +
+                 k.c2 * r2 * (a.gb[j] - a.p[e]);
+      if (k.vmax > 0.0f) {
+        nv = std::clamp(nv, -k.vmax, k.vmax);
+      }
+      a.v[e] = nv;
+      a.p[e] += nv;
+    }
+  }
+};
 
 }  // namespace
 
@@ -86,20 +168,10 @@ core::Result run_gpu_pso(const core::Objective& objective,
     cost.dram_write_bytes = 3.0 * static_cast<double>(elements) *
                             sizeof(float);
     cost.write_amplification = write_amp;
-    float* p = pos.data();
-    float* v = vel.data();
-    float* pb = pbest_pos.data();
-    float* pe = pbest_err.data();
-    device.launch_elements(per_particle, cost, n, [&](std::int64_t i) {
-      for (int j = 0; j < d; ++j) {
-        const std::uint64_t e = static_cast<std::uint64_t>(i) * d + j;
-        const auto r = init_rng.uniform_pair_at(e);
-        p[i * d + j] = lo + (hi - lo) * r[0];
-        v[i * d + j] = -v_init + 2.0f * v_init * r[1];
-        pb[i * d + j] = p[i * d + j];
-      }
-      pe[i] = std::numeric_limits<float>::infinity();
-    });
+    device.launch_kernel<InitKernel>(
+        per_particle, cost, n,
+        {init_rng, pos.data(), vel.data(), pbest_pos.data(), pbest_err.data(),
+         d, lo, hi, v_init});
   }
 
   // Loop-invariant launch setup, hoisted out of the iteration loop: the
@@ -171,18 +243,9 @@ core::Result run_gpu_pso(const core::Objective& objective,
       cost.dram_write_bytes =
           n * sizeof(float) +
           static_cast<double>(improved) * d * sizeof(float);
-      const float* p = pos.data();
-      float* pb = pbest_pos.data();
-      float* pe = perror.data();
-      float* pbe = pbest_err.data();
-      device.launch_elements(per_particle, cost, n, [&](std::int64_t i) {
-        if (pe[i] < pbe[i]) {
-          pbe[i] = pe[i];
-          for (int j = 0; j < d; ++j) {
-            pb[i * d + j] = p[i * d + j];
-          }
-        }
-      });
+      device.launch_kernel<PbestKernel>(
+          per_particle, cost, n,
+          {pos.data(), pbest_pos.data(), perror.data(), pbest_err.data(), d});
     }
 
     // ---- gbest (parallel reduction + row copy) ------------------------------
@@ -194,12 +257,9 @@ core::Result run_gpu_pso(const core::Objective& objective,
       if (best.value < gbest) {
         gbest = best.value;
         vgpu::prof::KernelLabel label("gpu_pso/gbest_copy");
-        const float* src = pbest_pos.data() + best.index * d;
-        float* dst = gbest_pos.data();
-        device.launch_elements(gbest_cfg, gbest_cost, d,
-                               [&](std::int64_t j) {
-          dst[j] = src[j];
-        });
+        device.launch_kernel<core::kernels::GbestCopyKernel>(
+            gbest_cfg, gbest_cost, d,
+            {pbest_pos.data() + best.index * d, gbest_pos.data()});
       }
     }
 
@@ -211,29 +271,10 @@ core::Result run_gpu_pso(const core::Objective& objective,
       const rng::PhiloxStream iter_rng(
           params.seed + 0x517CC1B7u,
           2 + static_cast<std::uint64_t>(iter));
-      const core::UpdateCoefficients it_coeff =
-          core::coefficients_for_iter(coeff, params, iter);
-      float* p = pos.data();
-      float* v = vel.data();
-      const float* pb = pbest_pos.data();
-      const float* gb = gbest_pos.data();
-      device.launch_elements(per_particle, swarm_cost, n,
-                             [&](std::int64_t i) {
-        for (int j = 0; j < d; ++j) {
-          const std::int64_t e = i * d + j;
-          const auto r = iter_rng.uniform_pair_at(static_cast<std::uint64_t>(e));
-          const float r1 = r[0];
-          const float r2 = r[1];
-          float nv = it_coeff.omega * v[e] +
-                     it_coeff.c1 * r1 * (pb[e] - p[e]) +
-                     it_coeff.c2 * r2 * (gb[j] - p[e]);
-          if (it_coeff.vmax > 0.0f) {
-            nv = std::clamp(nv, -it_coeff.vmax, it_coeff.vmax);
-          }
-          v[e] = nv;
-          p[e] += nv;
-        }
-      });
+      device.launch_kernel<SwarmKernel>(
+          per_particle, swarm_cost, n,
+          {iter_rng, core::coefficients_for_iter(coeff, params, iter),
+           pos.data(), vel.data(), pbest_pos.data(), gbest_pos.data(), d});
     }
   }
 

@@ -46,9 +46,8 @@ void generate_weights(vgpu::Device& device, const LaunchPolicy& policy,
 // [begin*d, (begin+count)*d) of the whole-swarm fills: the same seed, the
 // same stream, the element's global index as the Philox counter. Sharded
 // randoms are therefore bitwise-equal to the corresponding slice of a
-// single-device run for any shard layout — the invariance both multi-GPU
-// paths (core/multi_gpu.h, core/multi_device.h) and their differential
-// tests rest on.
+// single-device run for any shard layout — the invariance tile-matrix
+// sharding (core/multi_device.h) and its differential tests rest on.
 
 /// Writes global elements [offset, offset+count) of the logical array
 /// drawn from `stream` into out[0, count). Shards may start mid-Philox

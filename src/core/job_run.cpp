@@ -25,18 +25,9 @@ JobRun::JobRun(vgpu::Device& device, const PsoParams& params,
       // ---- Step (i): allocation + initialization ------------------------
       state_(make_state(device, params.particles, params.dim)),
       stop_(params) {
-  FASTPSO_CHECK_MSG(params_.particles > 0, "need at least one particle");
-  FASTPSO_CHECK_MSG(params_.dim > 0, "dimension must be positive");
-  FASTPSO_CHECK_MSG(params_.max_iter > 0, "need at least one iteration");
+  params_.validate();
   FASTPSO_CHECK_MSG(params_.synchronization == Synchronization::kSynchronous,
                     "JobRun drives the synchronous pipeline only");
-  if (params_.topology == Topology::kRing) {
-    FASTPSO_CHECK_MSG(params_.technique == UpdateTechnique::kGlobalMemory,
-                      "ring topology requires the global-memory technique");
-    FASTPSO_CHECK_MSG(params_.ring_neighbors >= 1 &&
-                          2 * params_.ring_neighbors + 1 <= params_.particles,
-                      "invalid ring neighborhood");
-  }
   FASTPSO_CHECK_MSG(static_cast<bool>(objective_.fn),
                     "objective has no evaluation function");
   FASTPSO_CHECK_MSG(objective_.upper > objective_.lower,

@@ -97,8 +97,8 @@ struct FillUniformKernel {
 /// overlapping the slice (blocks may straddle shard boundaries — only
 /// in-range lanes are written). The produced bits equal the corresponding
 /// slice of a whole-array fill with the same seed/stream for ANY shard
-/// layout, which is what makes sharded runs (core/multi_gpu.h,
-/// core/multi_device.h) bitwise-identical to single-device runs.
+/// layout, which is what makes sharded runs (core/multi_device.h)
+/// bitwise-identical to single-device runs.
 struct FillUniformSliceKernel {
   struct Args {
     rng::PhiloxStream rng;

@@ -40,9 +40,9 @@ struct Shard {
   int begin = 0;  ///< first owned particle row (global index)
 };
 
-/// Rows assigned to shard k of `devices` over n particles (same contiguous
-/// ascending layout as the legacy optimizer — the tie-break equivalence
-/// with the single-device argmin depends on it).
+/// Rows assigned to shard k of `devices` over n particles: contiguous and
+/// ascending, which the tile-matrix tie-break equivalence with the
+/// single-device argmin depends on.
 std::pair<int, int> shard_rows(int n, int devices, int k) {
   const int base = n / devices;
   const int extra = n % devices;
@@ -64,13 +64,37 @@ vgpu::KernelCostSpec eval_cost_for(const Objective& objective, int count,
 
 }  // namespace
 
+const char* to_string(MultiGpuStrategy strategy) {
+  switch (strategy) {
+    case MultiGpuStrategy::kParticleSplit:
+      return "particle-split";
+    case MultiGpuStrategy::kTileMatrix:
+      return "tile-matrix";
+  }
+  FASTPSO_UNREACHABLE("unknown multi-GPU strategy");
+}
+
 MultiDeviceOptimizer::MultiDeviceOptimizer(MultiDeviceParams params,
                                            vgpu::GpuSpec spec)
     : params_(std::move(params)), spec_(std::move(spec)) {
+  const PsoParams& pso = params_.pso;
+  pso.validate();
   FASTPSO_CHECK_MSG(params_.devices >= 1, "need at least one device");
-  FASTPSO_CHECK_MSG(params_.pso.particles >= params_.devices,
+  FASTPSO_CHECK_MSG(pso.particles >= params_.devices,
                     "fewer particles than devices");
   FASTPSO_CHECK_MSG(params_.sync_interval >= 1, "sync interval must be >= 1");
+  FASTPSO_CHECK_MSG(pso.topology == Topology::kGlobal,
+                    "multi-device runs support topology=global only");
+  FASTPSO_CHECK_MSG(pso.synchronization == Synchronization::kSynchronous,
+                    "multi-device runs support synchronization=sync only");
+  FASTPSO_CHECK_MSG(!pso.overlap_init,
+                    "multi-device runs do not support overlap_init");
+  FASTPSO_CHECK_MSG(
+      pso.target_value == -std::numeric_limits<double>::infinity(),
+      "multi-device runs do not support early stop (target_value)");
+  FASTPSO_CHECK_MSG(
+      pso.stall_patience <= 0,
+      "multi-device runs do not support early stop (stall_patience)");
 }
 
 Result MultiDeviceOptimizer::optimize(const Objective& objective) {
@@ -109,9 +133,8 @@ Result MultiDeviceOptimizer::optimize(const Objective& objective) {
   }
   collectives_ = comm_->records();
   result.modeled_seconds = max_device;
-  // The tentpole invariant: collective time lives inside the per-device
-  // comm streams, so the run's modeled time IS the slowest device — no
-  // separate exchange term (the legacy optimizer's max + exchange split).
+  // Collective time lives inside the per-device comm streams, so the run's
+  // modeled time IS the slowest device — no separate exchange term.
   FASTPSO_CHECK(!device_seconds_.empty() &&
                 result.modeled_seconds ==
                     *std::max_element(device_seconds_.begin(),
@@ -217,11 +240,11 @@ Result MultiDeviceOptimizer::optimize_tile_matrix(const Objective& objective) {
 
 Result MultiDeviceOptimizer::optimize_particle_split(
     const Objective& objective) {
-  // Sub-swarm semantics preserved from the legacy optimizer bit for bit:
-  // per-shard seeds, local global bests, and the guarded adopt at each
-  // exchange (a rank whose local best ties the group best keeps its own
-  // position — a plain broadcast would overwrite it, so the exchange's
-  // data plane runs here and only its cost goes through the communicator).
+  // Sub-swarm semantics: per-shard seeds, local global bests, and the
+  // guarded adopt at each exchange (a rank whose local best ties the group
+  // best keeps its own position — a plain broadcast would overwrite it, so
+  // the exchange's data plane runs here and only its cost goes through the
+  // communicator).
   const PsoParams& pso = params_.pso;
   const int n = pso.particles;
   const int d = pso.dim;
@@ -305,7 +328,7 @@ Result MultiDeviceOptimizer::optimize_particle_split(
                                 comm::broadcast_cost(devices, d * 4.0));
     }
     // Observational trajectory: the best value any shard holds after this
-    // iteration (pure reporting; matches the legacy optimizer exactly).
+    // iteration (pure reporting).
     float best_seen = group_best;
     for (auto& shard : shards) {
       best_seen = std::min(best_seen, shard->state.gbest_err);

@@ -1,31 +1,33 @@
-// Multi-device FastPSO on the modern stack (paper Section 3.5 rebuilt over
-// vgpu/comm, DESIGN.md §12).
+// Multi-device FastPSO (paper Section 3.5, "Supporting multiple GPUs"),
+// built over vgpu/comm (DESIGN.md §12).
 //
-// The legacy MultiGpuOptimizer (core/multi_gpu.h) exchanges the global best
-// through modeled host transfers and runs every shard serially on a single
-// timeline per device. This optimizer keeps the paper's two strategies but
-// re-expresses them on the full modern stack:
+// The shards live in a comm::DeviceGroup and exchange through an
+// NCCL-style modeled collective layer (ring allreduce of the (err, rank)
+// pair + ring broadcast of the winning gbest row). Collectives run on a
+// dedicated per-device comm stream, so the gbest-independent work of the
+// next step (the L/G weight fills) overlaps the exchange on stream 0 —
+// visible as parallel lanes in the per-device Chrome traces.
 //
-//   - the shards live in a comm::DeviceGroup and exchange through an
-//     NCCL-style modeled collective layer (ring allreduce of the (err, rank)
-//     pair + ring broadcast of the winning gbest row) instead of staged
-//     host copies;
-//   - collectives run on a dedicated per-device comm stream, so the
-//     gbest-independent work of the next step (the L/G weight fills)
-//     overlaps the exchange on stream 0 — visible as parallel lanes in the
-//     per-device Chrome traces.
+// The paper's two strategies, with semantics pinned by
+// tests/test_multi_gpu.cpp:
+//   kTileMatrix    the state matrices are sharded by rows and the gbest
+//                  reduction completes across devices every iteration.
+//                  Bitwise-identical to single-device FastPSO (gbest
+//                  value, position, history) for any device count: all
+//                  randoms come from the global element index space
+//                  (core/init.h slice fills) and the rank-ordered
+//                  collective reduction reproduces the global argmin
+//                  tie-break (lowest particle index wins).
+//   kParticleSplit each device runs an independent sub-swarm with its own
+//                  seed and local global best; the group best is exchanged
+//                  every sync_interval iterations (the paper's asynchronous
+//                  update, rendered deterministic) and adopted only by
+//                  ranks it beats. On one device it equals single-device
+//                  FastPSO bit for bit; on more, literal pins hold its
+//                  trajectory.
 //
-// Semantics are pinned by tests/test_multi_gpu.cpp:
-//   kTileMatrix    bitwise-identical to the legacy optimizer AND to
-//                  single-device FastPSO (gbest value, position, history)
-//                  for any device count — all randoms come from the global
-//                  element index space (core/init.h slice fills) and the
-//                  rank-ordered collective reduction reproduces the global
-//                  argmin tie-break (lowest particle index wins).
-//   kParticleSplit bitwise-identical to the legacy optimizer at equal
-//                  sync_interval (per-shard seeds and the guarded adopt are
-//                  preserved exactly; only the modeled exchange cost
-//                  changes).
+// Only the synchronous gbest pipeline is sharded: the constructor rejects
+// the ring topology, asynchronous updates, overlap_init and early stopping.
 //
 // Modeled time: collectives advance the per-device comm streams, so
 // Result::modeled_seconds == max over devices of device_seconds() — there
@@ -35,13 +37,19 @@
 #include <memory>
 #include <vector>
 
-#include "core/multi_gpu.h"
 #include "core/objective.h"
 #include "core/params.h"
 #include "core/result.h"
 #include "vgpu/comm/comm.h"
 
 namespace fastpso::core {
+
+enum class MultiGpuStrategy {
+  kParticleSplit,
+  kTileMatrix,
+};
+
+const char* to_string(MultiGpuStrategy strategy);
 
 struct MultiDeviceParams {
   PsoParams pso;

@@ -42,16 +42,7 @@ Objective objective_from_problem(const problems::Problem& problem, int dim) {
 
 Optimizer::Optimizer(vgpu::Device& device, PsoParams params)
     : device_(device), params_(params), policy_(device.spec()) {
-  FASTPSO_CHECK_MSG(params_.particles > 0, "need at least one particle");
-  FASTPSO_CHECK_MSG(params_.dim > 0, "dimension must be positive");
-  FASTPSO_CHECK_MSG(params_.max_iter > 0, "need at least one iteration");
-  if (params_.topology == Topology::kRing) {
-    FASTPSO_CHECK_MSG(params_.technique == UpdateTechnique::kGlobalMemory,
-                      "ring topology requires the global-memory technique");
-    FASTPSO_CHECK_MSG(params_.ring_neighbors >= 1 &&
-                          2 * params_.ring_neighbors + 1 <= params_.particles,
-                      "invalid ring neighborhood");
-  }
+  params_.validate();
 }
 
 Result Optimizer::optimize(const Objective& objective) {

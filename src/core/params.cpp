@@ -36,4 +36,17 @@ const char* to_string(Synchronization synchronization) {
   FASTPSO_UNREACHABLE("unknown synchronization");
 }
 
+void PsoParams::validate() const {
+  FASTPSO_CHECK_MSG(particles > 0, "need at least one particle");
+  FASTPSO_CHECK_MSG(dim > 0, "dimension must be positive");
+  FASTPSO_CHECK_MSG(max_iter > 0, "need at least one iteration");
+  if (topology == Topology::kRing) {
+    FASTPSO_CHECK_MSG(technique == UpdateTechnique::kGlobalMemory,
+                      "ring topology requires the global-memory technique");
+    FASTPSO_CHECK_MSG(
+        ring_neighbors >= 1 && 2 * ring_neighbors + 1 <= particles,
+        "invalid ring neighborhood");
+  }
+}
+
 }  // namespace fastpso::core

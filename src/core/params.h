@@ -106,6 +106,12 @@ struct PsoParams {
   /// per-iteration random-weight matrices are re-allocated from the device
   /// every iteration (models cudaMalloc/cudaFree churn).
   bool memory_caching = true;
+
+  /// Throws CheckError unless particles, dim and max_iter are positive and
+  /// a kRing topology has the global-memory technique and a neighbourhood
+  /// that fits the swarm. Optimizer, JobRun, serve::Scheduler::submit and
+  /// MultiDeviceOptimizer call it before adding their own restrictions.
+  void validate() const;
 };
 
 }  // namespace fastpso::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "common/check.h"
@@ -32,17 +31,6 @@ Policy policy_from_string(const std::string& name) {
     return Policy::kFair;
   }
   FASTPSO_CHECK_MSG(false, "unknown admission policy: " + name);
-}
-
-int default_stream_count() {
-  const char* env = std::getenv("FASTPSO_SERVE_STREAMS");
-  if (env != nullptr && env[0] != '\0') {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1 && parsed <= 64) {
-      return static_cast<int>(parsed);
-    }
-  }
-  return 4;
 }
 
 Scheduler::Scheduler(vgpu::Device& device, SchedulerOptions options)
@@ -78,8 +66,7 @@ Scheduler::~Scheduler() {
 
 int Scheduler::submit(JobSpec spec) {
   const core::PsoParams& p = spec.params;
-  FASTPSO_CHECK_MSG(p.particles > 0 && p.dim > 0 && p.max_iter > 0,
-                    "job needs positive particles, dim and max_iter");
+  p.validate();
   FASTPSO_CHECK_MSG(
       p.synchronization == core::Synchronization::kSynchronous,
       "serve schedules the synchronous pipeline only");
@@ -87,13 +74,6 @@ int Scheduler::submit(JobSpec spec) {
                     "overlap_init is not schedulable: a served job owns "
                     "exactly one stream (the scheduler provides the "
                     "cross-job overlap instead)");
-  if (p.topology == core::Topology::kRing) {
-    FASTPSO_CHECK_MSG(p.technique == core::UpdateTechnique::kGlobalMemory,
-                      "ring topology requires the global-memory technique");
-    FASTPSO_CHECK_MSG(p.ring_neighbors >= 1 &&
-                          2 * p.ring_neighbors + 1 <= p.particles,
-                      "invalid ring neighborhood");
-  }
   FASTPSO_CHECK_MSG(
       std::isfinite(spec.arrival_seconds) && spec.arrival_seconds >= 0.0,
       "job arrival time must be finite and non-negative");

@@ -68,14 +68,10 @@ enum class Policy : std::uint8_t {
 /// Parses "fifo" / "priority" / "fair"; throws CheckError otherwise.
 [[nodiscard]] Policy policy_from_string(const std::string& name);
 
-/// Stream-pool width: FASTPSO_SERVE_STREAMS when set (clamped to [1, 64]),
-/// else 4.
-[[nodiscard]] int default_stream_count();
-
 struct SchedulerOptions {
   Policy policy = Policy::kFifo;
   /// Streams jobs are spread over (round-robin; jobs may share a stream).
-  int streams = default_stream_count();
+  int streams = 4;
   /// Concurrency cap: jobs admitted (holding device memory) at once.
   int max_active = 16;
   /// Shape-keyed graph capture/replay across jobs (serve::GraphCache).

@@ -322,7 +322,7 @@ bool Device::graph_account(const LaunchConfig& cfg,
     replay_exec_->note_member(*replay_session_, node->fuse_group, cost,
                               seconds);
   }
-  // Deferral key for launch_elements (vgpu/pack.h).
+  // Deferral key for pack_offer_range (vgpu/pack.h).
   last_replay_node_ = index;
   last_replay_seconds_ = seconds;
   return true;

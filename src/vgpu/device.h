@@ -45,11 +45,12 @@ struct Profile;  // vgpu/prof/prof.h
 }
 
 /// Host-side fast-path toggle (default on). When enabled and no sanitizer
-/// Session is recording, Device::launch_elements dispatches one flat index
-/// loop instead of materialising every virtual thread, and launch_blocks
-/// reuses a per-device shared-memory arena. Accounting (counters, cost
-/// specs, modeled seconds) is identical on both paths; only host wall-clock
-/// changes. Tests flip this off to drive the faithful per-thread engine.
+/// Session is recording, Device::launch_kernel runs its kernel's span over
+/// the element range instead of materialising every virtual thread, and
+/// launch_blocks reuses a per-device shared-memory arena. Accounting
+/// (counters, cost specs, modeled seconds) is identical on both paths; only
+/// host wall-clock changes. Tests flip this off to drive the faithful
+/// per-thread engine.
 [[nodiscard]] bool fast_path_enabled();
 void set_fast_path_enabled(bool enabled);
 
@@ -330,7 +331,7 @@ class Device {
     return graph_mode_ == GraphMode::kCapturing;
   }
   /// Notes the element domain of the node just captured (no-op unless
-  /// capturing). launch_elements and launch_kernel do this automatically;
+  /// capturing). launch_kernel does this automatically;
   /// dispatchers that pair account_launch with their own execution, and
   /// call sites whose faithful branch launches a tracked per-thread body,
   /// call it directly.
@@ -419,15 +420,16 @@ class Device {
   /// Launches a registered kernel K over elements [0, n_elems). K follows
   /// the core/kernels_registry.h contract: a by-value `Args` pack, the
   /// reference `element(args, i)` and optionally a cheaper
-  /// `span(args, begin, end)`. Accounting is launch_elements'. On the fast
-  /// path the body is run_span<K> — K's span when it defines one — run
-  /// inline, or offered as a range span to an attached pack sink for a
-  /// replay-matched launch. The inline run splits [0, n_elems) across host
-  /// workers (vgpu/parallel.h) once it reaches 2 * kHostGrain elements;
-  /// every registered span takes arbitrary sub-ranges, so the bits do not
-  /// depend on the split. While capturing, the node records K's element
-  /// domain. Off the fast path K::element runs through the faithful
-  /// per-thread grid-stride engine.
+  /// `span(args, begin, end)`. Both paths account through account_launch.
+  /// On the fast path the body is run_span<K> — K's span when it defines
+  /// one — run inline, or offered as a range span to an attached pack sink
+  /// for a replay-matched launch. The inline run splits [0, n_elems) across
+  /// host workers (vgpu/parallel.h) once it reaches 2 * kHostGrain
+  /// elements; every registered span takes arbitrary sub-ranges, so the
+  /// bits do not depend on the split. While capturing, the node records K's
+  /// element domain. Off the fast path K::element runs through the
+  /// faithful per-thread grid-stride engine. K::element must be
+  /// order-independent across elements: each index owns its own outputs.
   template <typename K>
   void launch_kernel(const LaunchConfig& cfg, const KernelCostSpec& cost,
                      std::int64_t n_elems, const typename K::Args& args) {
@@ -458,57 +460,6 @@ class Device {
                    [&args](std::int64_t b, std::int64_t e) {
                      run_span<K>(args, b, e);
                    });
-    });
-  }
-
-  /// Launches an element-wise kernel over `[0, n_elems)`. On the fast path
-  /// (no sanitizer Session, toggle on) this runs one flat index loop —
-  /// identical accounting, identical element visit-set, no ThreadCtx per
-  /// virtual thread. Otherwise it falls back to the faithful per-thread
-  /// grid-stride execution so sanitizer traces are unchanged. Bodies must
-  /// be order-independent across elements (true of every element-wise
-  /// kernel: each index owns its own outputs).
-  template <typename Body>
-  void launch_elements(const LaunchConfig& cfg, const KernelCostSpec& cost,
-                       std::int64_t n_elems, Body&& body) {
-    if (!use_fast_path()) [[unlikely]] {
-      launch(cfg, cost, [&](const ThreadCtx& t) {
-        for (std::int64_t i = t.global_id(); i < n_elems;
-             i += t.grid_stride()) {
-          body(i);
-        }
-      });
-      if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
-        graph_note_elements(n_elems);
-      }
-      return;
-    }
-    account_launch(cfg, cost);
-    if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
-      graph_note_elements(n_elems);
-    }
-    if (pack_sink_ != nullptr) [[unlikely]] {
-      // A replay-matched launch was fully accounted above; hand its body to
-      // the packing engine and run it inside the cohort dispatch instead.
-      // Declined offers (unmatched launch, oversized body) flush the lane
-      // and run inline so per-job data ordering holds.
-      if constexpr (PackSpan::admissible<std::decay_t<Body>>) {
-        if (last_replay_node_ >= 0) {
-          PackSpan span;
-          span.bind(body);
-          if (pack_sink_->offer(last_replay_node_, n_elems, cost,
-                                last_replay_seconds_, span)) {
-            pack_defer_stream_time();
-            return;
-          }
-        }
-      }
-      pack_sink_->flush_lane();
-    }
-    run_timed([&] {
-      for (std::int64_t i = 0; i < n_elems; ++i) {
-        body(i);
-      }
     });
   }
 
@@ -635,7 +586,7 @@ class Device {
 
   /// Cross-job packing state (vgpu/pack.h). last_replay_node_ is the node
   /// index the most recent account_launch matched during replay (-1
-  /// otherwise) — the deferral key launch_elements offers to the sink.
+  /// otherwise) — the deferral key pack_offer_range offers to the sink.
   PackSink* pack_sink_ = nullptr;
   int last_replay_node_ = -1;
   double last_replay_seconds_ = 0;

@@ -116,7 +116,7 @@ struct Node {
   const void* src = nullptr;
   double bytes = 0;        ///< memcpy nodes only
   /// Element domain of an element-wise launch (-1: not element-wise; such
-  /// nodes are never fused). Noted automatically by launch_elements while
+  /// nodes are never fused). Noted automatically by launch_kernel while
   /// capturing, or explicitly via Device::graph_note_elements.
   std::int64_t elems = -1;
   /// Declared per-node buffer footprint (graph_note_uses). Nodes without a

@@ -5,9 +5,9 @@
 // job still executed its own launches. These hooks are the execution half of
 // making that real (DESIGN.md §10, the Warp-Level Parallelism scheme from
 // PAPERS.md): while a PackSink is attached and a graph replay is open,
-// Device::launch_elements / launch_kernel offer each *matched* element
-// launch's body to the sink as a span closure instead of running it
-// inline. The sink (one lane per job) later executes a whole same-shape
+// Device::launch_kernel and core::evaluate_positions offer each *matched*
+// element launch's body to the sink as a range closure instead of running
+// it inline. The sink (one lane per job) later executes a whole same-shape
 // cohort's spans through one Device::packed_dispatch with grid = k x
 // per-job blocks.
 //
@@ -32,38 +32,25 @@ namespace fastpso::vgpu {
 /// A stored element-range closure: invoke(begin, end) runs the deferred
 /// body for elements [begin, end). Inline fixed-capacity storage — packing
 /// defers one span per launch on the serving hot path, so a std::function
-/// heap allocation per launch would hand back much of the win. Bodies must
-/// be trivially copyable/destructible and fit the buffer (admissible<B>);
-/// every fast-path launch body in the repo captures a small by-value
-/// argument struct, which qualifies. Non-admissible bodies simply are not
-/// offered (the launch runs inline, exactly as unpacked).
+/// heap allocation per launch would hand back much of the win. Closures
+/// must be trivially copyable/destructible and fit the buffer
+/// (admissible<F>); every deferrable launch in the repo captures a small
+/// by-value argument struct, which qualifies. Non-admissible closures
+/// simply are not offered (the launch runs inline, exactly as unpacked).
 class PackSpan {
  public:
   static constexpr std::size_t kCapacity = 192;
 
-  template <typename Body>
+  template <typename Fn>
   static constexpr bool admissible =
-      sizeof(Body) <= kCapacity && std::is_trivially_copyable_v<Body> &&
-      std::is_trivially_destructible_v<Body>;
+      sizeof(Fn) <= kCapacity && std::is_trivially_copyable_v<Fn> &&
+      std::is_trivially_destructible_v<Fn>;
 
   PackSpan() = default;
 
-  /// Binds an element body `body(i)`; the span runs it over [begin, end).
-  template <typename Body>
-  void bind(const Body& body) {
-    static_assert(admissible<Body>, "body does not fit a PackSpan");
-    ::new (static_cast<void*>(storage_)) Body(body);
-    invoke_ = [](const void* storage, std::int64_t begin, std::int64_t end) {
-      const Body& b = *static_cast<const Body*>(
-          static_cast<const void*>(storage));
-      for (std::int64_t i = begin; i < end; ++i) {
-        b(i);
-      }
-    };
-  }
-
-  /// Binds a range closure `fn(begin, end)` that handles its own loop
-  /// (external dispatchers, e.g. the batch objective evaluator).
+  /// Binds a range closure `fn(begin, end)` that runs its own loop over
+  /// the elements (launch_kernel's run_span<K>, the batch objective
+  /// evaluator).
   template <typename Fn>
   void bind_range(const Fn& fn) {
     static_assert(admissible<Fn>, "range closure does not fit a PackSpan");

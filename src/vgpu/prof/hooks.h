@@ -34,7 +34,7 @@ void set_enabled(bool enabled);
 bool env_enabled();
 
 /// Event taxonomy: what a profile record describes. kKernel covers every
-/// Device::launch / launch_elements / launch_blocks / account_launch;
+/// Device::launch / launch_kernel / launch_blocks / account_launch;
 /// kHost covers modeled host seconds folded into the device timeline;
 /// kComm covers one device's share of a modeled collective
 /// (Device::account_comm, issued by comm::Communicator).

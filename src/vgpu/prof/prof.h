@@ -4,7 +4,7 @@
 // times, memory traffic, occupancy); this layer makes the same attribution a
 // first-class output of the engine instead of bench-local bookkeeping. While
 // profiling is enabled (FASTPSO_PROF=1 or prof::set_enabled(true)) every
-// Device::launch / launch_elements / launch_blocks / account_launch, every
+// Device::launch / launch_kernel / launch_blocks / account_launch, every
 // memcpy, every allocation and every modeled host region appends one Event
 // to the owning Device's timeline:
 //

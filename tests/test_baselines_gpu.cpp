@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "baselines/baselines.h"
+#include "bit_digest.h"
 #include "core/optimizer.h"
 #include "problems/problem.h"
 #include "vgpu/device.h"
@@ -34,13 +38,42 @@ TEST(GpuPso, ConvergesOnSphere) {
 }
 
 TEST(GpuPso, DeterministicForSeed) {
-  core::Result results[2];
-  for (auto& result : results) {
-    vgpu::Device device;
-    result = run_gpu_pso(make("sphere", 8), small_params(100, 8, 50),
-                         device);
+  // Reruns agree, and each cell matches literals: the gbest value's bits,
+  // an FNV-1a-64 digest of the position bits, the modeled seconds and the
+  // launch count. The literals hold on the fast path, on the faithful
+  // engine (FASTPSO_FAST_PATH=0, FASTPSO_SAN=1), on one host worker and
+  // with glibc's AVX/FMA variants masked.
+  struct Pin {
+    const char* problem;
+    int n;
+    int d;
+    int iters;
+    std::uint64_t gbest_bits;
+    std::uint64_t position_digest;
+    double modeled_seconds;
+    std::uint64_t launches;
+  };
+  static constexpr Pin kPins[] = {
+      {"sphere", 100, 8, 50, 0x3fa9d72360000000ull, 0x7f42f648d5fe7c54ull,
+       0x1.7e9be9a8980f8p-10, 269},
+      {"griewank", 64, 33, 40, 0x40481c0400000000ull, 0xe752f59a142aa62bull,
+       0x1.871ee2d84209cp-10, 221},
+  };
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(pin.problem);
+    core::Result results[2];
+    for (auto& result : results) {
+      vgpu::Device device;
+      result = run_gpu_pso(make(pin.problem, pin.d),
+                           small_params(pin.n, pin.d, pin.iters), device);
+    }
+    EXPECT_EQ(results[0].gbest_value, results[1].gbest_value);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(results[0].gbest_value),
+              pin.gbest_bits);
+    EXPECT_EQ(fnv1a_bits(results[0].gbest_position), pin.position_digest);
+    EXPECT_EQ(results[0].modeled_seconds, pin.modeled_seconds);
+    EXPECT_EQ(results[0].counters.launches, pin.launches);
   }
-  EXPECT_EQ(results[0].gbest_value, results[1].gbest_value);
 }
 
 TEST(GpuPso, UncoalescedTrafficAmplified) {

@@ -246,6 +246,11 @@ TEST(SwarmUpdate, PositionClampHolds) {
   LaunchPolicy policy(device.spec());
   SwarmState state(device, 100, 8);
   initialize_swarm(device, policy, state, 31, -1.0f, 1.0f, 10.0f);
+  // swarm_update reads gbest_pos, which only update_gbest writes; left
+  // uninitialized it can hold NaN, which no clamp removes.
+  for (int j = 0; j < state.d; ++j) {
+    state.gbest_pos[j] = 0.0f;
+  }
   vgpu::DeviceArray<float> l_mat(device, state.elements());
   vgpu::DeviceArray<float> g_mat(device, state.elements());
   generate_weights(device, policy, state.elements(), 31, 0, l_mat, g_mat);

@@ -1,7 +1,7 @@
 // Fast path vs. legacy per-thread path equivalence (DESIGN.md §1).
 //
-// The host execution fast path (Device::launch_elements' flat index loop,
-// batched objective evaluation) is a pure host-speed optimization: it must
+// The host execution fast path (Device::launch_kernel's span loop, batched
+// objective evaluation) is a pure host-speed optimization: it must
 // change no result bit, no counter, and no modeled second. This suite pins
 // that contract:
 //

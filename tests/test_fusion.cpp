@@ -678,27 +678,46 @@ TEST(Fusion, FootprintsInconsistencyIsDiagnosed) {
 
 // ---- pricing: exact paired-replay credits --------------------------------
 
-/// Launches a three-kernel chain: a[i] = 2i, b[i] = a[i] + 1, b[i] *= 3 —
-/// all aligned, all fusible into one group. The footprints only land on
-/// the nodes of a capture.
+/// The chain's three element kernels: a[i] = 2i, b[i] = a[i] + 1, b[i] *= 3.
+struct RampKernel {
+  struct Args {
+    float* a;
+  };
+  static void element(const Args& k, std::int64_t i) {
+    k.a[i] = static_cast<float>(i) * 2.0f;
+  }
+};
+struct AddOneKernel {
+  struct Args {
+    const float* a;
+    float* b;
+  };
+  static void element(const Args& k, std::int64_t i) { k.b[i] = k.a[i] + 1.0f; }
+};
+struct TripleKernel {
+  struct Args {
+    float* b;
+  };
+  static void element(const Args& k, std::int64_t i) { k.b[i] *= 3.0f; }
+};
+
+/// Launches the three-kernel chain — all aligned, all fusible into one
+/// group. The footprints only land on the nodes of a capture.
 void launch_chain(vgpu::Device& device, float* pa, float* pb,
                   std::int64_t n) {
   vgpu::LaunchConfig cfg;
   cfg.grid = 1;
   cfg.block = 64;
-  device.launch_elements(cfg, cost_rw(static_cast<double>(n), 0, n * kFloat),
-                         n, [pa](std::int64_t i) {
-    pa[i] = static_cast<float>(i) * 2.0f;
-  });
+  device.launch_kernel<RampKernel>(
+      cfg, cost_rw(static_cast<double>(n), 0, n * kFloat), n, {pa});
   device.graph_note_uses({scalar_use(pa, n, true, "a")});
-  device.launch_elements(
+  device.launch_kernel<AddOneKernel>(
       cfg, cost_rw(static_cast<double>(n), n * kFloat, n * kFloat), n,
-      [pa, pb](std::int64_t i) { pb[i] = pa[i] + 1.0f; });
+      {pa, pb});
   device.graph_note_uses({scalar_use(pa, n, false, "a"),
                           scalar_use(pb, n, true, "b")});
-  device.launch_elements(
-      cfg, cost_rw(static_cast<double>(n), n * kFloat, n * kFloat), n,
-      [pb](std::int64_t i) { pb[i] *= 3.0f; });
+  device.launch_kernel<TripleKernel>(
+      cfg, cost_rw(static_cast<double>(n), n * kFloat, n * kFloat), n, {pb});
   device.graph_note_uses({scalar_use(pb, n, false, "b"),
                           scalar_use(pb, n, true, "b")});
 }

@@ -8,7 +8,7 @@
 #include <ostream>
 
 #include "benchkit/runner.h"
-#include "core/multi_gpu.h"
+#include "core/multi_device.h"
 #include "core/optimizer.h"
 #include "problems/problem.h"
 #include "vgpu/device.h"
@@ -142,10 +142,10 @@ TEST(Integration, SingleAndMultiDeviceFindComparableOptima) {
   core::Optimizer single(device, pso);
   const core::Result rs = single.optimize(objective);
 
-  core::MultiGpuParams multi;
+  core::MultiDeviceParams multi;
   multi.pso = pso;
   multi.devices = 2;
-  core::MultiGpuOptimizer dual(multi);
+  core::MultiDeviceOptimizer dual(multi);
   const core::Result rm = dual.optimize(objective);
 
   // Both runs should land within the same convergence regime.

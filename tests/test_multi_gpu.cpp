@@ -1,28 +1,28 @@
-// Tests for the multi-GPU strategies (paper Section 3.5) and the
-// cross-device differential suite pinning the modern comm stack
-// (core/multi_device.h) to the legacy optimizer and to single-device
-// FastPSO.
+// Tests for the multi-GPU strategies (paper Section 3.5) on the comm stack
+// (core/multi_device.h), and the cross-device differential suite pinning
+// them to single-device FastPSO and to literal values.
 //
 // The multi-device contract under test:
 //   * kTileMatrix is BITWISE IDENTICAL — gbest value, position, per-
-//     iteration history — to single-device FastPSO for every device count,
-//     on both stacks: all randoms come from the global element index space
-//     and the rank-ordered collective reduction reproduces the global
-//     argmin tie-break.
-//   * kParticleSplit on the modern stack is bitwise identical to the
-//     legacy optimizer at equal sync_interval (per-shard seeds and the
-//     guarded adopt preserved exactly).
-//   * Legacy modeled time composes as max(device_seconds) +
-//     exchange_seconds; modern modeled time is max(device_seconds) with
-//     the collectives inside each device's comm stream.
+//     iteration history — to single-device FastPSO for every device count:
+//     all randoms come from the global element index space and the
+//     rank-ordered collective reduction reproduces the global argmin
+//     tie-break.
+//   * kParticleSplit on one device is bitwise identical to single-device
+//     FastPSO at every sync_interval. Its per-shard seeds make runs on more
+//     devices legitimately different, so those are pinned to literal
+//     digests of their gbest value, history and position.
+//   * Modeled time is max(device_seconds), with the collectives inside
+//     each device's comm stream.
 //
-// The whole suite runs unchanged under FASTPSO_SAN=1 (CI's multi-device
-// equivalence step): the sanitizer only records launches, so every
-// differential still closes.
+// The whole suite runs unchanged under FASTPSO_SAN=1 (CI's widened
+// sanitizer sweep): the sanitizer only records launches, so every
+// differential and every pin still closes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -31,9 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "bit_digest.h"
 #include "common/trace_export.h"
 #include "core/multi_device.h"
-#include "core/multi_gpu.h"
 #include "core/optimizer.h"
 #include "benchkit/runner.h"
 #include "problems/problem.h"
@@ -44,8 +44,8 @@
 namespace fastpso::core {
 namespace {
 
-MultiGpuParams small_multi(int devices, MultiGpuStrategy strategy) {
-  MultiGpuParams params;
+MultiDeviceParams small_multi(int devices, MultiGpuStrategy strategy) {
+  MultiDeviceParams params;
   params.pso.particles = 240;
   params.pso.dim = 8;
   params.pso.max_iter = 250;
@@ -74,23 +74,9 @@ Result single_device_run(const PsoParams& pso, const std::string& problem) {
   return optimizer.optimize(objective_from_problem(*prob, pso.dim));
 }
 
-Result legacy_run(const PsoParams& pso, int devices,
-                  MultiGpuStrategy strategy, const std::string& problem,
-                  int sync_interval = 10) {
-  MultiGpuParams params;
-  params.pso = pso;
-  params.devices = devices;
-  params.strategy = strategy;
-  params.sync_interval = sync_interval;
-  MultiGpuOptimizer optimizer(params);
-  const auto prob = benchkit::make_any_problem(problem);
-  return optimizer.optimize(objective_from_problem(*prob, pso.dim));
-}
-
-Result modern_run(const PsoParams& pso, int devices,
-                  MultiGpuStrategy strategy, const std::string& problem,
-                  int sync_interval = 10,
-                  std::unique_ptr<MultiDeviceOptimizer>* keep = nullptr) {
+Result multi_run(const PsoParams& pso, int devices, MultiGpuStrategy strategy,
+                 const std::string& problem, int sync_interval = 10,
+                 std::unique_ptr<MultiDeviceOptimizer>* keep = nullptr) {
   MultiDeviceParams params;
   params.pso = pso;
   params.devices = devices;
@@ -107,8 +93,8 @@ Result modern_run(const PsoParams& pso, int devices,
 
 /// Bitwise equality of everything two decompositions of the same swarm
 /// must share. Counters and modeled seconds are intentionally excluded:
-/// the stacks price the exchange differently (that difference is the
-/// point of the modern stack), and per-device accounting layouts differ.
+/// a sharded run pays for its collectives and splits its accounting
+/// across devices.
 void expect_same_optimum(const Result& a, const Result& b) {
   EXPECT_EQ(a.gbest_value, b.gbest_value);
   EXPECT_EQ(a.gbest_position, b.gbest_position);
@@ -116,10 +102,40 @@ void expect_same_optimum(const Result& a, const Result& b) {
   EXPECT_EQ(a.iterations, b.iterations);
 }
 
-// ---- legacy behaviour (pre-existing coverage) ----------------------------
+/// A particle-split cell of diff_pso(8): the gbest value's bits and an
+/// FNV-1a-64 digest of the gbest history bits followed by the position
+/// bits. Recorded when a second implementation of the strategy (staged
+/// host exchanges instead of collectives) agreed on every cell; they hold
+/// under FASTPSO_FAST_PATH=0, FASTPSO_SAN=1, one host worker and glibc's
+/// AVX/FMA variants masked.
+struct SplitPin {
+  const char* problem;
+  int devices;
+  int sync_interval;
+  std::uint64_t gbest_bits;
+  std::uint64_t digest;
+};
+
+void expect_matches_pin(const SplitPin& pin) {
+  const PsoParams pso = diff_pso(8);
+  SCOPED_TRACE(std::string(pin.problem) + " devices " +
+               std::to_string(pin.devices) + " sync_interval " +
+               std::to_string(pin.sync_interval));
+  const Result result =
+      multi_run(pso, pin.devices, MultiGpuStrategy::kParticleSplit,
+                pin.problem, pin.sync_interval);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.gbest_value),
+            pin.gbest_bits);
+  EXPECT_EQ(fnv1a_bits(result.gbest_position,
+                       fnv1a_bits(result.gbest_history)),
+            pin.digest);
+  EXPECT_EQ(result.iterations, pso.max_iter);
+}
+
+// ---- strategy behaviour --------------------------------------------------
 
 TEST(MultiGpu, TileMatrixConvergesOnSphere) {
-  MultiGpuOptimizer optimizer(
+  MultiDeviceOptimizer optimizer(
       small_multi(2, MultiGpuStrategy::kTileMatrix));
   const auto problem = problems::make_problem("sphere");
   const Result result =
@@ -128,7 +144,7 @@ TEST(MultiGpu, TileMatrixConvergesOnSphere) {
 }
 
 TEST(MultiGpu, ParticleSplitConvergesOnSphere) {
-  MultiGpuOptimizer optimizer(
+  MultiDeviceOptimizer optimizer(
       small_multi(2, MultiGpuStrategy::kParticleSplit));
   const auto problem = problems::make_problem("sphere");
   const Result result =
@@ -139,7 +155,7 @@ TEST(MultiGpu, ParticleSplitConvergesOnSphere) {
 TEST(MultiGpu, FourDevicesStillConverge) {
   for (auto strategy : {MultiGpuStrategy::kTileMatrix,
                         MultiGpuStrategy::kParticleSplit}) {
-    MultiGpuOptimizer optimizer(small_multi(4, strategy));
+    MultiDeviceOptimizer optimizer(small_multi(4, strategy));
     const auto problem = problems::make_problem("sphere");
     const Result result =
         optimizer.optimize(objective_from_problem(*problem, 8));
@@ -148,7 +164,7 @@ TEST(MultiGpu, FourDevicesStillConverge) {
 }
 
 TEST(MultiGpu, DeviceSecondsReportedPerDevice) {
-  MultiGpuOptimizer optimizer(
+  MultiDeviceOptimizer optimizer(
       small_multi(3, MultiGpuStrategy::kTileMatrix));
   const auto problem = problems::make_problem("sphere");
   const Result result =
@@ -159,7 +175,8 @@ TEST(MultiGpu, DeviceSecondsReportedPerDevice) {
     EXPECT_GT(s, 0.0);
     max_device = std::max(max_device, s);
   }
-  // Concurrent devices: total modeled = max over devices + exchange.
+  // Concurrent devices: the total is the slowest device, well under the
+  // serial sum.
   EXPECT_GE(result.modeled_seconds, max_device);
   double sum = 0;
   for (double s : optimizer.device_seconds()) {
@@ -168,28 +185,10 @@ TEST(MultiGpu, DeviceSecondsReportedPerDevice) {
   EXPECT_LT(result.modeled_seconds, sum);
 }
 
-TEST(MultiGpu, LegacyModeledTimeComposesFromDevicesPlusExchange) {
-  // The legacy invariant, previously asserted nowhere: the reported total
-  // is exactly the slowest device plus the staged exchange time.
-  for (auto strategy : {MultiGpuStrategy::kTileMatrix,
-                        MultiGpuStrategy::kParticleSplit}) {
-    MultiGpuOptimizer optimizer(small_multi(3, strategy));
-    const auto problem = problems::make_problem("rastrigin");
-    const Result result =
-        optimizer.optimize(objective_from_problem(*problem, 8));
-    const double max_device = *std::max_element(
-        optimizer.device_seconds().begin(), optimizer.device_seconds().end());
-    EXPECT_GT(optimizer.exchange_seconds(), 0.0) << to_string(strategy);
-    EXPECT_EQ(result.modeled_seconds,
-              max_device + optimizer.exchange_seconds())
-        << to_string(strategy);
-  }
-}
-
 TEST(MultiGpu, ShardsShareTheSameGbestEachIterationUnderTileMatrix) {
   // Tile-matrix completes the reduction every iteration, so the returned
   // best must beat or match a single-shard run of the same sub-swarm size.
-  MultiGpuOptimizer multi(small_multi(2, MultiGpuStrategy::kTileMatrix));
+  MultiDeviceOptimizer multi(small_multi(2, MultiGpuStrategy::kTileMatrix));
   const auto problem = problems::make_problem("rastrigin");
   const Result result =
       multi.optimize(objective_from_problem(*problem, 8));
@@ -205,28 +204,56 @@ TEST(MultiGpu, ShardsShareTheSameGbestEachIterationUnderTileMatrix) {
 TEST(MultiGpu, SyncIntervalControlsExchange) {
   // With a huge sync interval the particle-split strategy only exchanges
   // at the end; it still returns the best across shards.
-  MultiGpuParams params = small_multi(2, MultiGpuStrategy::kParticleSplit);
+  MultiDeviceParams params = small_multi(2, MultiGpuStrategy::kParticleSplit);
   params.sync_interval = 1000000;
-  MultiGpuOptimizer optimizer(params);
+  MultiDeviceOptimizer optimizer(params);
   const auto problem = problems::make_problem("sphere");
   const Result result =
       optimizer.optimize(objective_from_problem(*problem, 8));
   EXPECT_LT(result.error_to(0.0), 5.0);
 }
 
-TEST(MultiGpu, InvalidConfigsThrow) {
-  MultiGpuParams params = small_multi(0, MultiGpuStrategy::kTileMatrix);
-  EXPECT_THROW(MultiGpuOptimizer{params}, fastpso::CheckError);
-  params = small_multi(2, MultiGpuStrategy::kParticleSplit);
+TEST(MultiDevice, InvalidConfigsThrow) {
+  // One rejected field per case. The device layout rules come first, then
+  // PsoParams::validate(), then the options the sharded pipeline does not
+  // implement (each would otherwise run silently as something else).
+  const MultiDeviceParams base = small_multi(2, MultiGpuStrategy::kTileMatrix);
+  MultiDeviceParams params = base;
+  params.devices = 0;
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  params = base;
   params.pso.particles = 1;
-  EXPECT_THROW(MultiGpuOptimizer{params}, fastpso::CheckError);
-  params = small_multi(2, MultiGpuStrategy::kParticleSplit);
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  params = base;
   params.sync_interval = 0;
-  EXPECT_THROW(MultiGpuOptimizer{params}, fastpso::CheckError);
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  params = base;
+  params.pso.dim = 0;
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  params = base;
+  params.pso.max_iter = 0;
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  params = base;
+  params.pso.topology = Topology::kRing;
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  params = base;
+  params.pso.synchronization = Synchronization::kAsynchronous;
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  params = base;
+  params.pso.overlap_init = true;
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  params = base;
+  params.pso.target_value = 50.0;
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  params = base;
+  params.pso.stall_patience = 5;
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  // The defaults themselves are accepted.
+  EXPECT_NO_THROW(MultiDeviceOptimizer{base});
 }
 
 TEST(MultiGpu, SingleDeviceDegenerateCaseWorks) {
-  MultiGpuOptimizer optimizer(
+  MultiDeviceOptimizer optimizer(
       small_multi(1, MultiGpuStrategy::kTileMatrix));
   const auto problem = problems::make_problem("sphere");
   const Result result =
@@ -244,52 +271,85 @@ TEST(MultiGpu, StrategyNames) {
 // ---- cross-device differential suite -------------------------------------
 
 TEST(MultiDeviceDifferential, TileMatrixMatchesSingleDeviceBitwise) {
-  // The headline identity on BOTH stacks: sharding a tile-matrix swarm
-  // over any device count is invisible in the result — value, position
-  // and the entire per-iteration history.
+  // The headline identity: sharding a tile-matrix swarm over any device
+  // count is invisible in the result — value, position and the entire
+  // per-iteration history.
   const PsoParams pso = diff_pso(8);
   const Result single = single_device_run(pso, "rastrigin");
   for (int devices : {1, 2, 3, 4, 8}) {
     SCOPED_TRACE("devices " + std::to_string(devices));
     expect_same_optimum(
         single,
-        legacy_run(pso, devices, MultiGpuStrategy::kTileMatrix, "rastrigin"));
-    expect_same_optimum(
-        single,
-        modern_run(pso, devices, MultiGpuStrategy::kTileMatrix, "rastrigin"));
+        multi_run(pso, devices, MultiGpuStrategy::kTileMatrix, "rastrigin"));
   }
 }
 
-TEST(MultiDeviceDifferential, NewStackMatchesLegacyOnTable1Problems) {
-  // The full matrix: four evaluation problems x both strategies x device
-  // counts. Particle-split compares at the (shared) default sync_interval;
-  // its per-shard seeds make it legitimately different from single-device,
-  // so the pin is modern == legacy.
+TEST(MultiDeviceDifferential, ParticleSplitOnOneDeviceMatchesSingleDevice) {
+  // One shard is the whole swarm: its seed is the run seed, its local best
+  // is the global best and every exchange adopts nothing, so the result
+  // is the single-device run's at any sync_interval.
+  const PsoParams pso = diff_pso(8);
   for (const std::string problem :
-       {"sphere", "griewank", "easom", "threadconf"}) {
-    const PsoParams pso = diff_pso(8);
-    for (auto strategy : {MultiGpuStrategy::kTileMatrix,
-                          MultiGpuStrategy::kParticleSplit}) {
-      for (int devices : {2, 3, 4, 8}) {
-        SCOPED_TRACE(problem + " " + to_string(strategy) + " devices " +
-                     std::to_string(devices));
-        expect_same_optimum(
-            legacy_run(pso, devices, strategy, problem),
-            modern_run(pso, devices, strategy, problem));
-      }
+       {"sphere", "griewank", "easom", "threadconf", "rastrigin"}) {
+    const Result single = single_device_run(pso, problem);
+    for (int sync_interval : {1, 3, 10, 1000000}) {
+      SCOPED_TRACE(problem + " sync_interval " +
+                   std::to_string(sync_interval));
+      expect_same_optimum(single,
+                          multi_run(pso, 1, MultiGpuStrategy::kParticleSplit,
+                                    problem, sync_interval));
     }
   }
 }
 
-TEST(MultiDeviceDifferential, ParticleSplitMatchesLegacyAcrossSyncIntervals) {
+TEST(MultiDeviceDifferential, Table1ProblemsMatchSoloAndPins) {
+  // The full matrix: four evaluation problems x both strategies x device
+  // counts. Tile-matrix must equal the single-device run; particle-split
+  // (per-shard seeds) must equal its pins at the default sync_interval.
+  static constexpr SplitPin kPins[] = {
+      {"sphere", 2, 10, 0x3fb34f3220000000ull, 0x620867ea2584b5c3ull},
+      {"sphere", 3, 10, 0x3faca4c9a0000000ull, 0x4de224c69c970bc3ull},
+      {"sphere", 4, 10, 0x3faa559960000000ull, 0x69e403e853c4a9c6ull},
+      {"sphere", 8, 10, 0x3fae9d5080000000ull, 0x2446b0545b8f7c1full},
+      {"griewank", 2, 10, 0x3ff30312e0000000ull, 0x762ab8357d29aa6aull},
+      {"griewank", 3, 10, 0x3ff2169360000000ull, 0x2cce21389377edeeull},
+      {"griewank", 4, 10, 0x3ff3327960000000ull, 0x7b3e1de4e434644eull},
+      {"griewank", 8, 10, 0x3ff3346de0000000ull, 0x755e6137d682dab4ull},
+      {"easom", 2, 10, 0xbfeb01a2e0000000ull, 0x29c031ddb91cfab4ull},
+      {"easom", 3, 10, 0xbfea814d40000000ull, 0x49dfa26029d9a07aull},
+      {"easom", 4, 10, 0xbfec6a4f80000000ull, 0x6c313cd092c7bfadull},
+      {"easom", 8, 10, 0xbfe8c64460000000ull, 0xa6a5c45c396bc1c2ull},
+      {"threadconf", 2, 10, 0x4095a82340000000ull, 0x9e5cf98bfb4a0c6eull},
+      {"threadconf", 3, 10, 0x4095a82440000000ull, 0xa69f7f332ddedd4aull},
+      {"threadconf", 4, 10, 0x4095a82440000000ull, 0x306ecfb8eac236b4ull},
+      {"threadconf", 8, 10, 0x4095a82440000000ull, 0xc7ed1b8736ee9e65ull},
+  };
   const PsoParams pso = diff_pso(8);
-  for (int sync_interval : {1, 3, 7, 1000000}) {
-    SCOPED_TRACE("sync_interval " + std::to_string(sync_interval));
-    expect_same_optimum(
-        legacy_run(pso, 4, MultiGpuStrategy::kParticleSplit, "rastrigin",
-                   sync_interval),
-        modern_run(pso, 4, MultiGpuStrategy::kParticleSplit, "rastrigin",
-                   sync_interval));
+  for (const std::string problem :
+       {"sphere", "griewank", "easom", "threadconf"}) {
+    const Result single = single_device_run(pso, problem);
+    for (int devices : {2, 3, 4, 8}) {
+      SCOPED_TRACE(problem + " tile-matrix devices " +
+                   std::to_string(devices));
+      expect_same_optimum(
+          single,
+          multi_run(pso, devices, MultiGpuStrategy::kTileMatrix, problem));
+    }
+  }
+  for (const SplitPin& pin : kPins) {
+    expect_matches_pin(pin);
+  }
+}
+
+TEST(MultiDeviceDifferential, ParticleSplitMatchesPinsAcrossSyncIntervals) {
+  static constexpr SplitPin kPins[] = {
+      {"rastrigin", 4, 1, 0x402d256780000000ull, 0x9c3482d95cf4d1a2ull},
+      {"rastrigin", 4, 3, 0x403d00c740000000ull, 0x154d28b797ad8e9cull},
+      {"rastrigin", 4, 7, 0x402f4b1ae0000000ull, 0x3c4138969f6b31c8ull},
+      {"rastrigin", 4, 1000000, 0x40343d9e00000000ull, 0x154298a4cf4d8133ull},
+  };
+  for (const SplitPin& pin : kPins) {
+    expect_matches_pin(pin);
   }
 }
 
@@ -297,8 +357,8 @@ TEST(MultiDeviceDifferential, RunsAreDeterministicAcrossReruns) {
   const PsoParams pso = diff_pso(8);
   for (auto strategy : {MultiGpuStrategy::kTileMatrix,
                         MultiGpuStrategy::kParticleSplit}) {
-    const Result first = modern_run(pso, 3, strategy, "griewank");
-    const Result second = modern_run(pso, 3, strategy, "griewank");
+    const Result first = multi_run(pso, 3, strategy, "griewank");
+    const Result second = multi_run(pso, 3, strategy, "griewank");
     SCOPED_TRACE(to_string(strategy));
     expect_same_optimum(first, second);
     EXPECT_EQ(first.modeled_seconds, second.modeled_seconds);
@@ -309,9 +369,8 @@ TEST(MultiDeviceDifferential, RunsAreDeterministicAcrossReruns) {
 }
 
 TEST(MultiDevice, ModeledTimeIsMaxOverDevicesWithCommInside) {
-  // The modern invariant: collectives live inside each device's comm
-  // stream, so the total is exactly the slowest device — no separate
-  // exchange term.
+  // Collectives live inside each device's comm stream, so the total is
+  // exactly the slowest device — no separate exchange term.
   const PsoParams pso = diff_pso(8);
   for (auto strategy : {MultiGpuStrategy::kTileMatrix,
                         MultiGpuStrategy::kParticleSplit}) {
@@ -341,7 +400,7 @@ TEST(MultiDevice, ModeledTimeIsMaxOverDevicesWithCommInside) {
 TEST(MultiDevice, TileMatrixIssuesTwoCollectivesPerIteration) {
   const PsoParams pso = diff_pso(8);
   std::unique_ptr<MultiDeviceOptimizer> optimizer;
-  (void)modern_run(pso, 4, MultiGpuStrategy::kTileMatrix, "sphere", 10,
+  (void)multi_run(pso, 4, MultiGpuStrategy::kTileMatrix, "sphere", 10,
                    &optimizer);
   // One (err, rank) argmin allreduce + one gbest-row broadcast per
   // iteration.
@@ -364,7 +423,7 @@ TEST(MultiDevice, CollectivesOverlapComputeInTheProfile) {
   vgpu::prof::set_enabled(true);
   const PsoParams pso = diff_pso(8);
   std::unique_ptr<MultiDeviceOptimizer> optimizer;
-  (void)modern_run(pso, 2, MultiGpuStrategy::kTileMatrix, "rastrigin", 10,
+  (void)multi_run(pso, 2, MultiGpuStrategy::kTileMatrix, "rastrigin", 10,
                    &optimizer);
   vgpu::prof::set_enabled(saved_prof);
 
@@ -546,7 +605,7 @@ TEST(MultiDeviceGolden, CommTraceMatchesGoldenFile) {
   pso.max_iter = 4;
   pso.seed = 42;
   std::unique_ptr<MultiDeviceOptimizer> optimizer;
-  (void)modern_run(pso, 2, MultiGpuStrategy::kTileMatrix, "sphere", 10,
+  (void)multi_run(pso, 2, MultiGpuStrategy::kTileMatrix, "sphere", 10,
                    &optimizer);
   vgpu::prof::set_enabled(saved_prof);
 
