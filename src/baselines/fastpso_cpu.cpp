@@ -52,6 +52,7 @@ struct CpuSwarm {
 
 core::Result run_fastpso_cpu(const core::Objective& objective,
                              const core::PsoParams& params, bool use_omp) {
+  params.validate();
   FASTPSO_CHECK(static_cast<bool>(objective.fn));
   const int n = params.particles;
   const int d = params.dim;

@@ -29,6 +29,7 @@
 
 #include "baselines/baselines.h"
 #include "common/stopwatch.h"
+#include "core/eval_schema.h"
 #include "core/kernels_registry.h"
 #include "core/swarm_update.h"
 #include "rng/philox.h"
@@ -127,6 +128,7 @@ struct SwarmKernel {
 core::Result run_gpu_pso(const core::Objective& objective,
                          const core::PsoParams& params,
                          vgpu::Device& device) {
+  params.validate();
   const int n = params.particles;
   const int d = params.dim;
   const std::int64_t elements = static_cast<std::int64_t>(n) * d;
@@ -177,11 +179,7 @@ core::Result run_gpu_pso(const core::Objective& objective,
   // Loop-invariant launch setup, hoisted out of the iteration loop: the
   // kernels' cost declarations (only pbest's traffic is data-dependent) and
   // the gbest-copy shape are identical every iteration.
-  vgpu::KernelCostSpec eval_cost;
-  eval_cost.flops = objective.cost.flops(d) * n;
-  eval_cost.transcendentals = objective.cost.transcendentals(d) * n;
-  eval_cost.dram_read_bytes = static_cast<double>(elements) * sizeof(float);
-  eval_cost.dram_write_bytes = static_cast<double>(n) * sizeof(float);
+  const vgpu::KernelCostSpec eval_cost = core::eval_cost(objective, n, d);
 
   vgpu::KernelCostSpec pbest_cost;
   pbest_cost.flops = static_cast<double>(n);
@@ -210,20 +208,8 @@ core::Result run_gpu_pso(const core::Objective& objective,
       ScopedTimer timer(wall, "eval");
       device.set_phase("eval");
       vgpu::prof::KernelLabel label("gpu_pso/eval");
-      const float* p = pos.data();
-      float* pe = perror.data();
-      if (vgpu::use_fast_path() && objective.batch_fn) {
-        device.account_launch(per_particle, eval_cost);
-        objective.batch_fn(p, n, d, pe);
-      } else {
-        device.launch(per_particle, eval_cost,
-                      [&](const vgpu::ThreadCtx& t) {
-          const std::int64_t i = t.global_id();
-          if (i < n) {
-            pe[i] = static_cast<float>(objective.fn(p + i * d, d));
-          }
-        });
-      }
+      core::evaluate_positions(device, per_particle, objective, pos.data(), n,
+                               d, eval_cost, perror.data());
     }
 
     // ---- pbest update (uncoalesced row copies) ----------------------------

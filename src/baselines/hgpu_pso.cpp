@@ -21,6 +21,7 @@
 
 #include "baselines/baselines.h"
 #include "common/stopwatch.h"
+#include "core/eval_schema.h"
 #include "core/swarm_update.h"
 #include "rng/philox.h"
 #include "vgpu/buffer.h"
@@ -42,6 +43,7 @@ constexpr std::size_t kOmpMinElements = std::size_t{1} << 15;
 core::Result run_hgpu_pso(const core::Objective& objective,
                           const core::PsoParams& params,
                           vgpu::Device& device) {
+  params.validate();
   const int n = params.particles;
   const int d = params.dim;
   const std::size_t elements = static_cast<std::size_t>(n) * d;
@@ -108,11 +110,7 @@ core::Result run_hgpu_pso(const core::Objective& objective,
   per_particle.grid = (n + kBlock - 1) / kBlock;
 
   // Loop-invariant evaluation cost, hoisted out of the iteration loop.
-  vgpu::KernelCostSpec eval_cost;
-  eval_cost.flops = objective.cost.flops(d) * n;
-  eval_cost.transcendentals = objective.cost.transcendentals(d) * n;
-  eval_cost.dram_read_bytes = static_cast<double>(elements) * sizeof(float);
-  eval_cost.dram_write_bytes = static_cast<double>(n) * sizeof(float);
+  const vgpu::KernelCostSpec eval_cost = core::eval_cost(objective, n, d);
 
   for (int iter = 0; iter < params.max_iter; ++iter) {
     // ---- GPU evaluation: H2D positions, eval kernel, D2H fitness ---------
@@ -121,20 +119,8 @@ core::Result run_hgpu_pso(const core::Objective& objective,
       device.set_phase("eval");
       vgpu::prof::KernelLabel label("hgpu/eval");
       d_pos.upload(pos);
-      const float* p = d_pos.data();
-      float* pe = d_err.data();
-      if (vgpu::use_fast_path() && objective.batch_fn) {
-        device.account_launch(per_particle, eval_cost);
-        objective.batch_fn(p, n, d, pe);
-      } else {
-        device.launch(per_particle, eval_cost,
-                      [&](const vgpu::ThreadCtx& t) {
-          const std::int64_t i = t.global_id();
-          if (i < n) {
-            pe[i] = static_cast<float>(objective.fn(p + i * d, d));
-          }
-        });
-      }
+      core::evaluate_positions(device, per_particle, objective, d_pos.data(),
+                               n, d, eval_cost, d_err.data());
       d_err.download(perror);
     }
 

@@ -40,6 +40,7 @@ void charge_vectorized_eval(CostLedger& ledger, std::size_t n, std::size_t d,
 
 core::Result run_pyswarms_like(const core::Objective& objective,
                                const core::PsoParams& params) {
+  params.validate();
   const std::size_t n = static_cast<std::size_t>(params.particles);
   const std::size_t d = static_cast<std::size_t>(params.dim);
   const double lo = objective.lower;

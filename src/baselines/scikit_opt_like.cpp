@@ -29,6 +29,7 @@ namespace fastpso::baselines {
 core::Result run_scikit_opt_like(const core::Objective& objective,
                                  const core::PsoParams& params,
                                  const ScikitOptions& options) {
+  params.validate();
   const std::size_t n = static_cast<std::size_t>(params.particles);
   const std::size_t d = static_cast<std::size_t>(params.dim);
   const double lo = objective.lower;

@@ -1,9 +1,8 @@
 #include "core/best_update.h"
 
 #include "core/kernels_registry.h"
-#include "vgpu/prof/prof.h"
 #include "vgpu/reduce.h"
-#include "vgpu/san/tracked.h"
+#include "vgpu/san/sanitizer.h"
 
 namespace fastpso::core {
 
@@ -26,39 +25,11 @@ void update_pbest_compare(vgpu::Device& device, const LaunchPolicy& policy,
     cost.flops = static_cast<double>(n);
     cost.dram_read_bytes = 2.0 * n * sizeof(float);
     cost.dram_write_bytes = n * (sizeof(float) + sizeof(std::uint8_t));
-    if (vgpu::use_fast_path()) {
-      const kernels::PbestCompareKernel::Args cmp_args{
-          state.perror.data(), state.pbest_err.data(), state.improved.data()};
-      vgpu::prof::KernelLabel klabel("best_update/compare_flag");
-      device.launch_kernel<kernels::PbestCompareKernel>(decision.config, cost,
-                                                        n, cmp_args);
-    } else {
-      const auto perror = san::track(state.perror.data(),
-                                     static_cast<std::size_t>(n), "perror");
-      const auto pbest_err =
-          san::track(state.pbest_err.data(), static_cast<std::size_t>(n),
-                     "pbest_err");
-      const auto improved =
-          san::track(state.improved.data(), static_cast<std::size_t>(n),
-                     "improved");
-      san::expect_writes_exactly_once(pbest_err);
-      san::expect_writes_exactly_once(improved);
-      san::KernelScope scope("best_update/compare_flag");
-      device.launch(decision.config, cost, [&](const vgpu::ThreadCtx& t) {
-        for (std::int64_t i = t.global_id(); i < n; i += t.grid_stride()) {
-          san::count_flops(1.0);
-          const float pe = perror[i];
-          const float pb = pbest_err[i];
-          const bool better = pe < pb;
-          improved[i] = better ? 1 : 0;
-          // Unconditional select store: matches the declared write traffic
-          // (and the branchless store a real kernel would use to avoid
-          // divergence).
-          pbest_err[i] = better ? pe : pb;
-        }
-      });
-      device.graph_note_elements(n);
-    }
+    const kernels::PbestCompareKernel::Args args{
+        state.perror.data(), state.pbest_err.data(), state.improved.data()};
+    san::KernelScope scope("best_update/compare_flag");
+    device.launch_kernel<kernels::PbestCompareKernel>(decision.config, cost,
+                                                      n, args);
     // Fusion footprint (vgpu/graph/fusion.h): element i touches scalar i of
     // each array; pbest_err is an aligned read-modify-write.
     if (device.capturing()) {
@@ -100,33 +71,12 @@ PbestStats update_pbest_finish(vgpu::Device& device,
         static_cast<double>(improved_count) * d * sizeof(float);
     cost.dram_write_bytes =
         static_cast<double>(improved_count) * d * sizeof(float);
-    if (vgpu::use_fast_path()) {
-      const kernels::PbestGatherKernel::Args gather_args{
-          state.improved.data(), state.positions.data(), state.pbest_pos.data(),
-          d};
-      vgpu::prof::KernelLabel klabel("best_update/gather");
-      device.launch_kernel<kernels::PbestGatherKernel>(decision.config, cost,
-                                                       n, gather_args);
-    } else {
-      const auto improved =
-          san::track(state.improved.data(), static_cast<std::size_t>(n),
-                     "improved");
-      const auto positions =
-          san::track(state.positions.data(), state.elements(), "positions");
-      const auto pbest_pos =
-          san::track(state.pbest_pos.data(), state.elements(), "pbest_pos");
-      san::KernelScope scope("best_update/gather");
-      device.launch(decision.config, cost, [&](const vgpu::ThreadCtx& t) {
-        for (std::int64_t i = t.global_id(); i < n; i += t.grid_stride()) {
-          if (improved[i]) {
-            for (int j = 0; j < d; ++j) {
-              pbest_pos[i * d + j] = positions[i * d + j];
-            }
-          }
-        }
-      });
-      device.graph_note_elements(n);
-    }
+    const kernels::PbestGatherKernel::Args args{
+        state.improved.data(), state.positions.data(), state.pbest_pos.data(),
+        d};
+    san::KernelScope scope("best_update/gather");
+    device.launch_kernel<kernels::PbestGatherKernel>(decision.config, cost, n,
+                                                     args);
     // Footprint: element i reads its flag and may copy its row — the
     // declared spans are the data-independent superset of what the flags
     // select this iteration.
@@ -161,26 +111,10 @@ float update_gbest(vgpu::Device& device, SwarmState& state) {
     vgpu::KernelCostSpec cost;
     cost.dram_read_bytes = static_cast<double>(d) * sizeof(float);
     cost.dram_write_bytes = static_cast<double>(d) * sizeof(float);
-    if (vgpu::use_fast_path()) {
-      const kernels::GbestCopyKernel::Args copy_args{
-          state.pbest_pos.data() + best.index * d, state.gbest_pos.data()};
-      vgpu::prof::KernelLabel klabel("best_update/gbest_copy");
-      device.launch_kernel<kernels::GbestCopyKernel>(cfg, cost, d, copy_args);
-    } else {
-      const auto src =
-          san::track(state.pbest_pos.data() + best.index * d,
-                     static_cast<std::size_t>(d), "gbest_src_row");
-      const auto dst = san::track(state.gbest_pos.data(),
-                                  static_cast<std::size_t>(d), "gbest_pos");
-      san::expect_writes_exactly_once(dst);
-      san::KernelScope scope("best_update/gbest_copy");
-      device.launch(cfg, cost, [&](const vgpu::ThreadCtx& t) {
-        for (std::int64_t j = t.global_id(); j < d; j += t.grid_stride()) {
-          dst[j] = src[j];
-        }
-      });
-      device.graph_note_elements(d);
-    }
+    const kernels::GbestCopyKernel::Args args{
+        state.pbest_pos.data() + best.index * d, state.gbest_pos.data()};
+    san::KernelScope scope("best_update/gbest_copy");
+    device.launch_kernel<kernels::GbestCopyKernel>(cfg, cost, d, args);
     // Footprint: the read is an interior row of pbest_pos, so its address
     // range overlaps (unaligned) with the gather's row-sliced writes — the
     // fusion pass's hazard check is what keeps this copy out of any group.

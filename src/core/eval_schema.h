@@ -10,108 +10,97 @@
 //
 // This header is the virtual-GPU rendition: both user-defined evaluation
 // functions and the built-in problems are launched through this one schema,
-// which grid-strides the lambda over the particle index space under the
-// resource-aware launch policy.
+// which grid-strides the objective over the particle index space. Batched
+// objectives run as a registered kernel (EvalKernel, through
+// Device::launch_kernel); a custom objective with only a per-particle fn
+// runs one virtual thread per particle.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "core/launch_policy.h"
 #include "core/objective.h"
 #include "vgpu/device.h"
 #include "vgpu/parallel.h"
-#include "vgpu/prof/prof.h"
 
 namespace fastpso::core {
 
-/// Runs `lambda(i)` for every i in [0, count) on the device, grid-strided.
-/// `cost` declares the launch's total work for the performance model.
-template <typename L>
-void evaluation_kernel(vgpu::Device& device, const LaunchPolicy& policy,
-                       std::int64_t count, const vgpu::KernelCostSpec& cost,
-                       L&& lambda) {
-  const LaunchDecision decision = policy.for_particles(count);
-  device.launch(decision.config, cost, [&](const vgpu::ThreadCtx& t) {
-    for (std::int64_t i = t.global_id(); i < count; i += t.grid_stride()) {
-      lambda(i);
-    }
-  });
+/// The modeled cost of evaluating `n` particle rows of dimension `d`: the
+/// objective's declared operations per row, one read of every position
+/// and one write of every error.
+inline vgpu::KernelCostSpec eval_cost(const Objective& objective,
+                                      std::int64_t n, int d) {
+  vgpu::KernelCostSpec cost;
+  cost.flops = objective.cost.flops(d) * static_cast<double>(n);
+  cost.transcendentals =
+      objective.cost.transcendentals(d) * static_cast<double>(n);
+  cost.dram_read_bytes = static_cast<double>(n) * d * sizeof(float);
+  cost.dram_write_bytes = static_cast<double>(n) * sizeof(float);
+  return cost;
 }
 
+/// eval/objective as a registered kernel (core/kernels_registry.h
+/// contract): element i evaluates particle row i through the objective's
+/// per-particle fn; the span runs batch_fn over a contiguous row range,
+/// which the Objective::batch_fn concurrency contract makes legal on any
+/// sub-range. The objective must outlive the launch — under packing, the
+/// cohort round's flush barrier.
+struct EvalKernel {
+  struct Args {
+    const Objective* objective;
+    const float* positions;
+    int d;
+    float* out;
+  };
+  static void element(const Args& a, std::int64_t i) {
+    a.out[i] =
+        static_cast<float>(a.objective->fn(a.positions + i * a.d, a.d));
+  }
+  static void span(const void* args, std::int64_t begin, std::int64_t end) {
+    const Args& a = *static_cast<const Args*>(args);
+    a.objective->batch_fn(a.positions + begin * a.d,
+                          static_cast<int>(end - begin), a.d,
+                          a.out + begin);
+  }
+  /// A row is d elements of work, so a host worker takes at least
+  /// kHostGrain elements' worth of rows.
+  static std::int64_t grain(const Args& a) {
+    return std::max<std::int64_t>(1, vgpu::kHostGrain / a.d);
+  }
+};
+
 /// Evaluates `n` particle rows of `positions` into `out` through the
-/// evaluation-kernel schema: `out[i] = (float)fn(positions + i*d, d)`. On
-/// the fast path a batched objective runs one devirtualized inner loop per
-/// contiguous row range (one dispatch per host worker, identical
-/// accounting); otherwise — custom lambda objectives, sanitizer runs, fast
-/// path disabled — it falls back to the per-particle fn through
-/// evaluation_kernel.
+/// evaluation-kernel schema: `out[i] = (float)fn(positions + i*d, d)`,
+/// launched with `cfg` and accounted with `cost`. A batched objective goes
+/// through launch_kernel<EvalKernel>. A custom objective with only `fn`
+/// runs it per virtual thread: fn has no concurrency contract, so that
+/// launch is never split across host workers or deferred.
 inline void evaluate_positions(vgpu::Device& device,
-                               const LaunchPolicy& policy,
+                               const vgpu::LaunchConfig& cfg,
                                const Objective& objective,
                                const float* positions, std::int64_t n, int d,
                                const vgpu::KernelCostSpec& cost, float* out) {
-  // Profiler-only label: a san::KernelScope here would opt the launch into
-  // sanitizer cost audits and change the sanitizer's golden traces.
-  vgpu::prof::KernelLabel label("eval/objective");
-  // Fusion footprint (vgpu/graph/fusion.h): element i reads its position
-  // row and writes its error scalar. account_launch knows no element
-  // domain, so both dispatch paths note it explicitly.
-  const auto note_footprint = [&] {
-    if (device.capturing()) [[unlikely]] {
-      device.graph_note_elements(n);
-      device.graph_note_uses(
-          {{positions, static_cast<double>(n) * d * sizeof(float),
-            static_cast<std::int64_t>(d * sizeof(float)), /*write=*/false,
-            "positions"},
-           {out, static_cast<double>(n) * sizeof(float), sizeof(float),
-            /*write=*/true, "perror"}});
-    }
-  };
-  if (vgpu::use_fast_path() && objective.batch_fn) {
-    const LaunchDecision decision = policy.for_particles(n);
-    device.account_launch(decision.config, cost);
-    note_footprint();
-    // Batch objectives evaluate particle rows independently (the
-    // multi-device particle split already splits a batch mid-stream), so a
-    // sub-range dispatch is legal: offer the launch to the cross-job
-    // packing engine (vgpu/pack.h; no-op without an attached sink). The
-    // span captures a pointer to the objective's batch_fn — the objective
-    // outlives the cohort round's flush barrier.
-    if (device.pack_offer_range(
-            n, cost,
-            [batch = &objective.batch_fn, positions, d,
-             out](std::int64_t b, std::int64_t e) {
-              (*batch)(positions + b * d, static_cast<int>(e - b), d,
-                       out + b);
-            })) {
-      return;
-    }
-    // Inline, the rows split across host workers (vgpu/parallel.h) once
-    // the batch reaches 2 * kHostGrain elements' worth of rows — batch_fn
-    // is safe on disjoint row ranges concurrently (core/objective.h). The
-    // profiled branch times the same split run.
-    const auto run_rows = [&] {
-      vgpu::parallel_for(
-          n, std::max<std::int64_t>(1, vgpu::kHostGrain / d),
-          [&objective, positions, d, out](std::int64_t b, std::int64_t e) {
-            objective.batch_fn(positions + b * d, static_cast<int>(e - b), d,
-                               out + b);
-          });
-    };
-    if (vgpu::prof::active()) [[unlikely]] {
-      Stopwatch wall;
-      run_rows();
-      device.prof_note_wall(wall.elapsed_s());
-      return;
-    }
-    run_rows();
-    return;
+  const EvalKernel::Args args{&objective, positions, d, out};
+  if (objective.batch_fn) {
+    device.launch_kernel<EvalKernel>(cfg, cost, n, args);
+  } else {
+    device.launch(cfg, cost, [&](const vgpu::ThreadCtx& t) {
+      for (std::int64_t i = t.global_id(); i < n; i += t.grid_stride()) {
+        EvalKernel::element(args, i);
+      }
+    });
+    device.graph_note_elements(n);
   }
-  evaluation_kernel(device, policy, n, cost, [&](std::int64_t i) {
-    out[i] = static_cast<float>(objective.fn(positions + i * d, d));
-  });
-  note_footprint();
+  // Fusion footprint (vgpu/graph/fusion.h): element i reads its position
+  // row and writes its error scalar.
+  if (device.capturing()) [[unlikely]] {
+    device.graph_note_uses(
+        {{positions, static_cast<double>(n) * d * sizeof(float),
+          static_cast<std::int64_t>(d * sizeof(float)), /*write=*/false,
+          "positions"},
+         {out, static_cast<double>(n) * sizeof(float), sizeof(float),
+          /*write=*/true, "perror"}});
+  }
 }
 
 }  // namespace fastpso::core

@@ -1,14 +1,11 @@
 #include "core/init.h"
 
-#include <algorithm>
-
 #include <limits>
 
 #include "common/check.h"
 #include "core/kernels_registry.h"
 #include "rng/philox.h"
-#include "vgpu/prof/prof.h"
-#include "vgpu/san/tracked.h"
+#include "vgpu/san/sanitizer.h"
 
 namespace fastpso::core {
 namespace {
@@ -40,43 +37,12 @@ void note_fill_footprint(vgpu::Device& device, float* out, std::int64_t count,
 void fill_uniform(vgpu::Device& device, const LaunchPolicy& policy,
                   float* out, std::int64_t elements, std::uint64_t seed,
                   std::uint64_t stream, float lo, float hi) {
-  const rng::PhiloxStream rng(seed, stream);
   const std::int64_t blocks = (elements + 3) / 4;
-  const LaunchDecision decision = policy.for_elements(blocks);
-  const float span = hi - lo;
-  if (vgpu::use_fast_path()) {
-    const kernels::FillUniformKernel::Args fill_args{rng, out, elements, lo,
-                                                     span};
-    // Element i gets uniform_at(i) exactly as on the tracked path, so the
-    // produced bits are identical. Same profile label as the tracked path's
-    // KernelScope.
-    vgpu::prof::KernelLabel klabel("init/fill_uniform");
-    device.launch_kernel<kernels::FillUniformKernel>(
-        decision.config, fill_cost(elements), blocks, fill_args);
-    note_fill_footprint(device, out, elements, 4 * sizeof(float));
-    return;
-  }
-  const auto tracked_out =
-      san::track(out, static_cast<std::size_t>(elements), "fill_out");
-  san::expect_writes_exactly_once(tracked_out);
+  const kernels::FillUniformKernel::Args args{rng::PhiloxStream(seed, stream),
+                                              out, elements, lo, hi - lo};
   san::KernelScope scope("init/fill_uniform");
-  device.launch(decision.config, fill_cost(elements),
-                [&](const vgpu::ThreadCtx& t) {
-                  for (std::int64_t b = t.global_id(); b < blocks;
-                       b += t.grid_stride()) {
-                    const auto lanes =
-                        rng.uniform4_at(static_cast<std::uint64_t>(b));
-                    const std::int64_t base = b * 4;
-                    const int count =
-                        static_cast<int>(std::min<std::int64_t>(
-                            4, elements - base));
-                    san::count_flops(kPhiloxFlopsPerValue * count);
-                    for (int lane = 0; lane < count; ++lane) {
-                      tracked_out[base + lane] = lo + span * lanes[lane];
-                    }
-                  }
-                });
-  device.graph_note_elements(blocks);
+  device.launch_kernel<kernels::FillUniformKernel>(
+      policy.for_elements(blocks).config, fill_cost(elements), blocks, args);
   note_fill_footprint(device, out, elements, 4 * sizeof(float));
 }
 
@@ -93,45 +59,15 @@ void fill_uniform_slice_impl(vgpu::Device& device, const LaunchPolicy& policy,
   if (count == 0) {
     return;
   }
-  const rng::PhiloxStream rng(seed, stream);
-  const std::int64_t first_block = offset / 4;
-  const std::int64_t blocks = (offset + count - 1) / 4 - first_block + 1;
-  const LaunchDecision decision = policy.for_elements(blocks);
-  const float span = hi - lo;
+  const std::int64_t blocks = (offset + count - 1) / 4 - offset / 4 + 1;
+  const kernels::FillUniformSliceKernel::Args args{
+      rng::PhiloxStream(seed, stream), out, offset, count, lo, hi - lo};
+  san::KernelScope scope("init/fill_uniform_slice");
+  device.launch_kernel<kernels::FillUniformSliceKernel>(
+      policy.for_elements(blocks).config, fill_cost(count), blocks, args);
   // Boundary blocks straddle the shard edge, so elements do not own
   // aligned 16-byte rows of `out`: the footprint is the conservative
   // whole-span write (elem_bytes = 0).
-  if (vgpu::use_fast_path()) {
-    const kernels::FillUniformSliceKernel::Args fill_args{rng, out, offset,
-                                                          count, lo, span};
-    vgpu::prof::KernelLabel klabel("init/fill_uniform_slice");
-    device.launch_kernel<kernels::FillUniformSliceKernel>(
-        decision.config, fill_cost(count), blocks, fill_args);
-    note_fill_footprint(device, out, count, /*elem_bytes=*/0);
-    return;
-  }
-  const auto tracked_out =
-      san::track(out, static_cast<std::size_t>(count), "fill_out");
-  san::expect_writes_exactly_once(tracked_out);
-  san::KernelScope scope("init/fill_uniform_slice");
-  device.launch(decision.config, fill_cost(count),
-                [&](const vgpu::ThreadCtx& t) {
-                  for (std::int64_t b = t.global_id(); b < blocks;
-                       b += t.grid_stride()) {
-                    const std::int64_t gb = first_block + b;
-                    const auto lanes =
-                        rng.uniform4_at(static_cast<std::uint64_t>(gb));
-                    const std::int64_t base = gb * 4;
-                    for (int lane = 0; lane < 4; ++lane) {
-                      const std::int64_t g = base + lane;
-                      if (g >= offset && g < offset + count) {
-                        san::count_flops(kPhiloxFlopsPerValue);
-                        tracked_out[g - offset] = lo + span * lanes[lane];
-                      }
-                    }
-                  }
-                });
-  device.graph_note_elements(blocks);
   note_fill_footprint(device, out, count, /*elem_bytes=*/0);
 }
 
@@ -140,47 +76,18 @@ void fill_uniform_slice_impl(vgpu::Device& device, const LaunchPolicy& policy,
 void reset_pbest(vgpu::Device& device, const LaunchPolicy& policy,
                  SwarmState& state) {
   const std::int64_t elements = state.elements();
-  const LaunchDecision per_particle = policy.for_particles(state.n);
   vgpu::KernelCostSpec cost;
   cost.dram_read_bytes = static_cast<double>(elements) * sizeof(float);
   cost.dram_write_bytes =
       static_cast<double>(elements + 2 * state.n) * sizeof(float);
-  const int n = state.n;
-  const int d = state.d;
-  if (vgpu::use_fast_path()) {
-    const kernels::PbestResetKernel::Args reset_args{
-        state.pbest_err.data(), state.perror.data(), state.positions.data(),
-        state.pbest_pos.data(), d};
-    vgpu::prof::KernelLabel klabel("init/pbest_reset");
-    // No declared footprint: this launch never fuses (it runs once, outside
-    // the iteration loop).
-    device.launch_kernel<kernels::PbestResetKernel>(per_particle.config,
-                                                    cost, n, reset_args);
-    state.gbest_err = std::numeric_limits<float>::infinity();
-    return;
-  }
-  const auto pbest_err =
-      san::track(state.pbest_err.data(), static_cast<std::size_t>(n),
-                 "pbest_err");
-  const auto perror = san::track(state.perror.data(),
-                                 static_cast<std::size_t>(n), "perror");
-  const auto positions =
-      san::track(state.positions.data(), elements, "positions");
-  const auto pbest_pos =
-      san::track(state.pbest_pos.data(), elements, "pbest_pos");
-  san::expect_writes_exactly_once(pbest_err);
-  san::expect_writes_exactly_once(perror);
-  san::expect_writes_exactly_once(pbest_pos);
+  const kernels::PbestResetKernel::Args args{
+      state.pbest_err.data(), state.perror.data(), state.positions.data(),
+      state.pbest_pos.data(), state.d};
   san::KernelScope scope("init/pbest_reset");
-  device.launch(per_particle.config, cost, [&](const vgpu::ThreadCtx& t) {
-    for (std::int64_t i = t.global_id(); i < n; i += t.grid_stride()) {
-      pbest_err[i] = std::numeric_limits<float>::infinity();
-      perror[i] = 0.0f;
-      for (int j = 0; j < d; ++j) {
-        pbest_pos[i * d + j] = positions[i * d + j];
-      }
-    }
-  });
+  // No declared footprint: this launch never fuses (it runs once, outside
+  // the iteration loop).
+  device.launch_kernel<kernels::PbestResetKernel>(
+      policy.for_particles(state.n).config, cost, state.n, args);
   state.gbest_err = std::numeric_limits<float>::infinity();
 }
 

@@ -48,11 +48,7 @@ JobRun::JobRun(vgpu::Device& device, const PsoParams& params,
   }
 
   // Evaluation cost declaration, reused every iteration.
-  eval_cost_.flops = objective_.cost.flops(d) * n;
-  eval_cost_.transcendentals = objective_.cost.transcendentals(d) * n;
-  eval_cost_.dram_read_bytes =
-      static_cast<double>(state_.elements()) * sizeof(float);
-  eval_cost_.dram_write_bytes = static_cast<double>(n) * sizeof(float);
+  eval_cost_ = eval_cost(objective_, n, d);
 
   positions_ = state_.positions.data();
   perror_ = state_.perror.data();
@@ -113,8 +109,9 @@ void JobRun::step_front() {
   {
     vgpu::prof::Scope phase(device_, "eval");
     ScopedTimer timer(wall_, "eval");
-    evaluate_positions(device_, policy_, objective_, positions_, n, d,
-                       eval_cost_, perror_);
+    vgpu::prof::KernelLabel label("eval/objective");
+    evaluate_positions(device_, policy_.for_particles(n).config, objective_,
+                       positions_, n, d, eval_cost_, perror_);
   }
 
   // ---- Step (iii), pass 1: pbest compare -------------------------------

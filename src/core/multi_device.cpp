@@ -13,6 +13,7 @@
 #include "core/swarm_state.h"
 #include "core/swarm_update.h"
 #include "vgpu/memory_pool.h"
+#include "vgpu/prof/prof.h"
 
 namespace fastpso::core {
 namespace {
@@ -49,17 +50,6 @@ std::pair<int, int> shard_rows(int n, int devices, int k) {
   const int begin = k * base + std::min(k, extra);
   const int count = base + (k < extra ? 1 : 0);
   return {begin, count};
-}
-
-vgpu::KernelCostSpec eval_cost_for(const Objective& objective, int count,
-                                   int d) {
-  vgpu::KernelCostSpec cost;
-  cost.flops = objective.cost.flops(d) * count;
-  cost.transcendentals = objective.cost.transcendentals(d) * count;
-  cost.dram_read_bytes =
-      static_cast<double>(count) * d * sizeof(float);
-  cost.dram_write_bytes = static_cast<double>(count) * sizeof(float);
-  return cost;
 }
 
 }  // namespace
@@ -183,10 +173,13 @@ Result MultiDeviceOptimizer::optimize_tile_matrix(const Objective& objective) {
       vgpu::Device& dev = *shard->device;
       SwarmState& state = shard->state;
       dev.set_phase("eval");
-      evaluate_positions(dev, shard->policy, objective,
-                         state.positions.data(), state.n, d,
-                         eval_cost_for(objective, state.n, d),
-                         state.perror.data());
+      {
+        vgpu::prof::KernelLabel label("eval/objective");
+        evaluate_positions(dev, shard->policy.for_particles(state.n).config,
+                           objective, state.positions.data(), state.n, d,
+                           eval_cost(objective, state.n, d),
+                           state.perror.data());
+      }
       dev.set_phase("pbest");
       update_pbest(dev, shard->policy, state);
       dev.set_phase("gbest");
@@ -289,9 +282,13 @@ Result MultiDeviceOptimizer::optimize_particle_split(
                        pso.seed + 15485863u * static_cast<std::uint64_t>(k),
                        iter, shard.l_mat, shard.g_mat);
       dev.set_phase("eval");
-      evaluate_positions(dev, shard.policy, objective, state.positions.data(),
-                         state.n, d, eval_cost_for(objective, state.n, d),
-                         state.perror.data());
+      {
+        vgpu::prof::KernelLabel label("eval/objective");
+        evaluate_positions(dev, shard.policy.for_particles(state.n).config,
+                           objective, state.positions.data(), state.n, d,
+                           eval_cost(objective, state.n, d),
+                           state.perror.data());
+      }
       dev.set_phase("pbest");
       update_pbest(dev, shard.policy, state);
       dev.set_phase("gbest");

@@ -145,11 +145,7 @@ Result Optimizer::optimize_async(const Objective& objective,
   {
     ScopedTimer timer(wall, "eval");
     vgpu::prof::Scope phase(device_, "eval");
-    vgpu::KernelCostSpec cost;
-    cost.flops = objective.cost.flops(d) * n;
-    cost.transcendentals = objective.cost.transcendentals(d) * n;
-    cost.dram_read_bytes = static_cast<double>(elements) * sizeof(float);
-    cost.dram_write_bytes = static_cast<double>(n) * sizeof(float);
+    const vgpu::KernelCostSpec cost = eval_cost(objective, n, d);
     san::KernelScope scope("optimizer/async_seed",
                            san::AuditMode::kTraceOnly);
     device_.launch(per_particle, cost, [&](const vgpu::ThreadCtx& t) {

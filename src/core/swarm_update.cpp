@@ -9,7 +9,6 @@
 #include "vgpu/block.h"
 #include "vgpu/parallel.h"
 #include "vgpu/tuned.h"
-#include "vgpu/prof/prof.h"
 #include "vgpu/san/tracked.h"
 #include "vgpu/wmma.h"
 
@@ -83,43 +82,13 @@ void update_global(vgpu::Device& device, const LaunchPolicy& policy,
                    SwarmState& state, const float* l_mat, const float* g_mat,
                    const UpdateCoefficients& coeff) {
   const std::int64_t elements = state.elements();
-  const int d = state.d;
-  const LaunchDecision decision = policy.for_elements(elements);
-  if (vgpu::use_fast_path()) {
-    const kernels::SwarmUpdateGlobalKernel::Args update_args{
-        state.velocities.data(), state.positions.data(), l_mat,    g_mat,
-        state.pbest_pos.data(),  state.gbest_pos.data(), state.d, coeff};
-    vgpu::prof::KernelLabel klabel("swarm_update/global");
-    device.launch_kernel<kernels::SwarmUpdateGlobalKernel>(
-        decision.config, update_cost(elements, d, 0, false), elements,
-        update_args);
-    note_update_footprint(device, state, l_mat, g_mat, /*nbest_idx=*/nullptr);
-    return;
-  }
-  const auto velocities =
-      san::track(state.velocities.data(), elements, "velocities");
-  const auto positions =
-      san::track(state.positions.data(), elements, "positions");
-  const auto l = san::track(l_mat, elements, "l_mat");
-  const auto g = san::track(g_mat, elements, "g_mat");
-  const auto pbest_pos =
-      san::track(state.pbest_pos.data(), elements, "pbest_pos");
-  const auto gbest_pos = san::track(state.gbest_pos.data(),
-                                    static_cast<std::size_t>(d), "gbest_pos");
-  san::expect_writes_exactly_once(velocities);
-  san::expect_writes_exactly_once(positions);
-
+  const kernels::SwarmUpdateGlobalKernel::Args args{
+      state.velocities.data(), state.positions.data(), l_mat,    g_mat,
+      state.pbest_pos.data(),  state.gbest_pos.data(), state.d, coeff};
   san::KernelScope scope("swarm_update/global");
-  device.launch(decision.config, update_cost(elements, d, 0, false),
-                [&](const vgpu::ThreadCtx& t) {
-                  for (std::int64_t i = t.global_id(); i < elements;
-                       i += t.grid_stride()) {
-                    const int col = static_cast<int>(i % d);
-                    update_element(velocities[i], positions[i], l[i], g[i],
-                                   pbest_pos[i], gbest_pos[col], coeff);
-                  }
-                });
-  device.graph_note_elements(elements);
+  device.launch_kernel<kernels::SwarmUpdateGlobalKernel>(
+      policy.for_elements(elements).config,
+      update_cost(elements, state.d, 0, false), elements, args);
   note_update_footprint(device, state, l_mat, g_mat, /*nbest_idx=*/nullptr);
 }
 
@@ -158,6 +127,7 @@ void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
   const vgpu::KernelCostSpec cost =
       update_cost(elements, d, static_cast<int>(2 * trips), false);
 
+  san::KernelScope scope("swarm_update/shared");
   if (vgpu::use_fast_path()) {
     // Flat tiles: staging a tile into shared memory and writing it back
     // moves values without changing them, and each element's update reads
@@ -169,7 +139,6 @@ void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
     const kernels::SwarmUpdateGlobalKernel::Args update_args{
         state.velocities.data(), state.positions.data(), l_mat,    g_mat,
         state.pbest_pos.data(),  state.gbest_pos.data(), d,        coeff};
-    vgpu::prof::KernelLabel klabel("swarm_update/shared");
     device.launch_inline(cfg, cost, [&] {
       vgpu::parallel_for(
           elements, vgpu::kHostGrain,
@@ -194,7 +163,6 @@ void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
   san::expect_writes_exactly_once(velocities);
   san::expect_writes_exactly_once(positions);
 
-  san::KernelScope scope("swarm_update/shared");
   device.launch_blocks(
       cfg, cost,
       [&](vgpu::BlockCtx& blk) {
@@ -398,7 +366,6 @@ void swarm_update_ring(vgpu::Device& device, const LaunchPolicy& policy,
   const std::int64_t elements = state.elements();
   const int d = state.d;
   const std::int64_t n = state.n;
-  const LaunchDecision decision = policy.for_elements(elements);
   // The attractor is a gather out of pbest_pos, which this kernel already
   // streams in full — under the perfect-cache (unique-address) convention
   // the gather adds no pbest traffic, only the neighborhood index array.
@@ -406,45 +373,13 @@ void swarm_update_ring(vgpu::Device& device, const LaunchPolicy& policy,
   vgpu::KernelCostSpec cost = update_cost(elements, d, 0, false);
   cost.dram_read_bytes += static_cast<double>(n) * sizeof(std::int32_t) -
                           static_cast<double>(d) * sizeof(float);
-  if (vgpu::use_fast_path()) {
-    const kernels::SwarmUpdateRingKernel::Args ring_args{
-        state.velocities.data(), state.positions.data(), l_mat.data(),
-        g_mat.data(),            state.pbest_pos.data(), nbest_idx,
-        state.d,                 coeff};
-    vgpu::prof::KernelLabel klabel("swarm_update/ring");
-    device.launch_kernel<kernels::SwarmUpdateRingKernel>(
-        decision.config, cost, elements, ring_args);
-    note_update_footprint(device, state, l_mat.data(), g_mat.data(),
-                          nbest_idx);
-    return;
-  }
-
-  const auto velocities =
-      san::track(state.velocities.data(), elements, "velocities");
-  const auto positions =
-      san::track(state.positions.data(), elements, "positions");
-  const auto l = san::track(l_mat, "l_mat");
-  const auto g = san::track(g_mat, "g_mat");
-  const auto pbest_pos =
-      san::track(state.pbest_pos.data(), elements, "pbest_pos");
-  const auto nbest = san::track(nbest_idx, static_cast<std::size_t>(n),
-                                "nbest_idx");
-  san::expect_writes_exactly_once(velocities);
-  san::expect_writes_exactly_once(positions);
-
+  const kernels::SwarmUpdateRingKernel::Args args{
+      state.velocities.data(), state.positions.data(), l_mat.data(),
+      g_mat.data(),            state.pbest_pos.data(), nbest_idx,
+      d,                       coeff};
   san::KernelScope scope("swarm_update/ring");
-  device.launch(decision.config, cost, [&](const vgpu::ThreadCtx& t) {
-    for (std::int64_t i = t.global_id(); i < elements;
-         i += t.grid_stride()) {
-      const std::int64_t row = i / d;
-      const int col = static_cast<int>(i % d);
-      const float attractor =
-          pbest_pos[static_cast<std::int64_t>(nbest[row]) * d + col];
-      update_element(velocities[i], positions[i], l[i], g[i], pbest_pos[i],
-                     attractor, coeff);
-    }
-  });
-  device.graph_note_elements(elements);
+  device.launch_kernel<kernels::SwarmUpdateRingKernel>(
+      policy.for_elements(elements).config, cost, elements, args);
   note_update_footprint(device, state, l_mat.data(), g_mat.data(), nbest_idx);
 }
 

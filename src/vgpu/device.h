@@ -20,6 +20,7 @@
 //   });
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -127,6 +128,18 @@ namespace detail {
 template <typename K>
 concept HasOwnSpan = requires(const void* p, std::int64_t i) {
   { K::span(p, i, i) };
+};
+
+/// K declares sanitizer views for its Args (core/kernels_registry.h).
+template <typename K>
+concept HasTrack = requires(const typename K::Args& a, std::int64_t n) {
+  K::track(a, n);
+};
+
+/// K declares its own host-worker grain.
+template <typename K>
+concept HasGrain = requires(const typename K::Args& a) {
+  { K::grain(a) } -> std::convertible_to<std::int64_t>;
 };
 
 }  // namespace detail
@@ -294,11 +307,6 @@ class Device {
   /// The live timeline, or nullptr when nothing has been recorded.
   [[nodiscard]] const prof::Profile* profile() const { return profile_.get(); }
 
-  /// Adds host wall seconds of a just-executed kernel body to its event.
-  /// Used by the launch templates and by external dispatchers that pair
-  /// account_launch with their own execution (core::evaluate_positions).
-  void prof_note_wall(double seconds);
-
   // --- execution graphs (vgpu/graph/graph.h) ------------------------------
   // Capture-once/replay-many of a launch sequence, CUDA-Graph style. While
   // capturing, every account_launch/memcpy is recorded into `g` in addition
@@ -331,10 +339,9 @@ class Device {
     return graph_mode_ == GraphMode::kCapturing;
   }
   /// Notes the element domain of the node just captured (no-op unless
-  /// capturing). launch_kernel does this automatically;
-  /// dispatchers that pair account_launch with their own execution, and
-  /// call sites whose faithful branch launches a tracked per-thread body,
-  /// call it directly.
+  /// capturing). launch_kernel does this automatically; a per-thread
+  /// launch over an element domain (core::evaluate_positions for an
+  /// objective without batch_fn) calls it directly.
   void graph_note_elements(std::int64_t elems);
   /// Attaches the declared buffer footprint of the node just captured
   /// (no-op unless capturing) — see graph::BufferUse.
@@ -417,29 +424,41 @@ class Device {
     });
   }
 
-  /// Launches a registered kernel K over elements [0, n_elems). K follows
-  /// the core/kernels_registry.h contract: a by-value `Args` pack, the
-  /// reference `element(args, i)` and optionally a cheaper
-  /// `span(args, begin, end)`. Both paths account through account_launch.
-  /// On the fast path the body is run_span<K> — K's span when it defines
-  /// one — run inline, or offered as a range span to an attached pack sink
-  /// for a replay-matched launch. The inline run splits [0, n_elems) across
-  /// host workers (vgpu/parallel.h) once it reaches 2 * kHostGrain
-  /// elements; every registered span takes arbitrary sub-ranges, so the
-  /// bits do not depend on the split. While capturing, the node records K's
-  /// element domain. Off the fast path K::element runs through the
-  /// faithful per-thread grid-stride engine. K::element must be
-  /// order-independent across elements: each index owns its own outputs.
+  /// Launches a registered kernel K over elements [0, n_elems): the one
+  /// launch path for element-wise kernels on both engines. K follows the
+  /// core/kernels_registry.h contract: a by-value `Args` pack, the
+  /// reference `element(args, i)` and optionally `track(args, n)`,
+  /// `span(args, begin, end)` and `grain(args)`. Both paths account through
+  /// account_launch, and while capturing the node records K's element
+  /// domain. On the fast path the body is run_span<K> — K's span when it
+  /// defines one — offered as a range span to an attached pack sink for a
+  /// replay-matched launch, or run inline, split across host workers
+  /// (vgpu/parallel.h) in ranges of at least K::grain (default kHostGrain)
+  /// once the domain reaches two of them; every registered span takes
+  /// arbitrary sub-ranges, so the bits do not depend on the split. Off the
+  /// fast path K::element runs through the faithful per-thread grid-stride
+  /// engine, over the tracked views K::track registers when K declares
+  /// them. K::element must be order-independent across elements: each
+  /// index owns its own outputs.
   template <typename K>
   void launch_kernel(const LaunchConfig& cfg, const KernelCostSpec& cost,
                      std::int64_t n_elems, const typename K::Args& args) {
     if (!use_fast_path()) [[unlikely]] {
-      launch(cfg, cost, [&](const ThreadCtx& t) {
-        for (std::int64_t i = t.global_id(); i < n_elems;
-             i += t.grid_stride()) {
-          K::element(args, i);
-        }
-      });
+      const auto run_threads = [&](const auto& views) {
+        launch(cfg, cost, [&](const ThreadCtx& t) {
+          for (std::int64_t i = t.global_id(); i < n_elems;
+               i += t.grid_stride()) {
+            K::element(views, i);
+          }
+        });
+      };
+      if constexpr (detail::HasTrack<K>) {
+        // Views are built before launch() opens the sanitizer's launch
+        // record: coverage expectations bind to the next launch.
+        run_threads(K::track(args, n_elems));
+      } else {
+        run_threads(args);
+      }
       if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
         graph_note_elements(n_elems);
       }
@@ -455,8 +474,12 @@ class Device {
                          })) {
       return;
     }
+    std::int64_t grain = kHostGrain;
+    if constexpr (detail::HasGrain<K>) {
+      grain = K::grain(args);
+    }
     run_timed([&] {
-      parallel_for(n_elems, kHostGrain,
+      parallel_for(n_elems, grain,
                    [&args](std::int64_t b, std::int64_t e) {
                      run_span<K>(args, b, e);
                    });
@@ -473,29 +496,6 @@ class Device {
   /// Accounting entry point shared by all launch styles (also used by
   /// tests to drive the model directly).
   void account_launch(const LaunchConfig& cfg, const KernelCostSpec& cost);
-
-  /// External-dispatcher deferral hook (core::evaluate_positions): offers a
-  /// range closure for the launch just accounted. Returns true when the
-  /// sink took it — the dispatcher must then skip its inline execution.
-  template <typename Fn>
-  bool pack_offer_range(std::int64_t n_elems, const KernelCostSpec& cost,
-                        const Fn& fn) {
-    if (pack_sink_ != nullptr) [[unlikely]] {
-      if constexpr (PackSpan::admissible<Fn>) {
-        if (last_replay_node_ >= 0) {
-          PackSpan span;
-          span.bind_range(fn);
-          if (pack_sink_->offer(last_replay_node_, n_elems, cost,
-                                last_replay_seconds_, span)) {
-            pack_defer_stream_time();
-            return true;
-          }
-        }
-      }
-      pack_sink_->flush_lane();
-    }
-    return false;
-  }
 
   /// Flushes the attached sink's current lane (no-op without a sink).
   /// Called by every non-deferrable execution style and by host-side
@@ -599,6 +599,29 @@ class Device {
   /// advance every stream; kernel costs advance only the current stream.
   void add_modeled(double seconds, bool device_wide = true);
 
+  /// Offers launch_kernel's range closure for the launch just accounted to
+  /// the attached pack sink. Returns true when the sink took it (the launch
+  /// then skips its inline run); otherwise flushes the sink's lane.
+  template <typename Fn>
+  bool pack_offer_range(std::int64_t n_elems, const KernelCostSpec& cost,
+                        const Fn& fn) {
+    if (pack_sink_ != nullptr) [[unlikely]] {
+      if constexpr (PackSpan::admissible<Fn>) {
+        if (last_replay_node_ >= 0) {
+          PackSpan span;
+          span.bind_range(fn);
+          if (pack_sink_->offer(last_replay_node_, n_elems, cost,
+                                last_replay_seconds_, span)) {
+            pack_defer_stream_time();
+            return true;
+          }
+        }
+      }
+      pack_sink_->flush_lane();
+    }
+    return false;
+  }
+
   /// Runs a just-accounted launch's body; under profiling its host wall
   /// time lands on the launch's event.
   template <typename Fn>
@@ -611,6 +634,9 @@ class Device {
     }
     run();
   }
+
+  /// Adds host wall seconds of a just-executed kernel body to its event.
+  void prof_note_wall(double seconds);
 
   // Out-of-line profiler slow paths (device.cpp); reached only while
   // prof::active(). Events are recorded *before* add_modeled so t_begin is

@@ -5,11 +5,11 @@
 // job still executed its own launches. These hooks are the execution half of
 // making that real (DESIGN.md §10, the Warp-Level Parallelism scheme from
 // PAPERS.md): while a PackSink is attached and a graph replay is open,
-// Device::launch_kernel and core::evaluate_positions offer each *matched*
-// element launch's body to the sink as a range closure instead of running
-// it inline. The sink (one lane per job) later executes a whole same-shape
-// cohort's spans through one Device::packed_dispatch with grid = k x
-// per-job blocks.
+// Device::launch_kernel — the launch path of every element kernel,
+// batched evaluation included — offers each *matched* launch's body to the
+// sink as a range closure instead of running it inline. The sink (one lane
+// per job) later executes a whole same-shape cohort's spans through one
+// Device::packed_dispatch with grid = k x per-job blocks.
 //
 // Accounting is untouched by design: a deferred launch was already fully
 // accounted through the per-job replay path (counters, modeled seconds,
@@ -49,8 +49,7 @@ class PackSpan {
   PackSpan() = default;
 
   /// Binds a range closure `fn(begin, end)` that runs its own loop over
-  /// the elements (launch_kernel's run_span<K>, the batch objective
-  /// evaluator).
+  /// the elements (launch_kernel's run_span<K>).
   template <typename Fn>
   void bind_range(const Fn& fn) {
     static_assert(admissible<Fn>, "range closure does not fit a PackSpan");

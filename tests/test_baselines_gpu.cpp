@@ -37,27 +37,42 @@ TEST(GpuPso, ConvergesOnSphere) {
   EXPECT_LT(result.error_to(0.0), 4.0);  // plateau ~0.12/dim
 }
 
+/// A literal pin of one baseline run: the gbest value's bits, an
+/// FNV-1a-64 digest of the position bits, the modeled seconds and the
+/// launch count. The literals hold on the fast path, on the faithful
+/// engine (FASTPSO_FAST_PATH=0, FASTPSO_SAN=1), on one host worker and
+/// with glibc's AVX/FMA variants masked.
+struct Pin {
+  const char* problem;
+  int n;
+  int d;
+  int iters;
+  std::uint64_t gbest_bits;
+  std::uint64_t position_digest;
+  double modeled_seconds;
+  std::uint64_t launches;
+};
+
+void expect_pinned(const core::Result& result, const Pin& pin) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.gbest_value), pin.gbest_bits);
+  EXPECT_EQ(fnv1a_bits(result.gbest_position), pin.position_digest);
+  EXPECT_EQ(result.modeled_seconds, pin.modeled_seconds);
+  EXPECT_EQ(result.counters.launches, pin.launches);
+}
+
 TEST(GpuPso, DeterministicForSeed) {
-  // Reruns agree, and each cell matches literals: the gbest value's bits,
-  // an FNV-1a-64 digest of the position bits, the modeled seconds and the
-  // launch count. The literals hold on the fast path, on the faithful
-  // engine (FASTPSO_FAST_PATH=0, FASTPSO_SAN=1), on one host worker and
-  // with glibc's AVX/FMA variants masked.
-  struct Pin {
-    const char* problem;
-    int n;
-    int d;
-    int iters;
-    std::uint64_t gbest_bits;
-    std::uint64_t position_digest;
-    double modeled_seconds;
-    std::uint64_t launches;
-  };
+  // Reruns agree, and each cell matches its literals.
   static constexpr Pin kPins[] = {
       {"sphere", 100, 8, 50, 0x3fa9d72360000000ull, 0x7f42f648d5fe7c54ull,
        0x1.7e9be9a8980f8p-10, 269},
       {"griewank", 64, 33, 40, 0x40481c0400000000ull, 0xe752f59a142aa62bull,
        0x1.871ee2d84209cp-10, 221},
+      // Evaluation grain 2^14 / 200 = 81 rows: the batched evaluation of
+      // 250 particles splits across host workers. (At n >= 256 the gbest
+      // reduction takes tuned geometry under FASTPSO_TUNED=1, which moves
+      // the modeled seconds.)
+      {"griewank", 250, 200, 10, 0x40a35659e0000000ull, 0x7c55f455be442f6eull,
+       0x1.a7291a9458021p-9, 58},
   };
   for (const Pin& pin : kPins) {
     SCOPED_TRACE(pin.problem);
@@ -68,11 +83,7 @@ TEST(GpuPso, DeterministicForSeed) {
                            small_params(pin.n, pin.d, pin.iters), device);
     }
     EXPECT_EQ(results[0].gbest_value, results[1].gbest_value);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(results[0].gbest_value),
-              pin.gbest_bits);
-    EXPECT_EQ(fnv1a_bits(results[0].gbest_position), pin.position_digest);
-    EXPECT_EQ(results[0].modeled_seconds, pin.modeled_seconds);
-    EXPECT_EQ(results[0].counters.launches, pin.launches);
+    expect_pinned(results[0], pin);
   }
 }
 
@@ -113,13 +124,25 @@ TEST(HgpuPso, ConvergesOnSphere) {
 }
 
 TEST(HgpuPso, DeterministicForSeed) {
-  core::Result results[2];
-  for (auto& result : results) {
-    vgpu::Device device;
-    result = run_hgpu_pso(make("sphere", 8), small_params(100, 8, 50),
-                          device);
+  // Same pins as GpuPso.DeterministicForSeed. The 1200x33 cell's batched
+  // evaluation splits across host workers (grain 2^14 / 33 = 496 rows).
+  static constexpr Pin kPins[] = {
+      {"sphere", 100, 8, 50, 0x3fb7492480000000ull, 0x203c20647dcadd11ull,
+       0x1.5aead0924207dp-9, 50},
+      {"griewank", 1200, 33, 10, 0x405a8768c0000000ull, 0xc77d534ed72bfa3bull,
+       0x1.d672325388381p-10, 10},
+  };
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(pin.problem);
+    core::Result results[2];
+    for (auto& result : results) {
+      vgpu::Device device;
+      result = run_hgpu_pso(make(pin.problem, pin.d),
+                            small_params(pin.n, pin.d, pin.iters), device);
+    }
+    EXPECT_EQ(results[0].gbest_value, results[1].gbest_value);
+    expect_pinned(results[0], pin);
   }
-  EXPECT_EQ(results[0].gbest_value, results[1].gbest_value);
 }
 
 TEST(HgpuPso, TransfersPositionsEveryIteration) {

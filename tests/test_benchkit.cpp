@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "benchkit/runner.h"
 #include "common/check.h"
 
@@ -27,6 +29,25 @@ TEST(Runner, MakeAnyProblemIncludesThreadconf) {
   EXPECT_NO_THROW(make_any_problem("sphere"));
   EXPECT_NO_THROW(make_any_problem("threadconf"));
   EXPECT_THROW(make_any_problem("missing"), CheckError);
+}
+
+TEST(Benchkit, EveryImplRejectsMalformedParams) {
+  // A swarm with no particles, no dimensions or no iterations has no
+  // answer: every implementation must refuse it instead of reporting a
+  // gbest that nothing computed.
+  for (Impl impl : all_impls()) {
+    for (int field = 0; field < 3; ++field) {
+      RunSpec spec;
+      spec.impl = impl;
+      spec.problem = "sphere";
+      spec.particles = field == 0 ? 0 : 16;
+      spec.dim = field == 1 ? 0 : 4;
+      spec.iters = field == 2 ? 0 : 5;
+      SCOPED_TRACE(std::string(to_string(impl)) + " field " +
+                   std::to_string(field));
+      EXPECT_THROW(run_spec(spec), CheckError);
+    }
+  }
 }
 
 class AllImplsSmoke : public ::testing::TestWithParam<Impl> {};

@@ -293,6 +293,46 @@ TEST(SanSession, ExactCoverageIsClean) {
   EXPECT_TRUE(report.clean()) << report.summary();
 }
 
+// ---- registered kernels on the faithful engine ----------------------------
+
+template <typename T>
+using RawPtr = T*;
+
+/// A defective registered kernel (core/kernels_registry.h contract): it
+/// declares that every element of `out` is written exactly once, but every
+/// element writes out[0].
+struct WriteFirstKernel {
+  template <template <typename> class P>
+  struct Pack {
+    P<float> out;
+  };
+  using Args = Pack<RawPtr>;
+  template <typename A>
+  static void element(const A& a, std::int64_t /*i*/) {
+    a.out[0] = 1.0f;
+  }
+  static Pack<Tracked> track(const Args& a, std::int64_t n) {
+    const Pack<Tracked> views{
+        san::track(a.out, static_cast<std::size_t>(n), "out")};
+    expect_writes_exactly_once(views.out);
+    return views;
+  }
+};
+
+TEST(SanSession, LaunchKernelRunsElementThroughDeclaredViews) {
+  // launch_kernel's faithful engine must run K::element over the views
+  // K::track registers, so the sanitizer audits the body both engines run.
+  Device device;
+  std::vector<float> out(64, 0.0f);
+  Session session;
+  device.launch_kernel<WriteFirstKernel>(shape(2, 32), float_cost(0, 0, 64),
+                                         64, {out.data()});
+  const Report& report = session.finish();
+  EXPECT_GE(report.count(Finding::Kind::kDoubleWrite), 1);
+  EXPECT_GE(report.count(Finding::Kind::kCoverageGap), 1);
+  EXPECT_GE(report.count(Finding::Kind::kWriteWriteRace), 1);
+}
+
 // ---- cost audit ----------------------------------------------------------
 
 TEST(SanSession, CostDriftBeyondToleranceIsFlagged) {
