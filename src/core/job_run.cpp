@@ -10,7 +10,7 @@
 namespace fastpso::core {
 
 SwarmState JobRun::make_state(vgpu::Device& device, int n, int d) {
-  device.set_phase("init");
+  device.set_phase(PhaseId::kInit);
   return SwarmState(device, n, d);
 }
 
@@ -41,7 +41,7 @@ JobRun::JobRun(vgpu::Device& device, const PsoParams& params,
                            : static_cast<float>(objective_.upper -
                                                 objective_.lower);
   {
-    ScopedTimer timer(wall_, "init");
+    ScopedTimer timer(wall_, PhaseId::kInit);
     initialize_swarm(device_, policy_, state_, params_.seed,
                      static_cast<float>(objective_.lower),
                      static_cast<float>(objective_.upper), v_init);
@@ -62,8 +62,8 @@ JobRun::JobRun(vgpu::Device& device, const PsoParams& params,
   // iteration t. Same Philox streams, so results are bit-identical.
   if (params_.overlap_init) {
     gen_stream_ = device_.create_stream();
-    device_.set_phase("init");
-    ScopedTimer timer(wall_, "init");
+    device_.set_phase(PhaseId::kInit);
+    ScopedTimer timer(wall_, PhaseId::kInit);
     for (int b = 0; b < 2; ++b) {
       l_buf_[b] = vgpu::DeviceArray<float>(device_, state_.elements());
       g_buf_[b] = vgpu::DeviceArray<float>(device_, state_.elements());
@@ -87,8 +87,8 @@ void JobRun::step_front() {
   if (params_.overlap_init) {
     // ---- Step (i), overlapped: next iteration's weights on stream 1 ----
     if (iter + 1 < params_.max_iter) {
-      ScopedTimer timer(wall_, "init");
-      device_.set_phase("init");
+      ScopedTimer timer(wall_, PhaseId::kInit);
+      device_.set_phase(PhaseId::kInit);
       device_.set_stream(gen_stream_);
       generate_weights(device_, policy_, state_.elements(), params_.seed,
                        iter + 1, l_buf_[(iter + 1) % 2],
@@ -97,8 +97,8 @@ void JobRun::step_front() {
     }
   } else {
     // ---- Step (i) continued: per-iteration weight matrices -------------
-    device_.set_phase("init");
-    ScopedTimer timer(wall_, "init");
+    device_.set_phase(PhaseId::kInit);
+    ScopedTimer timer(wall_, PhaseId::kInit);
     iter_l_ = vgpu::DeviceArray<float>(device_, state_.elements());
     iter_g_ = vgpu::DeviceArray<float>(device_, state_.elements());
     generate_weights(device_, policy_, state_.elements(), params_.seed,
@@ -107,8 +107,8 @@ void JobRun::step_front() {
 
   // ---- Step (ii): evaluation through the kernel schema -----------------
   {
-    vgpu::prof::Scope phase(device_, "eval");
-    ScopedTimer timer(wall_, "eval");
+    vgpu::prof::Scope phase(device_, PhaseId::kEval);
+    ScopedTimer timer(wall_, PhaseId::kEval);
     vgpu::prof::KernelLabel label("eval/objective");
     evaluate_positions(device_, policy_.for_particles(n).config, objective_,
                        positions_, n, d, eval_cost_, perror_);
@@ -116,8 +116,8 @@ void JobRun::step_front() {
 
   // ---- Step (iii), pass 1: pbest compare -------------------------------
   {
-    vgpu::prof::Scope phase(device_, "pbest");
-    ScopedTimer timer(wall_, "pbest");
+    vgpu::prof::Scope phase(device_, PhaseId::kPbest);
+    ScopedTimer timer(wall_, PhaseId::kPbest);
     update_pbest_compare(device_, policy_, state_);
   }
 }
@@ -125,17 +125,17 @@ void JobRun::step_front() {
 void JobRun::step_middle() {
   // ---- Step (iii), host read-back + pass 2: pbest gather ---------------
   // Same "pbest" phase as the compare pass; prof::Scope only sets the
-  // phase string, so two scopes account identically to the old single one.
-  vgpu::prof::Scope phase(device_, "pbest");
-  ScopedTimer timer(wall_, "pbest");
+  // phase, so two scopes account identically to the old single one.
+  vgpu::prof::Scope phase(device_, PhaseId::kPbest);
+  ScopedTimer timer(wall_, PhaseId::kPbest);
   update_pbest_finish(device_, policy_, state_);
 }
 
 void JobRun::step_back() {
   const int iter = completed_;
   {
-    vgpu::prof::Scope phase(device_, "gbest");
-    ScopedTimer timer(wall_, "gbest");
+    vgpu::prof::Scope phase(device_, PhaseId::kGbest);
+    ScopedTimer timer(wall_, PhaseId::kGbest);
     update_gbest(device_, state_);
   }
 
@@ -150,9 +150,9 @@ void JobRun::step_back() {
   // Plain set_phase, not a prof::Scope: "swarm" must persist past the
   // block so the end-of-iteration weight-matrix frees stay attributed to
   // it, exactly as before.
-  device_.set_phase("swarm");
+  device_.set_phase(PhaseId::kSwarm);
   {
-    ScopedTimer timer(wall_, "swarm");
+    ScopedTimer timer(wall_, PhaseId::kSwarm);
     const UpdateCoefficients it_coeff =
         coefficients_for_iter(coeff_, params_, iter);
     if (params_.topology == Topology::kRing) {
@@ -182,7 +182,7 @@ Result JobRun::finish() {
   finished_ = true;
   Result result;
   // Fetch the final answer from the device.
-  device_.set_phase("gbest");
+  device_.set_phase(PhaseId::kGbest);
   result.gbest_position.resize(params_.dim);
   state_.gbest_pos.download(result.gbest_position);
   result.gbest_value = state_.gbest_err;

@@ -133,8 +133,8 @@ void CohortQueue::dispatch_group(vgpu::Device& device, int node_index,
       exec_->nodes()[static_cast<std::size_t>(node_index)];
   const std::int64_t grid = en.node.grid;
   const int block = en.node.block;
-  const char* label =
-      en.node.label.empty() ? en.node.phase.c_str() : en.node.label.c_str();
+  const char* label = en.node.label.empty() ? phase_name(en.node.phase).c_str()
+                                            : en.node.label.c_str();
 
   // Warp-per-job sub-packing decision: per-job thread utilization below
   // the threshold (and a warp-aligned block) means block-per-job packing

@@ -93,17 +93,17 @@ int Scheduler::submit(JobSpec spec) {
 void Scheduler::install(Job& job) {
   FASTPSO_CHECK_MSG(!installed_, "nested job install");
   installed_ = true;
-  device_.swap_accounting(job.counters, job.breakdown);
+  device_.bind_accounting(job.counters, job.breakdown);
   device_.set_pool_override(job.pool.get());
   device_.set_stream(job.stream);
 }
 
-void Scheduler::uninstall(Job& job) {
+void Scheduler::uninstall() {
   FASTPSO_CHECK_MSG(installed_, "uninstall without install");
   installed_ = false;
   device_.set_stream(0);
   device_.set_pool_override(nullptr);
-  device_.swap_accounting(job.counters, job.breakdown);
+  device_.unbind_accounting();
 }
 
 int Scheduler::pick_pending() const {
@@ -159,7 +159,7 @@ void Scheduler::admit(std::size_t pending_index) {
   install(*job);
   job->run = std::make_unique<core::JobRun>(
       device_, job->spec.params, job->objective, core::JobRun::Mode::kServe);
-  uninstall(*job);
+  uninstall();
 
   active_.push_back(std::move(job));
 }
@@ -237,7 +237,7 @@ void Scheduler::round() {
       if (options_.use_graphs) {
         clean = cache_.end_iteration(shape, mode);
       }
-      uninstall(*job);
+      uninstall();
       const std::uint64_t delta = job->counters.launches - launches_before;
 
       ++tally_.iterations;
@@ -326,16 +326,10 @@ std::uint64_t Scheduler::round_packed(const JobShape& shape,
         ++tally_.cache_hits;
       }
       if (sub == 0) {
-        // Read before install: install() swaps job->counters onto the
-        // device, leaving the scheduler's own accumulators behind.
         launches_before[m] = job->counters.launches;
       }
       install(*job);
       if (sub == 0) {
-        // sticky_slots is legal: the job's breakdown nodes are stable for
-        // its lifetime (swap_accounting swaps map internals, it never
-        // clear()s), and it removes the hottest per-replay fixed cost.
-        job->session.sticky_slots = true;
         exec.set_replay_stream(job->session, job->stream);
         device_.begin_replay(exec, job->session);
       } else {
@@ -361,7 +355,7 @@ std::uint64_t Scheduler::round_packed(const JobShape& shape,
       } else {
         device_.detach_replay();
       }
-      uninstall(*job);
+      uninstall();
     }
     queue_.flush_barrier(device_);
   }
@@ -429,7 +423,7 @@ void Scheduler::finalize(std::unique_ptr<Job> job) {
   // ...then the run's buffers are freed with the job's pool still
   // installed, so every free finds the allocator that served it.
   job->run.reset();
-  uninstall(*job);
+  uninstall();
   out.finish_seconds = device_.stream_clock(job->stream);
   // Pool teardown (returning cached blocks to the device) is scheduler
   // work, after the job's accounting is sealed — a solo run's Result

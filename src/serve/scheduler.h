@@ -12,11 +12,11 @@
 // every job's Result is byte-identical to the same spec run solo on a
 // fresh device. Three mechanisms carry it —
 //
-//   * swap-in/swap-out accounting (Device::swap_accounting): every entry
-//     into a job's device work is bracketed so the job's counters and
-//     per-phase breakdown evolve through exactly the solo sequence of +=
-//     operations from zero. A delta of doubles could not guarantee that
-//     (FP addition is non-associative); a swap can.
+//   * bound accounting (Device::bind_accounting): every entry into a
+//     job's device work points the device's counters and per-phase
+//     breakdown at the job's own, so they evolve through exactly the solo
+//     sequence of += operations from zero. A delta of doubles could not
+//     guarantee that (FP addition is non-associative); a binding can.
 //   * a private MemoryPool per job (Device::set_pool_override): pool cache
 //     hits skip the device allocator, so a shared warm cache would make a
 //     scheduled job's alloc accounting diverge from its solo run.
@@ -137,7 +137,8 @@ class Scheduler {
 
   /// Device-buffer spans of every active job, one vector per job. The serve
   /// suite asserts pairwise disjointness across jobs (no cross-job buffer
-  /// sharing — the isolation the per-job pools and swap accounting assume).
+  /// sharing — the isolation the per-job pools and bound accounting
+  /// assume).
   [[nodiscard]] std::vector<
       std::vector<std::pair<const void*, std::size_t>>>
   active_buffer_spans() const;
@@ -151,8 +152,9 @@ class Scheduler {
     core::Objective objective;
     std::unique_ptr<vgpu::MemoryPool> pool;
     std::unique_ptr<core::JobRun> run;
-    /// Swap-bracket accumulators: this job's counters/breakdown while the
-    /// job is not installed on the device.
+    /// This job's accounting. The device accounts into them directly
+    /// while the job is installed (their addresses are stable: a Job lives
+    /// behind a unique_ptr).
     vgpu::DeviceCounters counters;
     TimeBreakdown breakdown;
     vgpu::Device::StreamId stream = 0;
@@ -162,8 +164,8 @@ class Scheduler {
     bool captured = false;
     bool first_iteration = true;
     /// Per-job replay cursor over the shape's shared exec, for the packed
-    /// path's interleaved substep replays. sticky_slots is legal here: the
-    /// job's breakdown is never clear()ed while the job lives.
+    /// path's interleaved substep replays. Its breakdown slots resolve once
+    /// per exec, against `breakdown`.
     vgpu::graph::GraphExec::ReplaySession session;
   };
 
@@ -180,11 +182,11 @@ class Scheduler {
 
   [[nodiscard]] double now() const { return device_.modeled_seconds(); }
 
-  /// Swaps the job's accounting onto the device and routes allocations and
+  /// Binds the job's accounting on the device and routes allocations and
   /// launches to its pool and stream. Brackets MUST be paired and never
   /// nested; uninstall restores the scheduler's own accounting.
   void install(Job& job);
-  void uninstall(Job& job);
+  void uninstall();
 
   void admit_arrived();
   /// Index into pending_ of the next job to admit under the policy, or -1.

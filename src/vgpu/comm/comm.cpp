@@ -106,7 +106,7 @@ void Communicator::account(const char* label, const CollectiveCostSpec& cost) {
   for (int i = 0; i < n; ++i) {
     Device& dev = group_.device(i);
     const Device::StreamId prev_stream = dev.stream();
-    const std::string prev_phase = dev.phase();
+    const PhaseId prev_phase = dev.phase_id();
     dev.stream_wait(comm_stream_[static_cast<std::size_t>(i)], start);
     dev.set_stream(comm_stream_[static_cast<std::size_t>(i)]);
     dev.set_phase("comm");

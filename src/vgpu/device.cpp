@@ -68,7 +68,7 @@ void* Device::raw_alloc(std::size_t bytes) {
   FASTPSO_CHECK_MSG(p != nullptr, "host allocation failed");
   allocations_[p] = bytes;
   bytes_in_use_ += bytes;
-  ++counters_.allocs;
+  ++counters_->allocs;
   const double seconds = perf_.alloc_seconds();
   if (prof::active()) [[unlikely]] {
     prof_record_op(prof::EventKind::kAlloc, static_cast<double>(bytes),
@@ -87,7 +87,7 @@ void Device::raw_free(void* p) {
   bytes_in_use_ -= it->second;
   std::free(p);
   allocations_.erase(it);
-  ++counters_.frees;
+  ++counters_->frees;
   const double seconds = perf_.free_seconds();
   if (prof::active()) [[unlikely]] {
     prof_record_op(prof::EventKind::kFree, bytes, seconds, 0.0);
@@ -111,8 +111,8 @@ void Device::memcpy_h2d(void* dst, const void* src, std::size_t bytes) {
   } else {
     std::memcpy(dst, src, bytes);
   }
-  ++counters_.transfers;
-  counters_.h2d_bytes += static_cast<double>(bytes);
+  ++counters_->transfers;
+  counters_->h2d_bytes += static_cast<double>(bytes);
   add_modeled(seconds);
 }
 
@@ -132,8 +132,8 @@ void Device::memcpy_d2h(void* dst, const void* src, std::size_t bytes) {
   } else {
     std::memcpy(dst, src, bytes);
   }
-  ++counters_.transfers;
-  counters_.d2h_bytes += static_cast<double>(bytes);
+  ++counters_->transfers;
+  counters_->d2h_bytes += static_cast<double>(bytes);
   add_modeled(seconds);
 }
 
@@ -155,25 +155,36 @@ void Device::memcpy_d2d(void* dst, const void* src, std::size_t bytes) {
   } else {
     std::memcpy(dst, src, bytes);
   }
-  ++counters_.transfers;
-  counters_.dram_read_useful += static_cast<double>(bytes);
-  counters_.dram_write_useful += static_cast<double>(bytes);
-  counters_.dram_read_fetched += static_cast<double>(bytes);
-  counters_.dram_write_fetched += static_cast<double>(bytes);
+  ++counters_->transfers;
+  counters_->dram_read_useful += static_cast<double>(bytes);
+  counters_->dram_write_useful += static_cast<double>(bytes);
+  counters_->dram_read_fetched += static_cast<double>(bytes);
+  counters_->dram_write_fetched += static_cast<double>(bytes);
   add_modeled(seconds);
 }
 
-void Device::swap_accounting(DeviceCounters& counters,
+void Device::bind_accounting(DeviceCounters& counters,
                              TimeBreakdown& breakdown) {
   FASTPSO_CHECK_MSG(graph_mode_ == GraphMode::kOff,
-                    "swap_accounting during an open capture/replay");
-  std::swap(counters_, counters);
-  modeled_breakdown_.swap(breakdown);
+                    "bind_accounting during an open capture/replay");
+  FASTPSO_CHECK_MSG(counters_ == &own_counters_,
+                    "bind_accounting while already bound");
+  counters_ = &counters;
+  breakdown_ = &breakdown;
+}
+
+void Device::unbind_accounting() {
+  FASTPSO_CHECK_MSG(graph_mode_ == GraphMode::kOff,
+                    "unbind_accounting during an open capture/replay");
+  FASTPSO_CHECK_MSG(counters_ != &own_counters_,
+                    "unbind_accounting without a binding");
+  counters_ = &own_counters_;
+  breakdown_ = &own_breakdown_;
 }
 
 void Device::reset_counters() {
-  counters_ = DeviceCounters{};
-  modeled_breakdown_.clear();
+  *counters_ = DeviceCounters{};
+  breakdown_->clear();
   stream_clock_.assign(stream_clock_.size(), 0.0);
   if (profile_) {
     profile_->clear();
@@ -222,9 +233,9 @@ void Device::add_modeled_host_seconds(double seconds) {
 void Device::account_comm(const char* label, double bytes, double seconds) {
   pack_flush_lane();
   FASTPSO_CHECK(bytes >= 0 && seconds >= 0);
-  ++counters_.collectives;
-  counters_.comm_bytes += bytes;
-  counters_.comm_seconds += seconds;
+  ++counters_->collectives;
+  counters_->comm_bytes += bytes;
+  counters_->comm_seconds += seconds;
   if (prof::active()) [[unlikely]] {
     if (!profile_) {
       profile_ = std::make_unique<prof::Profile>();
@@ -232,7 +243,7 @@ void Device::account_comm(const char* label, double bytes, double seconds) {
     prof::Event e;
     e.kind = prof::EventKind::kComm;
     e.label = label;
-    e.phase = phase_;
+    e.phase = phase();
     e.stream = current_stream_;
     e.bytes = bytes;
     // Stream-local, like a kernel: the comm stream's own clock, so the
@@ -255,17 +266,17 @@ void Device::account_launch(const LaunchConfig& cfg,
   FASTPSO_CHECK(cfg.grid > 0);
   FASTPSO_CHECK_MSG(cfg.block > 0 && cfg.block <= spec_.max_threads_per_block,
                     "block size exceeds device limit");
-  ++counters_.launches;
-  counters_.barriers += static_cast<std::uint64_t>(cost.barriers);
-  counters_.flops += cost.flops;
-  counters_.transcendentals += cost.transcendentals;
-  counters_.dram_read_useful += cost.dram_read_bytes;
-  counters_.dram_write_useful += cost.dram_write_bytes;
-  counters_.dram_read_fetched += cost.fetched_read_bytes();
-  counters_.dram_write_fetched += cost.fetched_write_bytes();
+  ++counters_->launches;
+  counters_->barriers += static_cast<std::uint64_t>(cost.barriers);
+  counters_->flops += cost.flops;
+  counters_->transcendentals += cost.transcendentals;
+  counters_->dram_read_useful += cost.dram_read_bytes;
+  counters_->dram_write_useful += cost.dram_write_bytes;
+  counters_->dram_read_fetched += cost.fetched_read_bytes();
+  counters_->dram_write_fetched += cost.fetched_write_bytes();
   const double seconds =
       perf_.kernel_seconds(static_cast<double>(cfg.total_threads()), cost);
-  counters_.kernel_seconds += seconds;
+  counters_->kernel_seconds += seconds;
   if (prof::active()) [[unlikely]] {
     prof_record_kernel(cfg, cost, seconds);
   }
@@ -293,26 +304,26 @@ bool Device::graph_account(const LaunchConfig& cfg,
   // the launch-shape checks already passed at capture; cost values come
   // from the call site, and the node contributes only shape-derived
   // precomputes — every accounted value is byte-identical to eager mode.
-  ++counters_.launches;
-  counters_.barriers += static_cast<std::uint64_t>(cost.barriers);
-  counters_.flops += cost.flops;
-  counters_.transcendentals += cost.transcendentals;
-  counters_.dram_read_useful += cost.dram_read_bytes;
-  counters_.dram_write_useful += cost.dram_write_bytes;
-  counters_.dram_read_fetched += cost.fetched_read_bytes();
-  counters_.dram_write_fetched += cost.fetched_write_bytes();
+  ++counters_->launches;
+  counters_->barriers += static_cast<std::uint64_t>(cost.barriers);
+  counters_->flops += cost.flops;
+  counters_->transcendentals += cost.transcendentals;
+  counters_->dram_read_useful += cost.dram_read_bytes;
+  counters_->dram_write_useful += cost.dram_write_bytes;
+  counters_->dram_read_fetched += cost.fetched_read_bytes();
+  counters_->dram_write_fetched += cost.fetched_write_bytes();
   double t_compute = 0;
   double t_memory = 0;
   const double seconds =
       perf_.kernel_seconds_resolved(node->shape, cost, &t_compute, &t_memory);
-  counters_.kernel_seconds += seconds;
+  counters_->kernel_seconds += seconds;
   if (prof::active()) [[unlikely]] {
     prof_record_kernel_replay(cfg, cost, seconds,
                               node->shape.compute_occupancy,
                               node->shape.memory_occupancy,
                               t_memory > t_compute);
   }
-  counters_.modeled_seconds += seconds;
+  counters_->modeled_seconds += seconds;
   *replay_session_->slots[static_cast<std::size_t>(index)] += seconds;
   stream_clock_[current_stream_] += seconds;
   if (node->fuse_group >= 0) {
@@ -362,7 +373,7 @@ void Device::begin_replay(graph::GraphExec& exec,
                           graph::GraphExec::ReplaySession& session) {
   FASTPSO_CHECK_MSG(graph_mode_ == GraphMode::kOff,
                     "begin_replay during an open capture/replay");
-  exec.begin_replay(session, modeled_breakdown_, stream_count());
+  exec.begin_replay(session, *breakdown_, stream_count());
   replay_exec_ = &exec;
   replay_session_ = &session;
   graph_mode_ = GraphMode::kReplaying;
@@ -427,7 +438,7 @@ void Device::prof_record_kernel_replay(const LaunchConfig& cfg,
   e.kind = prof::EventKind::kKernel;
   const char* label = prof::detail::current_label();
   e.label = label != nullptr ? label : "<unlabeled>";
-  e.phase = phase_;
+  e.phase = phase();
   e.stream = current_stream_;
   e.grid = cfg.grid;
   e.block = cfg.block;
@@ -450,7 +461,7 @@ void Device::prof_record_packed(const char* label, const LaunchConfig& cfg,
   e.kind = prof::EventKind::kKernel;
   e.label = "pack[k=" + std::to_string(jobs) + "]:" +
             (label != nullptr ? label : "<unlabeled>");
-  e.phase = phase_;
+  e.phase = phase();
   e.stream = current_stream_;
   e.grid = cfg.grid;
   e.block = cfg.block;
@@ -470,7 +481,7 @@ void Device::prof_record_op(prof::EventKind kind, double bytes, double seconds,
   prof::Event e;
   e.kind = kind;
   e.label = prof::to_string(kind);
-  e.phase = phase_;
+  e.phase = phase();
   e.stream = current_stream_;
   e.bytes = bytes;
   // Device-wide ops start where the furthest stream stands (they sync all
@@ -490,8 +501,8 @@ void Device::prof_note_wall(double seconds) {
 }
 
 void Device::add_modeled(double seconds, bool device_wide) {
-  counters_.modeled_seconds += seconds;
-  modeled_breakdown_.add(phase_, seconds);
+  counters_->modeled_seconds += seconds;
+  breakdown_->add(phase_, seconds);
   if (device_wide) {
     // Synchronizing operation: align all streams, then advance together.
     const double now =

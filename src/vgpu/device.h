@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -258,24 +259,34 @@ class Device {
   }
 
   // --- phases / accounting ------------------------------------------------
-  /// Tags subsequent modeled time with `phase` (e.g. "swarm" / "eval"),
-  /// feeding the Figure 5 breakdown.
-  void set_phase(std::string phase) { phase_ = std::move(phase); }
-  [[nodiscard]] const std::string& phase() const { return phase_; }
+  /// Tags subsequent modeled time with `phase` (e.g. PhaseId::kSwarm),
+  /// feeding the Figure 5 breakdown. The string form interns the name
+  /// (common/stopwatch.h), for cold call sites.
+  void set_phase(PhaseId phase) { phase_ = phase; }
+  void set_phase(std::string_view phase) { phase_ = intern_phase(phase); }
+  [[nodiscard]] PhaseId phase_id() const { return phase_; }
+  [[nodiscard]] const std::string& phase() const { return phase_name(phase_); }
 
-  [[nodiscard]] const DeviceCounters& counters() const { return counters_; }
+  /// The counters accounting currently lands in: the device's own, or the
+  /// bound ones (bind_accounting).
+  [[nodiscard]] const DeviceCounters& counters() const { return *counters_; }
+  /// Zeroes the current counters and breakdown and every stream clock.
   void reset_counters();
 
-  /// Exchanges the device's activity counters and per-phase breakdown with
-  /// the caller's accumulators. The serve scheduler brackets every entry
-  /// into a job's device work with a swap-in/swap-out pair, so each job's
-  /// accounting evolves through exactly the solo sequence of += operations
-  /// from zero — bitwise-identical to a solo run, which an after-minus-
-  /// before delta of doubles could never guarantee. Stream clocks are NOT
-  /// swapped: the multiplexed timeline is shared by design. Must not be
-  /// called while a capture or replay is open (replay caches breakdown slot
-  /// pointers for the duration of the session).
-  void swap_accounting(DeviceCounters& counters, TimeBreakdown& breakdown);
+  /// Points the device's activity counters and per-phase breakdown at the
+  /// caller's accumulators until unbind_accounting(); stream clocks stay
+  /// shared. The serve scheduler binds a job's accumulators around every
+  /// entry into its device work, so each job's accounting evolves through
+  /// exactly the solo sequence of += operations from zero — bitwise-
+  /// identical to a solo run, which an after-minus-before delta of doubles
+  /// could never guarantee. Throws CheckError when already bound or while a
+  /// capture or replay is open (a replay session holds breakdown slot
+  /// pointers). The accumulators must outlive the binding.
+  void bind_accounting(DeviceCounters& counters, TimeBreakdown& breakdown);
+  /// Points accounting back at the device's own accumulators, which hold
+  /// what they held at bind time. Same preconditions, except that it needs
+  /// a binding.
+  void unbind_accounting();
 
   /// Modeled elapsed device time: the furthest stream clock. Equals the
   /// per-phase breakdown total when a single stream is used; smaller when
@@ -283,7 +294,7 @@ class Device {
   [[nodiscard]] double modeled_seconds() const;
   /// Modeled seconds per phase tag (work-seconds; overlap not deducted).
   [[nodiscard]] const TimeBreakdown& modeled_breakdown() const {
-    return modeled_breakdown_;
+    return *breakdown_;
   }
 
   /// Adds host-side modeled time (e.g. the CPU half of the heterogeneous
@@ -551,9 +562,12 @@ class Device {
   GpuPerfModel perf_;
   std::map<void*, std::size_t> allocations_;
   std::size_t bytes_in_use_ = 0;
-  DeviceCounters counters_;
-  TimeBreakdown modeled_breakdown_;
-  std::string phase_ = "default";
+  DeviceCounters own_counters_;
+  TimeBreakdown own_breakdown_;
+  /// Where accounting lands: the own_* accumulators, or a binding's.
+  DeviceCounters* counters_ = &own_counters_;
+  TimeBreakdown* breakdown_ = &own_breakdown_;
+  PhaseId phase_ = PhaseId::kDefault;
   std::unique_ptr<MemoryPool> pool_;
   MemoryPool* pool_override_ = nullptr;
   std::vector<double> stream_clock_ = {0.0};

@@ -25,7 +25,7 @@ const char* to_string(NodeKind kind) {
 // --- Graph ----------------------------------------------------------------
 
 void Graph::record_kernel(std::int64_t grid, int block, int stream,
-                          const std::string& phase, const char* label,
+                          PhaseId phase, const char* label,
                           const KernelCostSpec& cost) {
   Node node;
   node.kind = NodeKind::kKernel;
@@ -39,8 +39,7 @@ void Graph::record_kernel(std::int64_t grid, int block, int stream,
 }
 
 void Graph::record_memcpy(NodeKind kind, void* dst, const void* src,
-                          double bytes, int stream,
-                          const std::string& phase) {
+                          double bytes, int stream, PhaseId phase) {
   FASTPSO_CHECK(kind != NodeKind::kKernel);
   Node node;
   node.kind = kind;
@@ -119,23 +118,13 @@ GraphExec Graph::instantiate(const GpuPerfModel& perf) const {
 
 void GraphExec::resolve_session_slots(ReplaySession& session,
                                       TimeBreakdown& breakdown) {
-  if (session.resolved_breakdown == &breakdown) {
-    // Sticky sessions trust slot stability for their lifetime (std::map
-    // nodes survive TimeBreakdown::swap; the owner guarantees no clear()).
-    if (session.sticky_slots || session.resolved_epoch == breakdown.epoch()) {
-      return;
-    }
+  if (session.resolved_breakdown == &breakdown &&
+      session.resolved_epoch == breakdown.epoch()) {
+    return;
   }
   session.slots.resize(nodes_.size());
-  const std::string* last_phase = nullptr;
-  double* last_slot = nullptr;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i].node;
-    if (last_phase == nullptr || *last_phase != n.phase) {
-      last_slot = breakdown.slot(n.phase);
-      last_phase = &n.phase;
-    }
-    session.slots[i] = last_slot;
+    session.slots[i] = breakdown.slot(nodes_[i].node.phase);
   }
   session.resolved_breakdown = &breakdown;
   session.resolved_epoch = breakdown.epoch();
@@ -168,8 +157,7 @@ void GraphExec::begin_replay(ReplaySession& session,
 }
 
 int GraphExec::match_kernel(ReplaySession& session, std::int64_t grid,
-                            int block, int stream,
-                            const std::string& phase) {
+                            int block, int stream, PhaseId phase) {
   if (session.diverged) {
     return -1;
   }

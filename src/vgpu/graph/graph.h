@@ -11,14 +11,14 @@
 //
 //   capture     Device::begin_capture(graph) .. end_capture(): every
 //               account_launch/memcpy is recorded as a Node (launch config,
-//               stream, phase, prof label, cost spec) while executing and
-//               accounting *eagerly* — the capture iteration is a normal
-//               iteration.
+//               stream, phase id, prof label, cost spec) while executing
+//               and accounting *eagerly* — the capture iteration is a
+//               normal iteration.
 //   instantiate Graph::instantiate(perf): one-time structural audit of the
 //               captured nodes plus pre-resolution of everything derivable
 //               from the launch shape — occupancies and roofline
-//               denominators (ResolvedLaunchShape), interned phase/label
-//               strings, per-phase TimeBreakdown slots.
+//               denominators (ResolvedLaunchShape). Each replay session
+//               resolves its per-node TimeBreakdown slots by phase id.
 //   replay      Device::begin_replay(exec) .. end_replay(): the caller
 //               re-issues its launches; each one is matched positionally
 //               against the node list and, on a match, accounted through the
@@ -106,7 +106,7 @@ struct Node {
   std::int64_t grid = 1;
   int block = 1;
   int stream = 0;
-  std::string phase;
+  PhaseId phase = PhaseId::kDefault;
   /// Prof label at capture time ("" when no label was pushed — labels exist
   /// only while prof::active()). Interned for introspection; replay reads
   /// the live label so prof events match eager mode trivially.
@@ -179,10 +179,10 @@ class Graph {
 
   /// Recording entry points (called by Device while capturing).
   void record_kernel(std::int64_t grid, int block, int stream,
-                     const std::string& phase, const char* label,
+                     PhaseId phase, const char* label,
                      const KernelCostSpec& cost);
   void record_memcpy(NodeKind kind, void* dst, const void* src, double bytes,
-                     int stream, const std::string& phase);
+                     int stream, PhaseId phase);
   /// Notes the element domain of the most recently recorded node.
   void note_elements(std::int64_t elems);
   /// Attaches the declared buffer footprint of the most recent node.
@@ -258,18 +258,15 @@ class GraphExec {
     /// Stream every node is treated as issued on (-1 = capture-time
     /// streams). Set via GraphExec::set_replay_stream (legality-checked).
     int replay_stream = -1;
-    /// Opt-in: keep resolved breakdown slots for the life of the session as
-    /// long as the breakdown keeps its identity, skipping the epoch check.
-    /// Legal when the breakdown is never clear()ed while the session lives
-    /// (std::map nodes are stable across TimeBreakdown::swap, which bumps
-    /// the epoch conservatively) — the serve layer's per-job sessions
-    /// qualify, and this removes the hottest per-replay fixed cost.
-    bool sticky_slots = false;
     std::size_t cursor = 0;
     std::uint64_t pending_matched = 0;
     bool diverged = false;
     bool open = false;
-    /// Per-node breakdown accumulators, parallel to GraphExec::nodes().
+    /// Per-node breakdown accumulators, parallel to GraphExec::nodes(),
+    /// resolved against the breakdown with this address and epoch. A
+    /// session kept per job (the serve layer's packed path) resolves once
+    /// for the job's life: the device accounts into the job's own
+    /// breakdown, whose address and epoch do not change.
     std::vector<double*> slots;
     const TimeBreakdown* resolved_breakdown = nullptr;
     std::uint64_t resolved_epoch = 0;
@@ -284,9 +281,7 @@ class GraphExec {
   // --- paired replay (driven by Device::begin_replay/end_replay) ---------
   /// Opens a replay on `session`. Rewinds the match cursor; breakdown slots
   /// are re-resolved only when the breakdown changed identity or was
-  /// clear()ed since this session's last replay (epoch check — skipped
-  /// entirely under sticky_slots), so steady-state replays skip the map
-  /// lookups entirely.
+  /// clear()ed or assigned since this session's last replay (epoch check).
   void begin_replay(ReplaySession& session, TimeBreakdown& breakdown,
                     int stream_count);
   /// Positional match for a re-issued kernel launch. Returns the matched
@@ -294,7 +289,7 @@ class GraphExec {
   /// nodes), or -1 when the sequence diverged — the caller then accounts
   /// eagerly. The matched node's breakdown slot is session.slots[index].
   int match_kernel(ReplaySession& session, std::int64_t grid, int block,
-                   int stream, const std::string& phase);
+                   int stream, PhaseId phase);
   /// Notes a launch that fell through to eager accounting during replay.
   void note_eager_launch() { ++stats_.eager_launches; }
   /// Closes the session's replay: remaining nodes count as skipped; a clean

@@ -1,5 +1,7 @@
 #include "vgpu/memory_pool.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "vgpu/device.h"
 
@@ -16,29 +18,38 @@ MemoryPool::~MemoryPool() {
 void* MemoryPool::alloc(std::size_t bytes) {
   FASTPSO_CHECK_MSG(bytes > 0, "zero-byte pool allocation");
   if (enabled_) {
-    auto it = cache_.find(bytes);
-    if (it != cache_.end() && !it->second.empty()) {
-      void* p = it->second.back();
-      it->second.pop_back();
-      live_[p] = bytes;
-      ++hits_;
-      return p;
+    for (SizeClass& size_class : cache_) {
+      if (size_class.bytes == bytes && !size_class.blocks.empty()) {
+        void* p = size_class.blocks.back();
+        size_class.blocks.pop_back();
+        live_.push_back({p, bytes});
+        ++hits_;
+        return p;
+      }
     }
   }
   ++misses_;
   void* p = device_.raw_alloc(bytes);
-  live_[p] = bytes;
+  live_.push_back({p, bytes});
   return p;
 }
 
 void MemoryPool::free(void* p) {
-  auto it = live_.find(p);
-  FASTPSO_CHECK_MSG(it != live_.end(),
+  const auto it = std::find_if(live_.rbegin(), live_.rend(),
+                               [p](const LiveBlock& b) { return b.ptr == p; });
+  FASTPSO_CHECK_MSG(it != live_.rend(),
                     "pool free of unknown or already-freed pointer");
-  const std::size_t bytes = it->second;
-  live_.erase(it);
+  const std::size_t bytes = it->bytes;
+  *it = live_.back();  // the live list is unordered
+  live_.pop_back();
   if (enabled_) {
-    cache_[bytes].push_back(p);
+    auto size_class = std::lower_bound(
+        cache_.begin(), cache_.end(), bytes,
+        [](const SizeClass& c, std::size_t b) { return c.bytes < b; });
+    if (size_class == cache_.end() || size_class->bytes != bytes) {
+      size_class = cache_.insert(size_class, SizeClass{bytes, {}});
+    }
+    size_class->blocks.push_back(p);
   } else {
     device_.raw_free(p);
   }
@@ -52,21 +63,21 @@ void MemoryPool::set_enabled(bool enabled) {
 }
 
 void MemoryPool::release_cache() {
-  for (auto& [size, blocks] : cache_) {
-    (void)size;
-    for (void* p : blocks) {
+  // Ascending size, each size in free order: profiler kFree events carry
+  // the byte count, so this order is part of the trace.
+  for (SizeClass& size_class : cache_) {
+    for (void* p : size_class.blocks) {
       device_.raw_free(p);
     }
-    blocks.clear();
+    size_class.blocks.clear();
   }
   cache_.clear();
 }
 
 std::size_t MemoryPool::cached_blocks() const {
   std::size_t count = 0;
-  for (const auto& [size, blocks] : cache_) {
-    (void)size;
-    count += blocks.size();
+  for (const SizeClass& size_class : cache_) {
+    count += size_class.blocks.size();
   }
   return count;
 }

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace fastpso::vgpu {
@@ -44,10 +43,23 @@ class MemoryPool {
   [[nodiscard]] std::size_t outstanding() const { return live_.size(); }
 
  private:
+  /// Free blocks of one size, in the order they were freed.
+  struct SizeClass {
+    std::size_t bytes = 0;
+    std::vector<void*> blocks;
+  };
+  /// A block handed out and not yet freed.
+  struct LiveBlock {
+    void* ptr = nullptr;
+    std::size_t bytes = 0;
+  };
+
   Device& device_;
   bool enabled_;
-  std::map<std::size_t, std::vector<void*>> cache_;  // size -> free blocks
-  std::map<void*, std::size_t> live_;                // ptr -> size
+  // A pool serves a handful of sizes and holds about ten live blocks, so
+  // the lookups on every alloc and free are short linear scans.
+  std::vector<SizeClass> cache_;  ///< ascending bytes
+  std::vector<LiveBlock> live_;   ///< searched from the back (LIFO frees)
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -145,18 +145,20 @@ struct Profile {
 /// is attributed to `phase` (the optimizer's per-step annotation).
 class Scope {
  public:
-  Scope(Device& device, const char* phase)
-      : device_(device), previous_(device.phase()) {
+  Scope(Device& device, PhaseId phase)
+      : device_(device), previous_(device.phase_id()) {
     device_.set_phase(phase);
   }
-  ~Scope() { device_.set_phase(std::move(previous_)); }
+  Scope(Device& device, const char* phase)
+      : Scope(device, intern_phase(phase)) {}
+  ~Scope() { device_.set_phase(previous_); }
 
   Scope(const Scope&) = delete;
   Scope& operator=(const Scope&) = delete;
 
  private:
   Device& device_;
-  std::string previous_;
+  PhaseId previous_;
 };
 
 /// RAII kernel label for profiler attribution only — unlike

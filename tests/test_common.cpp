@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/cli.h"
@@ -138,6 +144,62 @@ TEST(TimeBreakdown, MergeAddsBuckets) {
   a.merge(b);
   EXPECT_DOUBLE_EQ(a.get("x"), 3.0);
   EXPECT_DOUBLE_EQ(a.get("y"), 3.0);
+}
+
+TEST(TimeBreakdown, ExportsInNameOrder) {
+  // "a" sorts first by name but is interned after the fixed ids of "init"
+  // and "swarm", and it is added last. In id or insertion order the sum is
+  // 1; in name order 1 + 1e16 rounds back to 1e16 and the sum is 0.
+  TimeBreakdown breakdown;
+  breakdown.add("init", 1e16);
+  breakdown.add("swarm", -1e16);
+  breakdown.add("a", 1.0);
+  std::vector<std::string> keys;
+  double name_order_sum = 0.0;
+  for (const auto& [key, value] : breakdown.buckets()) {
+    keys.push_back(key);
+    name_order_sum += value;
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "init", "swarm"}));
+  ASSERT_NE(name_order_sum, (1e16 + -1e16) + 1.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(breakdown.total()),
+            std::bit_cast<std::uint64_t>(name_order_sum));
+}
+
+TEST(TimeBreakdown, GetDoesNotCreateKeys) {
+  TimeBreakdown breakdown;
+  breakdown.add("present", 2.0);
+  EXPECT_EQ(breakdown.get("never-added"), 0.0);
+  EXPECT_EQ(breakdown.get("eval"), 0.0);
+  EXPECT_EQ(breakdown.buckets(),
+            (std::map<std::string, double>{{"present", 2.0}}));
+}
+
+TEST(TimeBreakdown, SlotSurvivesMoves) {
+  TimeBreakdown source;
+  double* slot = source.slot("moved");
+  *slot += 2.0;
+  TimeBreakdown constructed(std::move(source));
+  *slot += 3.0;
+  EXPECT_EQ(constructed.get("moved"), 5.0);
+  TimeBreakdown assigned;
+  assigned = std::move(constructed);
+  *slot += 4.0;
+  EXPECT_EQ(assigned.get("moved"), 9.0);
+}
+
+TEST(TimeBreakdown, CopiesOwnTheirStorage) {
+  TimeBreakdown original;
+  original.add("x", 1.0);
+  TimeBreakdown constructed(original);
+  TimeBreakdown assigned;
+  assigned = original;
+  *original.slot("x") += 2.0;
+  constructed.add("x", 4.0);
+  assigned.add("x", 8.0);
+  EXPECT_EQ(original.get("x"), 3.0);
+  EXPECT_EQ(constructed.get("x"), 5.0);
+  EXPECT_EQ(assigned.get("x"), 9.0);
 }
 
 TEST(TimeBreakdown, ScopedTimerAddsToBucket) {

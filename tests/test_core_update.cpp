@@ -227,6 +227,10 @@ TEST(SwarmUpdate, VelocityClampHolds) {
   LaunchPolicy policy(device.spec());
   SwarmState state(device, 200, 10);
   initialize_swarm(device, policy, state, 21, -600.0f, 600.0f, 50.0f);
+  // As in PositionClampHolds: gbest_pos is only written by update_gbest.
+  for (int j = 0; j < state.d; ++j) {
+    state.gbest_pos[j] = 0.0f;
+  }
   vgpu::DeviceArray<float> l_mat(device, state.elements());
   vgpu::DeviceArray<float> g_mat(device, state.elements());
   generate_weights(device, policy, state.elements(), 21, 0, l_mat, g_mat);

@@ -167,7 +167,7 @@ void add_kernel(Graph& g, const char* label, std::vector<BufferUse> uses,
   for (const BufferUse& u : uses) {
     (u.write ? writes : reads) += u.bytes;
   }
-  g.record_kernel(grid, block, stream, "test", label,
+  g.record_kernel(grid, block, stream, intern_phase("test"), label,
                   cost_rw(static_cast<double>(elems), reads, writes));
   g.note_elements(elems);
   g.note_uses(std::move(uses));
@@ -251,7 +251,7 @@ TEST(FusionLegality, OpaqueNodeCountsAsReaderOfEverything) {
   add_kernel(g, "k2", {scalar_use(a.data(), kElems, false, "a"),
                        scalar_use(b.data(), kElems, true, "b")});
   // No footprint: never fuses, and may read anything — both writes stay.
-  g.record_kernel(2, 64, 0, "test", "opaque",
+  g.record_kernel(2, 64, 0, intern_phase("test"), "opaque",
                   cost_rw(kElems, kElems * kFloat, 0));
   GraphExec exec = fused_exec(g, device);
 
@@ -331,7 +331,8 @@ TEST(FusionLegality, MemcpyNodeIsNeverCrossed) {
   Graph g;
   add_kernel(g, "k1", {scalar_use(a.data(), kElems, true, "a")});
   g.record_memcpy(NodeKind::kMemcpyD2H, host.data(), a.data(),
-                  static_cast<double>(kElems) * kFloat, 0, "test");
+                  static_cast<double>(kElems) * kFloat, 0,
+                  intern_phase("test"));
   add_kernel(g, "k2", {scalar_use(a.data(), kElems, false, "a"),
                        scalar_use(b.data(), kElems, true, "b")});
   GraphExec exec = fused_exec(g, device);
@@ -349,7 +350,7 @@ TEST(FusionLegality, ReductionNodeIsNeverCrossedOrJoined) {
   {
     vgpu::KernelCostSpec cost = cost_rw(kElems, kElems * kFloat, kFloat);
     cost.barriers = 6;
-    g.record_kernel(1, 64, 0, "test", "reduce", cost);
+    g.record_kernel(1, 64, 0, intern_phase("test"), "reduce", cost);
     g.note_elements(kElems);
     g.note_uses({scalar_use(a.data(), kElems, false, "a")});
   }
@@ -366,7 +367,8 @@ TEST(FusionLegality, MissingFootprintBlocksFusion) {
   Graph g;
   add_kernel(g, "k1", {scalar_use(a.data(), kElems, true, "a")});
   // Same shape, no declared footprint: not fusible.
-  g.record_kernel(1, 64, 0, "test", "k2", cost_rw(kElems, 0, 0));
+  g.record_kernel(1, 64, 0, intern_phase("test"), "k2",
+                  cost_rw(kElems, 0, 0));
   g.note_elements(kElems);
   GraphExec exec = fused_exec(g, device);
   EXPECT_EQ(exec.fusion_stats().groups, 0);

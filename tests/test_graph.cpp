@@ -389,11 +389,12 @@ TEST(Graph, InstantiateRejectsMalformedNodes) {
   vgpu::graph::Graph g;
   vgpu::KernelCostSpec bad;
   bad.flops = -1.0;  // negative work: structurally invalid
-  g.record_kernel(4, 128, 0, "test", nullptr, bad);
+  g.record_kernel(4, 128, 0, intern_phase("test"), nullptr, bad);
   EXPECT_THROW((void)g.instantiate(device.perf()), CheckError);
 
   vgpu::graph::Graph g2;
-  g2.record_kernel(0, 128, 0, "test", nullptr, cost_of(1.0, 0));  // grid 0
+  g2.record_kernel(0, 128, 0, intern_phase("test"), nullptr,
+                   cost_of(1.0, 0));  // grid 0
   EXPECT_THROW((void)g2.instantiate(device.perf()), CheckError);
 }
 

@@ -221,6 +221,54 @@ TEST(Device, ResetCountersClearsEverything) {
   EXPECT_TRUE(device.modeled_breakdown().buckets().empty());
 }
 
+TEST(Device, BoundAccountingTakesEveryUpdate) {
+  Device device;
+  LaunchConfig cfg;
+  cfg.grid = 1;
+  cfg.block = 32;
+  device.set_phase("alpha");
+  device.launch(cfg, KernelCostSpec{}, [](const ThreadCtx&) {});
+  const DeviceCounters own = device.counters();
+  const auto own_buckets = device.modeled_breakdown().buckets();
+
+  DeviceCounters counters;
+  TimeBreakdown breakdown;
+  device.bind_accounting(counters, breakdown);
+  EXPECT_THROW(device.bind_accounting(counters, breakdown), CheckError);
+  device.launch(cfg, KernelCostSpec{}, [](const ThreadCtx&) {});
+  void* p = device.raw_alloc(64);
+  EXPECT_EQ(&device.counters(), &counters);
+  EXPECT_EQ(&device.modeled_breakdown(), &breakdown);
+  EXPECT_EQ(counters.launches, 1u);
+  EXPECT_EQ(counters.allocs, 1u);
+  EXPECT_GT(counters.modeled_seconds, 0.0);
+  EXPECT_EQ(breakdown.get("alpha"), counters.modeled_seconds);
+
+  device.unbind_accounting();
+  EXPECT_THROW(device.unbind_accounting(), CheckError);
+  EXPECT_EQ(device.counters().launches, own.launches);
+  EXPECT_EQ(device.counters().allocs, own.allocs);
+  EXPECT_EQ(device.counters().modeled_seconds, own.modeled_seconds);
+  EXPECT_EQ(device.counters().kernel_seconds, own.kernel_seconds);
+  EXPECT_EQ(device.modeled_breakdown().buckets(), own_buckets);
+  device.raw_free(p);
+}
+
+TEST(Device, BindingRejectsOpenCapture) {
+  Device device;
+  DeviceCounters counters;
+  TimeBreakdown breakdown;
+  graph::Graph g;
+  device.begin_capture(g);
+  EXPECT_THROW(device.bind_accounting(counters, breakdown), CheckError);
+  device.end_capture();
+  device.bind_accounting(counters, breakdown);
+  device.begin_capture(g);
+  EXPECT_THROW(device.unbind_accounting(), CheckError);
+  device.end_capture();
+  device.unbind_accounting();
+}
+
 TEST(Device, HostSecondsInjection) {
   Device device;
   device.set_phase("cpu");
