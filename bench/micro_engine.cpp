@@ -1,5 +1,5 @@
 // micro_engine: engine-level microbenchmarks for the host execution fast
-// path (DESIGN.md §1). Five probes:
+// path (DESIGN.md §1). Four probes:
 //
 //   1. launch throughput — a trivial element-wise kernel dispatched through
 //      Device::launch_kernel with the fast path on (flat element loop) and
@@ -14,21 +14,13 @@
 //      vs on — the off number pins the "zero overhead when off" promise
 //      (one branch on the hot path), the on number reports the cost of
 //      event capture, plus the profile's modeled-vs-wall ratio.
-//   5. (--tuned) the offline autotuner's tuned-vs-default probe: runs the
-//      tune::Tuner over the engine families on the standard smoke shapes
-//      (DESIGN.md §13) and totals the executed-replay modeled time of every
-//      group's default and tuned configurations. The numbers are modeled
-//      (machine-independent), so the gate is exact: tuned total <= default
-//      total — the candidate slate always contains the default, so the
-//      tuner may never make the engine slower. Emits BENCH_tuner.json.
 //
 // Both launch paths issue the identical account_launch call, so modeled
-// seconds and DeviceCounters are unaffected by the toggle — probes 1-4
+// seconds and DeviceCounters are unaffected by the toggle — the probes
 // measure host execution speed only.
 //
-//   ./micro_engine [--smoke] [--prof-overhead] [--tuned]
+//   ./micro_engine [--smoke] [--prof-overhead]
 //                  [--json BENCH_engine.json]
-//                  [--tuner-json BENCH_tuner.json]
 //                  [--baseline bench/BENCH_engine_baseline.json]
 //
 // --smoke shrinks the repetition counts for CI and emits BENCH_engine.json.
@@ -45,9 +37,6 @@
 #include "bench_common.h"
 #include "common/stopwatch.h"
 #include "problems/problem.h"
-#include "tune/kernels.h"
-#include "tune/shapes.h"
-#include "tune/tuner.h"
 #include "vgpu/device.h"
 #include "vgpu/prof/prof.h"
 
@@ -67,6 +56,51 @@ struct MaddKernel {
   }
 };
 
+/// The launch probes' kernel over `n_elems` floats. `src` and `dst` are
+/// carved from one allocation with dst - src = 2048 bytes (mod 4096), so
+/// the layout does not depend on where the heap puts two vectors, and a
+/// load of src never shares its low 12 address bits with a dst element
+/// just stored (4K aliasing). Two back-to-back vectors sat 16,400 bytes
+/// apart, 16 mod 4096.
+class MaddLaunch {
+ public:
+  explicit MaddLaunch(std::int64_t n_elems)
+      : n_elems_(n_elems),
+        dst_offset_(static_cast<std::size_t>((n_elems + 511) / 1024 * 1024 +
+                                             512)),
+        storage_(dst_offset_ + static_cast<std::size_t>(n_elems), 0.0f) {
+    for (std::int64_t i = 0; i < n_elems; ++i) {
+      storage_[static_cast<std::size_t>(i)] =
+          static_cast<float>(i % 97) * 0.125f;
+    }
+    cfg_.block = 256;
+    cfg_.grid = (n_elems + cfg_.block - 1) / cfg_.block;
+    cost_.flops = 2.0 * static_cast<double>(n_elems);
+    cost_.dram_read_bytes = static_cast<double>(n_elems) * sizeof(float);
+    cost_.dram_write_bytes = static_cast<double>(n_elems) * sizeof(float);
+  }
+
+  void run(vgpu::Device& device, int count) {
+    const MaddKernel::Args args{storage_.data(),
+                                storage_.data() + dst_offset_};
+    for (int rep = 0; rep < count; ++rep) {
+      device.launch_kernel<MaddKernel>(cfg_, cost_, n_elems_, args);
+    }
+  }
+
+  /// Last output element (defeats dead-code elimination).
+  [[nodiscard]] double last() const {
+    return static_cast<double>(storage_.back());
+  }
+
+ private:
+  std::int64_t n_elems_;
+  std::size_t dst_offset_;  ///< in floats: >= n_elems, 512 mod 1024
+  std::vector<float> storage_;
+  vgpu::LaunchConfig cfg_;
+  vgpu::KernelCostSpec cost_;
+};
+
 struct LaunchResult {
   double fast_per_s = 0;
   double legacy_per_s = 0;
@@ -79,37 +113,18 @@ struct LaunchResult {
 /// removes. Same cfg, same cost, same account_launch on both sides.
 LaunchResult bench_launch(std::int64_t n_elems, int reps) {
   vgpu::Device device;
-  std::vector<float> in(static_cast<std::size_t>(n_elems));
-  std::vector<float> out(static_cast<std::size_t>(n_elems), 0.0f);
-  for (std::int64_t i = 0; i < n_elems; ++i) {
-    in[static_cast<std::size_t>(i)] = static_cast<float>(i % 97) * 0.125f;
-  }
-  vgpu::LaunchConfig cfg;
-  cfg.block = 256;
-  cfg.grid = (n_elems + cfg.block - 1) / cfg.block;
-  vgpu::KernelCostSpec cost;
-  cost.flops = 2.0 * static_cast<double>(n_elems);
-  cost.dram_read_bytes = static_cast<double>(n_elems) * sizeof(float);
-  cost.dram_write_bytes = static_cast<double>(n_elems) * sizeof(float);
-  const float* src = in.data();
-  float* dst = out.data();
+  MaddLaunch madd(n_elems);
 
   const bool saved = vgpu::fast_path_enabled();
   LaunchResult r;
   for (const bool fast : {true, false}) {
     vgpu::set_fast_path_enabled(fast);
-    auto run = [&](int count) {
-      for (int rep = 0; rep < count; ++rep) {
-        device.launch_kernel<MaddKernel>(cfg, cost, n_elems, {src, dst});
-      }
-    };
-    run(reps / 10 + 1);  // warmup
+    madd.run(device, reps / 10 + 1);  // warmup
     Stopwatch watch;
-    run(reps);
+    madd.run(device, reps);
     const double per_s = reps / watch.elapsed_s();
     (fast ? r.fast_per_s : r.legacy_per_s) = per_s;
-    r.checksum += static_cast<double>(dst[static_cast<std::size_t>(
-        n_elems - 1)]);
+    r.checksum += madd.last();
   }
   vgpu::set_fast_path_enabled(saved);
   return r;
@@ -201,20 +216,7 @@ struct ProfOverheadResult {
 /// plain fast-path launch throughput.
 ProfOverheadResult bench_prof_overhead(std::int64_t n_elems, int reps) {
   vgpu::Device device;
-  std::vector<float> in(static_cast<std::size_t>(n_elems));
-  std::vector<float> out(static_cast<std::size_t>(n_elems), 0.0f);
-  for (std::int64_t i = 0; i < n_elems; ++i) {
-    in[static_cast<std::size_t>(i)] = static_cast<float>(i % 97) * 0.125f;
-  }
-  vgpu::LaunchConfig cfg;
-  cfg.block = 256;
-  cfg.grid = (n_elems + cfg.block - 1) / cfg.block;
-  vgpu::KernelCostSpec cost;
-  cost.flops = 2.0 * static_cast<double>(n_elems);
-  cost.dram_read_bytes = static_cast<double>(n_elems) * sizeof(float);
-  cost.dram_write_bytes = static_cast<double>(n_elems) * sizeof(float);
-  const float* src = in.data();
-  float* dst = out.data();
+  MaddLaunch madd(n_elems);
 
   const bool saved_fast = vgpu::fast_path_enabled();
   const bool saved_prof = vgpu::prof::active();
@@ -222,57 +224,19 @@ ProfOverheadResult bench_prof_overhead(std::int64_t n_elems, int reps) {
   ProfOverheadResult r;
   for (const bool prof_on : {false, true}) {
     vgpu::prof::set_enabled(prof_on);
-    auto run = [&](int count) {
-      for (int rep = 0; rep < count; ++rep) {
-        device.launch_kernel<MaddKernel>(cfg, cost, n_elems, {src, dst});
-      }
-    };
-    run(reps / 10 + 1);            // warmup
+    madd.run(device, reps / 10 + 1);  // warmup
     (void)device.take_profile();   // timed pass starts with an empty timeline
     Stopwatch watch;
-    run(reps);
+    madd.run(device, reps);
     const double per_s = reps / watch.elapsed_s();
     (prof_on ? r.on_per_s : r.off_per_s) = per_s;
     if (prof_on) {
       r.modeled_vs_wall = device.take_profile().modeled_vs_wall();
     }
-    r.checksum += static_cast<double>(dst[static_cast<std::size_t>(
-        n_elems - 1)]);
+    r.checksum += madd.last();
   }
   vgpu::prof::set_enabled(saved_prof);
   vgpu::set_fast_path_enabled(saved_fast);
-  return r;
-}
-
-struct TunedResult {
-  double default_us = 0;   ///< executed modeled us, defaults, all groups
-  double tuned_us = 0;     ///< executed modeled us, tuned table installed
-  int groups = 0;
-  int improved = 0;        ///< groups with a strict modeled win
-  int store_entries = 0;   ///< table entries the search emitted
-};
-
-/// Autotuner probe: tune the engine families on the standard smoke shapes
-/// and total the executed-replay modeled cost of the default vs the tuned
-/// configuration per group. Both sides come from the engine's own
-/// accounting on a fresh Device (not the tuner's predicted mirror), and
-/// modeled time is deterministic, so tuned <= default is gateable exactly.
-TunedResult bench_tuned(int particles, int iterations) {
-  tune::TunerOptions options;
-  options.particles = particles;
-  options.iterations = iterations;
-  const tune::Tuner tuner(vgpu::tesla_v100(), options);
-  const tune::TuneReport report =
-      tuner.tune(tune::engine_families(vgpu::tesla_v100()),
-                 tune::smoke_shapes());
-  TunedResult r;
-  r.groups = static_cast<int>(report.outcomes.size());
-  r.improved = report.improved_groups();
-  r.store_entries = static_cast<int>(report.table.store().size());
-  for (const tune::GroupOutcome& outcome : report.outcomes) {
-    r.default_us += outcome.executed_default_us;
-    r.tuned_us += outcome.executed_tuned_us;
-  }
   return r;
 }
 
@@ -328,10 +292,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const bool smoke = args.get_bool("smoke", false);
   const bool prof_overhead = args.get_bool("prof-overhead", false);
-  const bool tuned_bench = args.get_bool("tuned", false);
   const std::string json_path = args.get_string("json", "BENCH_engine.json");
-  const std::string tuner_json_path =
-      args.get_string("tuner-json", tuned_bench ? "BENCH_tuner.json" : "");
   const std::string baseline_path = args.get_string("baseline", "");
 
   const std::int64_t launch_elems = 4096;
@@ -347,10 +308,6 @@ int main(int argc, char** argv) {
   ProfOverheadResult prof;
   if (prof_overhead) {
     prof = bench_prof_overhead(launch_elems, launch_reps);
-  }
-  TunedResult tuned;
-  if (tuned_bench) {
-    tuned = bench_tuned(smoke ? 24 : 48, smoke ? 12 : 24);
   }
 
   const double launch_speedup = launch.fast_per_s / launch.legacy_per_s;
@@ -375,18 +332,6 @@ int main(int argc, char** argv) {
                    fmt_speedup(prof.off_per_s / prof.on_per_s)});
     table.add_row({"modeled-vs-wall (prof on)",
                    fmt_speedup(prof.modeled_vs_wall), "-", "-"});
-  }
-  if (tuned_bench) {
-    // "fast/batch" column = tuned table installed, "legacy/virtual" =
-    // defaults. Both are executed modeled us totals over the smoke groups.
-    table.add_row({"tuner modeled us tuned/default (smoke groups)",
-                   fmt_fixed(tuned.tuned_us, 3),
-                   fmt_fixed(tuned.default_us, 3),
-                   fmt_speedup(tuned.default_us / tuned.tuned_us)});
-    table.add_row({"tuner improved groups",
-                   std::to_string(tuned.improved) + "/" +
-                       std::to_string(tuned.groups),
-                   "-", "-"});
   }
   table.add_note("identical account_launch on both paths: modeled seconds "
                  "and counters do not depend on the toggle");
@@ -430,26 +375,6 @@ int main(int argc, char** argv) {
     file << json.str();
     std::cout << (file ? "json written: " : "json write FAILED: ")
               << json_path << "\n";
-  }
-
-  if (tuned_bench && !tuner_json_path.empty()) {
-    std::ostringstream json;
-    json.setf(std::ios::fixed);
-    json.precision(3);
-    json << "{\n"
-         << "  \"schema\": \"fastpso-bench-tuner-v1\",\n"
-         << "  \"groups\": " << tuned.groups << ",\n"
-         << "  \"improved_groups\": " << tuned.improved << ",\n"
-         << "  \"store_entries\": " << tuned.store_entries << ",\n"
-         << "  \"executed_default_us\": " << tuned.default_us << ",\n"
-         << "  \"executed_tuned_us\": " << tuned.tuned_us << ",\n"
-         << "  \"executed_speedup\": " << tuned.default_us / tuned.tuned_us
-         << "\n"
-         << "}\n";
-    std::ofstream file(tuner_json_path);
-    file << json.str();
-    std::cout << (file ? "json written: " : "json write FAILED: ")
-              << tuner_json_path << "\n";
   }
 
   if (!baseline_path.empty()) {
@@ -496,16 +421,6 @@ int main(int argc, char** argv) {
       gate("prof_off_launch_throughput",
            prof.off_per_s >= base_launch / 1.05, prof.off_per_s,
            base_launch / 1.05, ">= baseline/1.05 (prof off is free)");
-    }
-    if (tuned_bench) {
-      // Exact bar, not a 2x band: both totals are deterministic modeled
-      // time, and the tuner's candidate slate always contains the default,
-      // so an emitted table that slows any smoke group down is a bug.
-      gate("tuned_throughput", tuned.tuned_us <= tuned.default_us,
-           tuned.tuned_us, tuned.default_us, "tuned <= default (modeled)");
-      gate("tuned_improved_groups", tuned.improved >= 3,
-           static_cast<double>(tuned.improved), 3.0,
-           ">= 3 improved smoke groups");
     }
     if (!failed.empty()) {
       std::cerr << "micro_engine: regression vs baseline " << baseline_path

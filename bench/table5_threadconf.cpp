@@ -15,11 +15,11 @@
 //                       [--tune-iters 60] [--tuned]
 //
 // --tuned adds one "<dataset>+tuner" row per dataset: the configuration
-// found by the generalized offline autotuner (tune::Tuner over the per-site
-// kernel families, DESIGN.md §13) instead of the paper's direct 50-dim
-// ThreadConf search — per-site subspace search with validity predicates
-// and executed-replay validation, the same machinery that tunes the engine
-// kernels. Default rows are byte-identical with or without the flag.
+// found by the offline autotuner (tune::Tuner over the per-site kernel
+// families, DESIGN.md §13) instead of the paper's direct 50-dim ThreadConf
+// search — per-site subspace search with validity predicates and
+// executed-probe validation. Default rows are byte-identical with or
+// without the flag.
 
 #include "bench_common.h"
 #include "tgbm/minigbm.h"
@@ -28,7 +28,6 @@
 #include "tune/tuner.h"
 #include "vgpu/device.h"
 #include "vgpu/device_spec.h"
-#include "vgpu/tuned.h"
 
 using namespace fastpso;
 using namespace fastpso::benchkit;
@@ -91,21 +90,14 @@ int main(int argc, char** argv) {
                  fmt_fixed(best.final_rmse(), 5)});
 
     if (use_tuned) {
-      // 4. the generalized autotuner: per-site subspace search over the 25
-      // kernel-site families, then retrain under the emitted table. The
-      // decoded ConfigSet is read back under a ScopedTuning bracket, so
-      // nothing leaks into the default rows.
+      // 4. the autotuner: per-site subspace search over the 25 kernel-site
+      // families, then retrain under the configs its table pins.
       const tune::Tuner tuner(vgpu::tesla_v100(), tuner_options);
       const tune::TuneReport report =
           tuner.tune(tune::tgbm_site_families(spec, gbm, vgpu::tesla_v100()),
                      tune::tgbm_site_shapes(spec, gbm));
-      tgbm::ConfigSet site_tuned;
-      {
-        vgpu::tuned::ScopedTuning guard;
-        report.table.install();
-        vgpu::tuned::set_enabled(true);
-        site_tuned = tgbm::tuned_configs(spec, gbm);
-      }
+      const tgbm::ConfigSet site_tuned =
+          tune::site_configs(spec, gbm, report.table.store());
       vgpu::Device device_site;
       const tgbm::TrainResult site =
           trainer.train(device_site, data, site_tuned);

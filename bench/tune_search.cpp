@@ -1,38 +1,31 @@
 // tune_search: the offline autotuner driver (DESIGN.md §13).
 //
-// Runs the tune::Tuner over the engine's launch-geometry families
-// ("launch_policy", "reduce", "swarm_tile") on the standard smoke shapes —
-// and, with --tgbm, additionally over the 25 MiniGBM kernel-site families
-// for a Table 5 dataset — then reports predicted and executed-replay costs
-// per shape group and emits the deterministic artifacts:
-//
-//   * --table PATH   the tuned-config table (JSON) the runtime loads via
-//                    FASTPSO_TUNED=1 FASTPSO_TUNED_TABLE=PATH;
-//   * --csv PATH     the predicted-vs-executed record, one row per group.
+// Runs the tune::Tuner over the 25 MiniGBM kernel-site families of one
+// Table 5 dataset, then reports predicted and executed costs per shape
+// group and, with --csv PATH, writes the predicted-vs-executed record (one
+// row per group).
 //
 // The search itself uses FastPSO (a small swarm per group over the family's
 // JoinedSpace, modeled-cost oracle) and the winner is validated with an
-// executed-replay probe on a fresh vgpu::Device, so every emitted entry is
-// backed by the engine's own accounting, never by the mirror alone.
+// executed probe — the modeled time of a whole training run under the
+// winning site configs — so every emitted entry is backed by the full
+// training plan, never by the per-site mirror alone.
 //
 //   ./tune_search [--particles 48] [--iters 24] [--seed 42]
-//                 [--tgbm] [--tgbm-dataset covtype] [--no-probe]
-//                 [--csv tune_search.csv] [--table tuned_table.json]
-//                 [--gate-groups N]
+//                 [--tgbm-dataset covtype] [--no-probe]
+//                 [--csv tune_search.csv] [--gate-groups N]
 //
 // --gate-groups N exits non-zero unless at least N groups improved on the
 // default configuration in modeled time — the CI check that the tuner
-// still finds real wins on the smoke shapes.
+// still finds real wins on the kernel sites.
 
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
 #include "tgbm/dataset.h"
 #include "tgbm/kernels.h"
 #include "tune/kernels.h"
-#include "tune/shapes.h"
 #include "tune/tuner.h"
 #include "vgpu/device_spec.h"
 
@@ -46,48 +39,31 @@ int main(int argc, char** argv) {
   options.iterations = static_cast<int>(args.get_int("iters", 24));
   options.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   options.executed_probe = !args.get_bool("no-probe", false);
-  const bool with_tgbm = args.get_bool("tgbm", false);
   const std::string tgbm_dataset = args.get_string("tgbm-dataset", "covtype");
   const std::string csv_path = args.get_string("csv", "");
-  const std::string table_path = args.get_string("table", "");
   const int gate_groups = static_cast<int>(args.get_int("gate-groups", 0));
 
   const vgpu::GpuSpec gpu = vgpu::tesla_v100();
   const tune::Tuner tuner(gpu, options);
 
-  // Engine families over the standard smoke shapes.
-  std::vector<tune::KernelFamily> families = tune::engine_families(gpu);
-  std::vector<tune::WorkloadShape> shapes = tune::smoke_shapes();
-
-  if (with_tgbm) {
-    // One family (and one shape) per MiniGBM kernel site for the chosen
-    // Table 5 dataset; merged into the same search so the report and the
-    // emitted table cover both layers.
-    tgbm::DatasetSpec spec;
-    bool found = false;
-    for (const tgbm::DatasetSpec& candidate : tgbm::table5_specs()) {
-      if (candidate.name == tgbm_dataset) {
-        spec = candidate;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::cerr << "tune_search: unknown --tgbm-dataset " << tgbm_dataset
-                << "\n";
-      return 1;
-    }
-    const tgbm::GbmParams params;
-    for (tune::KernelFamily& family : tune::tgbm_site_families(spec, params,
-                                                               gpu)) {
-      families.push_back(std::move(family));
-    }
-    for (tune::WorkloadShape& shape : tune::tgbm_site_shapes(spec, params)) {
-      shapes.push_back(std::move(shape));
+  tgbm::DatasetSpec spec;
+  bool found = false;
+  for (const tgbm::DatasetSpec& candidate : tgbm::table5_specs()) {
+    if (candidate.name == tgbm_dataset) {
+      spec = candidate;
+      found = true;
+      break;
     }
   }
-
-  const tune::TuneReport report = tuner.tune(families, shapes);
+  if (!found) {
+    std::cerr << "tune_search: unknown --tgbm-dataset " << tgbm_dataset
+              << "\n";
+    return 1;
+  }
+  const tgbm::GbmParams params;
+  const tune::TuneReport report =
+      tuner.tune(tune::tgbm_site_families(spec, params, gpu),
+                 tune::tgbm_site_shapes(spec, params));
 
   TextTable table("tune_search: modeled-cost autotuner (" +
                   std::to_string(options.particles) + " particles x " +
@@ -117,11 +93,6 @@ int main(int argc, char** argv) {
     std::cout << (report.table.save_csv(csv_path) ? "csv written: "
                                                   : "csv write FAILED: ")
               << csv_path << "\n";
-  }
-  if (!table_path.empty()) {
-    std::cout << (report.table.save_json(table_path) ? "table written: "
-                                                     : "table write FAILED: ")
-              << table_path << "\n";
   }
 
   if (gate_groups > 0 && report.improved_groups() < gate_groups) {

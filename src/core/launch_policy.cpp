@@ -1,10 +1,8 @@
 #include "core/launch_policy.h"
 
 #include <algorithm>
-#include <string>
 
 #include "common/check.h"
-#include "vgpu/tuned.h"
 
 namespace fastpso::core {
 namespace {
@@ -12,61 +10,27 @@ namespace {
 /// Max resident threads per SM on Volta-class devices.
 constexpr std::int64_t kResidentThreadsPerSm = 2048;
 
-/// Tuned block sizes must stay warp-aligned and within the device limit.
-int sanitize_block(int block, int max_threads_per_block) {
-  block = std::clamp(block, 32, max_threads_per_block);
-  return block / 32 * 32;
-}
-
 }  // namespace
 
 LaunchPolicy::LaunchPolicy(const vgpu::GpuSpec& spec, int block,
                            std::int64_t thread_cap_override)
-    : block_(block), max_threads_per_block_(spec.max_threads_per_block) {
+    : block_(block) {
   FASTPSO_CHECK(block > 0 && block <= spec.max_threads_per_block);
-  thread_cap_raw_ = thread_cap_override > 0
-                        ? thread_cap_override
-                        : static_cast<std::int64_t>(spec.sm_count) *
-                              kResidentThreadsPerSm;
+  const std::int64_t cap = thread_cap_override > 0
+                               ? thread_cap_override
+                               : static_cast<std::int64_t>(spec.sm_count) *
+                                     kResidentThreadsPerSm;
   // Keep the cap block-aligned so grids are exact.
-  thread_cap_ =
-      std::max<std::int64_t>(block_, thread_cap_raw_ / block_ * block_);
+  thread_cap_ = std::max<std::int64_t>(block_, cap / block_ * block_);
 }
 
 LaunchDecision LaunchPolicy::for_elements(std::int64_t elements) const {
   FASTPSO_CHECK(elements > 0);
-  if (vgpu::tuned::enabled()) [[unlikely]] {
-    return for_elements_tuned(elements);
-  }
   LaunchDecision decision;
   decision.elements = elements;
   const std::int64_t wanted = std::min(elements, thread_cap_);
   decision.config.block = block_;
   decision.config.grid = (wanted + block_ - 1) / block_;
-  const std::int64_t threads = decision.config.total_threads();
-  decision.thread_workload = (elements + threads - 1) / threads;
-  return decision;
-}
-
-LaunchDecision LaunchPolicy::for_elements_tuned(std::int64_t elements) const {
-  const std::string prefix = vgpu::tuned::shape_key("launch_policy", elements);
-  const int block = sanitize_block(
-      vgpu::tuned::lookup(prefix + "/block", block_), max_threads_per_block_);
-  const std::int64_t ipt =
-      std::max(1, vgpu::tuned::lookup(prefix + "/ipt", 1));
-
-  // Same Eq. 3 cap, re-aligned to the tuned block. An items-per-thread
-  // floor above 1 shrinks the launch below the cap: each thread carries at
-  // least `ipt` elements of grid-stride workload.
-  const std::int64_t cap =
-      std::max<std::int64_t>(block, thread_cap_raw_ / block * block);
-  std::int64_t wanted = std::min(elements, cap);
-  wanted = std::max<std::int64_t>(1, std::min(wanted, (elements + ipt - 1) / ipt));
-
-  LaunchDecision decision;
-  decision.elements = elements;
-  decision.config.block = block;
-  decision.config.grid = (wanted + block - 1) / block;
   const std::int64_t threads = decision.config.total_threads();
   decision.thread_workload = (elements + threads - 1) / threads;
   return decision;

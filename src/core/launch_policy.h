@@ -47,18 +47,8 @@ class LaunchPolicy {
   [[nodiscard]] int block() const { return block_; }
 
  private:
-  /// Tuned-geometry variant of for_elements: per-shape block size and
-  /// items-per-thread floor from the vgpu::tuned store (DESIGN.md §13).
-  /// Falls back to the default derivation axis by axis when a key is
-  /// absent, so an empty table reproduces for_elements exactly.
-  [[nodiscard]] LaunchDecision for_elements_tuned(std::int64_t elements) const;
-
   int block_;
-  int max_threads_per_block_;
   std::int64_t thread_cap_;
-  /// Pre-alignment cap (override or Eq. 3 product); the tuned path
-  /// re-aligns it to the tuned block size.
-  std::int64_t thread_cap_raw_;
 };
 
 }  // namespace fastpso::core

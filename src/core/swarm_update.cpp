@@ -8,7 +8,6 @@
 #include "core/kernels_registry.h"
 #include "vgpu/block.h"
 #include "vgpu/parallel.h"
-#include "vgpu/tuned.h"
 #include "vgpu/san/tracked.h"
 #include "vgpu/wmma.h"
 
@@ -98,19 +97,10 @@ void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
   const int n = state.n;
   const int d = state.d;
   const std::int64_t elements = state.elements();
-  // Tile edge is tunable geometry (DESIGN.md §13): the tile only
-  // partitions the matrix — each element's arithmetic is identical at any
-  // edge, so retuning it never changes results. tile^2 threads per block
-  // must stay within the device limit.
+  // tile^2 threads per block must stay within the device limit.
   const int max_tile = static_cast<int>(
       std::sqrt(static_cast<double>(device.spec().max_threads_per_block)));
-  const int tile = std::clamp(
-      vgpu::tuned::enabled()
-          ? vgpu::tuned::lookup(
-                vgpu::tuned::shape_key("swarm_tile", elements) + "/tile",
-                kTileSize)
-          : kTileSize,
-      2, max_tile);
+  const int tile = std::clamp(kTileSize, 2, max_tile);
   const std::int64_t tile_rows = (n + tile - 1) / tile;
   const std::int64_t tile_cols = (d + tile - 1) / tile;
   const std::int64_t tiles = tile_rows * tile_cols;

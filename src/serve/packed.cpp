@@ -6,27 +6,12 @@
 
 #include "common/check.h"
 #include "vgpu/device.h"
-#include "vgpu/tuned.h"
 
 namespace fastpso::serve {
 
 bool pack_enabled_from_env() {
   const char* env = std::getenv("FASTPSO_SERVE_PACK");
   return env != nullptr && env[0] == '1' && env[1] == '\0';
-}
-
-PackOptions PackOptions::resolve(std::int64_t elements) {
-  PackOptions options;
-  // One pair of lookups per cohort round (the scheduler memoizes per
-  // shape), so the shape_key string cost stays off the per-launch path.
-  const std::string key = vgpu::tuned::shape_key("serve_pack", elements);
-  const int pct = vgpu::tuned::lookup(
-      key + "/warp_threshold_pct",
-      static_cast<int>(options.warp_threshold * 100.0));
-  options.warp_threshold = std::clamp(pct, 0, 100) / 100.0;
-  options.max_cohort = std::clamp(
-      vgpu::tuned::lookup(key + "/max_cohort", options.max_cohort), 1, 64);
-  return options;
 }
 
 void CohortQueue::begin_round(vgpu::Device& device,

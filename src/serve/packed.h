@@ -45,20 +45,13 @@ class Device;
 
 namespace fastpso::serve {
 
-/// Packing knobs. Tunable through the offline autotuner's "serve_pack"
-/// family (tune/kernels.cpp): resolve() consults the vgpu::tuned store per
-/// element-count bucket, so FASTPSO_TUNED tables retarget both knobs.
+/// Packing knobs. The scheduler packs every shape with these defaults.
 struct PackOptions {
   /// Per-job thread utilization (elements / (grid x block)) below which a
   /// node is packed warp-per-job instead of block-per-job.
   double warp_threshold = 0.5;
   /// Jobs per packed dispatch; larger cohorts split into chunks this size.
   int max_cohort = 16;
-
-  /// Tuned-store resolution for a shape with `elements` work items per
-  /// element launch (keys "serve_pack/b<bucket>/{warp_threshold_pct,
-  /// max_cohort}"). Falls back to the defaults above.
-  [[nodiscard]] static PackOptions resolve(std::int64_t elements);
 };
 
 /// FASTPSO_SERVE_PACK=1 — the scheduler's default for executing (rather

@@ -292,20 +292,12 @@ void Scheduler::round() {
 std::uint64_t Scheduler::round_packed(const JobShape& shape,
                                       const std::vector<Job*>& members,
                                       vgpu::graph::GraphExec& exec) {
-  auto options_it = pack_options_.find(shape);
-  if (options_it == pack_options_.end()) {
-    const std::int64_t elements =
-        static_cast<std::int64_t>(shape.particles) * shape.dim;
-    options_it =
-        pack_options_.emplace(shape, PackOptions::resolve(elements)).first;
-  }
-
   CohortRecord record;
   record.shape = shape;
   record.begin_seconds = now();
 
   queue_.begin_round(device_, exec, static_cast<int>(members.size()),
-                     options_it->second);
+                     PackOptions{});
   vgpu::PackSink* const previous_sink = device_.set_pack_sink(&queue_);
 
   // Lockstep substep stepping: every member runs the same sub-step of its

@@ -206,7 +206,6 @@ class Scheduler {
   GraphCache cache_;
   Batcher batcher_;
   CohortQueue queue_;
-  std::map<JobShape, PackOptions> pack_options_;  ///< resolved per shape
   std::vector<CohortRecord> cohorts_;  ///< packed rounds, for trace()
   std::vector<vgpu::Device::StreamId> streams_;
   std::size_t next_stream_ = 0;

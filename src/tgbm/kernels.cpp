@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "vgpu/perf_model.h"
-#include "vgpu/tuned.h"
 
 namespace fastpso::tgbm {
 namespace {
@@ -183,31 +182,6 @@ LaunchPlan plan_launch(const KernelSite& site, const KernelConfig& config,
 ConfigSet default_configs() {
   ConfigSet configs;
   configs.fill(KernelConfig{.block_size = 256, .items_per_thread = 1});
-  return configs;
-}
-
-ConfigSet tuned_configs(const DatasetSpec& spec, const GbmParams& params) {
-  ConfigSet configs = default_configs();
-  if (!vgpu::tuned::enabled()) {
-    return configs;
-  }
-  const auto sites = kernel_sites(spec, params);
-  for (int k = 0; k < kNumKernels; ++k) {
-    const std::string prefix = vgpu::tuned::shape_key(
-        "tgbm/" + sites[k].name,
-        static_cast<std::int64_t>(sites[k].work_items));
-    const int block = vgpu::tuned::lookup(prefix + "/block",
-                                          configs[k].block_size);
-    // Snap to the decodable choice set so TrainTimeModel's table fast path
-    // still covers tuned configs.
-    if (block_choice_index(block) >= 0) {
-      configs[k].block_size = block;
-    }
-    configs[k].items_per_thread =
-        std::clamp(vgpu::tuned::lookup(prefix + "/items",
-                                       configs[k].items_per_thread),
-                   1, kMaxItemsPerThread);
-  }
   return configs;
 }
 

@@ -98,13 +98,6 @@ LaunchPlan plan_launch(const KernelSite& site, const KernelConfig& config,
 /// ThunderGBM-style defaults: 256-thread blocks, one item per thread.
 ConfigSet default_configs();
 
-/// Startup configs: default_configs() with per-site overrides from the
-/// vgpu::tuned store (keys "tgbm/<site>/b<bucket>/block" and "/items",
-/// bucket from the site's per-launch work items). With tuning off or no
-/// matching entries this is exactly default_configs(), so callers can use
-/// it unconditionally.
-ConfigSet tuned_configs(const DatasetSpec& spec, const GbmParams& params);
-
 /// Decodes a PSO position (values nominally in [0,1], clamped) into a
 /// ConfigSet. Positions shorter/longer than kConfigDims wrap cyclically, so
 /// the ThreadConf objective is well-defined for any dimension.

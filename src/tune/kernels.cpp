@@ -1,151 +1,21 @@
 #include "tune/kernels.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
-#include "core/init.h"
-#include "core/launch_policy.h"
-#include "core/params.h"
-#include "core/swarm_state.h"
-#include "core/swarm_update.h"
-#include "serve/scheduler.h"
-#include "vgpu/device.h"
 #include "vgpu/perf_model.h"
-#include "vgpu/reduce.h"
-#include "vgpu/tuned.h"
 
 namespace fastpso::tune {
 namespace {
 
-/// Eq. 3 resident-thread product (mirrors core/launch_policy.cpp).
-constexpr std::int64_t kResidentThreadsPerSm = 2048;
-
-int log2_ceil(int x) {
-  int levels = 0;
-  while ((1 << levels) < x) {
-    ++levels;
-  }
-  return levels;
-}
-
-/// Element-wise swarm-update cost (mirrors core/swarm_update.cpp
-/// update_cost): 10 flops/element, five matrices read + the gbest row,
-/// two matrices written.
-vgpu::KernelCostSpec swarm_cost(std::int64_t elements, int d, int barriers) {
-  vgpu::KernelCostSpec cost;
-  cost.flops = 10.0 * static_cast<double>(elements);
-  cost.dram_read_bytes =
-      (5.0 * static_cast<double>(elements) + d) * sizeof(float);
-  cost.dram_write_bytes = 2.0 * static_cast<double>(elements) * sizeof(float);
-  cost.barriers = barriers;
-  return cost;
-}
-
-/// One argmin-reduction pass cost (mirrors vgpu/reduce.cpp reduce_cost).
-vgpu::KernelCostSpec reduce_pass_cost(std::int64_t n, std::size_t elem_bytes,
-                                      std::int64_t blocks,
-                                      std::size_t out_bytes, int barriers,
-                                      int block) {
-  vgpu::KernelCostSpec cost;
-  cost.flops = static_cast<double>(n) +
-               (barriers > 0
-                    ? static_cast<double>(blocks) * (block - 1)
-                    : 0.0);
-  cost.dram_read_bytes = static_cast<double>(n) * elem_bytes;
-  cost.dram_write_bytes = static_cast<double>(blocks) * out_bytes;
-  cost.barriers = barriers;
-  return cost;
-}
-
-// --- executed-replay probes -------------------------------------------------
-
-/// Brackets a probe with a ScopedTuning snapshot, installing `entries`
-/// (empty = default geometry).
-class ProbeGuard {
- public:
-  explicit ProbeGuard(const StoreEntries& entries) {
-    vgpu::tuned::install(entries);
-    vgpu::tuned::set_enabled(!entries.empty());
-  }
-
- private:
-  vgpu::tuned::ScopedTuning guard_;
-};
-
-double probe_swarm(const vgpu::GpuSpec& gpu, const StoreEntries& entries,
-                   const WorkloadShape& shape,
-                   core::UpdateTechnique technique) {
-  ProbeGuard guard(entries);
-  vgpu::Device device(gpu);
-  core::LaunchPolicy policy(device.spec());
-  core::SwarmState state(device, shape.swarm, shape.dim);
-  core::initialize_swarm(device, policy, state, 1, -1.0f, 1.0f, 0.5f);
-  vgpu::DeviceArray<float> l_mat(device, state.elements());
-  vgpu::DeviceArray<float> g_mat(device, state.elements());
-  core::generate_weights(device, policy, state.elements(), 1, 0, l_mat,
-                         g_mat);
-  const core::PsoParams params;
-  const core::UpdateCoefficients coeff =
-      core::make_coefficients(params, -1.0, 1.0);
-  const double before = device.modeled_seconds();
-  core::swarm_update(device, policy, state, l_mat, g_mat, coeff, technique);
-  return (device.modeled_seconds() - before) * 1e6;
-}
-
-double probe_reduce(const vgpu::GpuSpec& gpu, const StoreEntries& entries,
-                    const WorkloadShape& shape) {
-  ProbeGuard guard(entries);
-  vgpu::Device device(gpu);
-  vgpu::DeviceArray<float> data(device, shape.elements);
-  for (std::int64_t i = 0; i < shape.elements; ++i) {
-    data[i] = static_cast<float>((i * 2654435761ull) % 1000ull);
-  }
-  const double before = device.modeled_seconds();
-  vgpu::reduce_argmin(device, data.data(), shape.elements);
-  return (device.modeled_seconds() - before) * 1e6;
-}
-
-/// Jobs in the serve_pack mirror's (and probe's) waiting pool: a small
-/// same-shape cohort in the tiny-job regime executed packing targets.
-constexpr int kServePackPoolJobs = 12;
-
-double probe_serve_pack(const vgpu::GpuSpec& gpu, const StoreEntries& entries,
-                        const WorkloadShape& shape) {
-  ProbeGuard guard(entries);
-  // A packed serve run over the pool: PackOptions::resolve consults the
-  // installed store, so the candidate's warp threshold and cohort width
-  // drive the real cohort dispatches; the modeled makespan is the engine's
-  // own account of the packed schedule.
-  vgpu::Device device(gpu);
-  serve::SchedulerOptions options;
-  options.streams = 4;
-  options.max_active = kServePackPoolJobs;
-  options.use_graphs = true;
-  options.batching = true;
-  options.pack = true;
-  serve::Scheduler scheduler(device, options);
-  for (int j = 0; j < kServePackPoolJobs; ++j) {
-    serve::JobSpec spec;
-    spec.problem = "sphere";
-    spec.params.particles = shape.swarm;
-    spec.params.dim = shape.dim;
-    spec.params.max_iter = 6;
-    spec.params.seed = 1234u + static_cast<std::uint64_t>(j);
-    scheduler.submit(spec);
-  }
-  scheduler.run();
-  return scheduler.stats().makespan_seconds * 1e6;
-}
-
+/// Modeled microseconds of one training run under the site configs
+/// `entries` pin, priced through the exact plan_launch path the trainer
+/// uses.
 double probe_tgbm(const tgbm::DatasetSpec& spec,
                   const tgbm::GbmParams& params, const vgpu::GpuSpec& gpu,
                   const StoreEntries& entries) {
-  ProbeGuard guard(entries);
-  // tuned_configs resolves through the installed store; the modeled train
-  // time executes the exact plan_launch path the real trainer uses.
-  const tgbm::ConfigSet configs = tgbm::tuned_configs(spec, params);
+  const tgbm::ConfigSet configs = site_configs(spec, params, entries);
   return tgbm::modeled_train_seconds(spec, params, configs, gpu) * 1e6;
 }
 
@@ -162,246 +32,6 @@ std::string KernelFamily::point_string(const Point& point) const {
     out += axes[i].name + "=" + std::to_string(point[i]);
   }
   return out;
-}
-
-std::vector<KernelFamily> engine_families(const vgpu::GpuSpec& gpu) {
-  auto model = std::make_shared<vgpu::GpuPerfModel>(gpu);
-  std::vector<KernelFamily> families;
-
-  // --- launch_policy: element-kernel block size + items-per-thread floor --
-  {
-    KernelFamily family;
-    family.name = "launch_policy";
-    family.space.add_axis("block", {64, 128, 256, 512, 1024})
-        .add_axis("ipt", {1, 2, 4, 8})
-        .add_predicate("block/device_limit",
-                       [limit = gpu.max_threads_per_block](const Point& p) {
-                         return p[0] <= limit;
-                       })
-        .add_predicate("block/warp_aligned",
-                       [warp = gpu.warp_size](const Point& p) {
-                         return p[0] % warp == 0;
-                       })
-        .add_predicate("ipt/range", [](const Point& p) {
-          return p[1] >= 1 && p[1] <= 16;
-        });
-    family.default_point = {256, 1};
-    family.predicted_us = [model, gpu](const Point& p,
-                                       const WorkloadShape& shape) {
-      // Mirrors LaunchPolicy::for_elements_tuned.
-      const std::int64_t block = p[0];
-      const std::int64_t ipt = p[1];
-      const std::int64_t cap_raw =
-          static_cast<std::int64_t>(gpu.sm_count) * kResidentThreadsPerSm;
-      const std::int64_t cap =
-          std::max<std::int64_t>(block, cap_raw / block * block);
-      std::int64_t wanted = std::min(shape.elements, cap);
-      wanted = std::max<std::int64_t>(
-          1, std::min(wanted, (shape.elements + ipt - 1) / ipt));
-      const std::int64_t grid = (wanted + block - 1) / block;
-      const double threads = static_cast<double>(grid * block);
-      return model->kernel_seconds(threads,
-                                   swarm_cost(shape.elements, shape.dim, 0)) *
-             1e6;
-    };
-    family.entries = [](const Point& p, const WorkloadShape& shape) {
-      const std::string prefix =
-          vgpu::tuned::shape_key("launch_policy", shape.elements);
-      return StoreEntries{{prefix + "/block", p[0]}, {prefix + "/ipt", p[1]}};
-    };
-    family.executed_us = [gpu](const StoreEntries& entries,
-                               const WorkloadShape& shape) {
-      return probe_swarm(gpu, entries, shape,
-                         core::UpdateTechnique::kGlobalMemory);
-    };
-    families.push_back(std::move(family));
-  }
-
-  // --- reduce: shared-memory tree width + partial-grid cap ----------------
-  {
-    KernelFamily family;
-    family.name = "reduce";
-    family.space.add_axis("block", {32, 64, 128, 256, 512, 1024})
-        .add_axis("max_blocks", {64, 128, 256, 512, 1024})
-        .add_predicate("block/pow2",
-                       [](const Point& p) {
-                         return (p[0] & (p[0] - 1)) == 0;
-                       })
-        .add_predicate("block/device_limit",
-                       [limit = gpu.max_threads_per_block](const Point& p) {
-                         return p[0] <= limit;
-                       })
-        .add_predicate(
-            "shared_fit",
-            [shared = gpu.shared_mem_per_block](const Point& p) {
-              // Argmin tree: float value + int64 index per tree slot.
-              const std::size_t bytes =
-                  static_cast<std::size_t>(p[0]) *
-                  (sizeof(float) + sizeof(std::int64_t));
-              return bytes <= shared;
-            })
-        .add_predicate("max_blocks/positive",
-                       [](const Point& p) { return p[1] >= 1; });
-    family.default_point = {256, 1024};
-    family.predicted_us = [model](const Point& p,
-                                  const WorkloadShape& shape) {
-      // Mirrors vgpu/reduce.cpp reduce_argmin's two passes.
-      const int block = p[0];
-      const std::int64_t max_blocks = p[1];
-      const std::int64_t n = shape.elements;
-      const std::int64_t blocks =
-          std::min<std::int64_t>((n + block - 1) / block, max_blocks);
-      const double pass1 = model->kernel_seconds(
-          static_cast<double>(blocks * block),
-          reduce_pass_cost(n, sizeof(float), blocks,
-                           sizeof(float) + sizeof(std::int64_t),
-                           log2_ceil(block), block));
-      const double pass2 = model->kernel_seconds(
-          1.0, reduce_pass_cost(blocks, sizeof(float) + sizeof(std::int64_t),
-                                blocks, 0, 0, block));
-      return (pass1 + pass2) * 1e6;
-    };
-    family.entries = [](const Point& p, const WorkloadShape& shape) {
-      const std::string prefix =
-          vgpu::tuned::shape_key("reduce", shape.elements);
-      return StoreEntries{{prefix + "/block", p[0]},
-                          {prefix + "/max_blocks", p[1]}};
-    };
-    family.executed_us = [gpu](const StoreEntries& entries,
-                               const WorkloadShape& shape) {
-      return probe_reduce(gpu, entries, shape);
-    };
-    families.push_back(std::move(family));
-  }
-
-  // --- swarm_tile: shared-memory tile edge --------------------------------
-  {
-    KernelFamily family;
-    family.name = "swarm_tile";
-    family.space.add_axis("tile", {4, 8, 16, 32})
-        .add_predicate("block/device_limit",
-                       [limit = gpu.max_threads_per_block](const Point& p) {
-                         return p[0] * p[0] <= limit;
-                       })
-        .add_predicate("block/warp_aligned",
-                       [warp = gpu.warp_size](const Point& p) {
-                         return (p[0] * p[0]) % warp == 0;
-                       })
-        .add_predicate(
-            "shared_fit",
-            [shared = gpu.shared_mem_per_block](const Point& p) {
-              // Five tile^2 staging arrays + the gbest slice.
-              const std::size_t bytes =
-                  (5u * static_cast<std::size_t>(p[0]) * p[0] +
-                   static_cast<std::size_t>(p[0])) *
-                  sizeof(float);
-              return bytes <= shared;
-            });
-    family.default_point = {core::kTileSize};
-    family.predicted_us = [model, gpu](const Point& p,
-                                       const WorkloadShape& shape) {
-      // Mirrors core/swarm_update.cpp update_shared's geometry.
-      const int tile = p[0];
-      const std::int64_t tile_rows = (shape.swarm + tile - 1) / tile;
-      const std::int64_t tile_cols = (shape.dim + tile - 1) / tile;
-      const std::int64_t tiles = tile_rows * tile_cols;
-      const std::int64_t block = tile * tile;
-      // The default policy's resident cap, aligned to its 256 block.
-      const std::int64_t cap_raw =
-          static_cast<std::int64_t>(gpu.sm_count) * kResidentThreadsPerSm;
-      const std::int64_t cap = std::max<std::int64_t>(256, cap_raw / 256 * 256);
-      std::int64_t grid = std::min<std::int64_t>(
-          tiles, cap / block + (cap % block != 0));
-      grid = std::max<std::int64_t>(grid, 1);
-      const std::int64_t trips = (tiles + grid - 1) / grid;
-      return model->kernel_seconds(
-                 static_cast<double>(grid * block),
-                 swarm_cost(shape.elements, shape.dim,
-                            static_cast<int>(2 * trips))) *
-             1e6;
-    };
-    family.entries = [](const Point& p, const WorkloadShape& shape) {
-      const std::string prefix =
-          vgpu::tuned::shape_key("swarm_tile", shape.elements);
-      return StoreEntries{{prefix + "/tile", p[0]}};
-    };
-    family.executed_us = [gpu](const StoreEntries& entries,
-                               const WorkloadShape& shape) {
-      return probe_swarm(gpu, entries, shape,
-                         core::UpdateTechnique::kSharedMemory);
-    };
-    families.push_back(std::move(family));
-  }
-
-  // --- serve_pack: cross-job packing warp threshold + cohort width --------
-  {
-    KernelFamily family;
-    family.name = "serve_pack";
-    family.space.add_axis("warp_threshold_pct", {0, 25, 50, 75, 100})
-        .add_axis("max_cohort", {2, 4, 8, 16, 32, 64})
-        .add_predicate("threshold/range",
-                       [](const Point& p) {
-                         return p[0] >= 0 && p[0] <= 100;
-                       })
-        .add_predicate("max_cohort/range", [](const Point& p) {
-          return p[1] >= 1 && p[1] <= 64;
-        });
-    // The PackOptions defaults (serve/packed.h).
-    family.default_point = {50, 16};
-    family.predicted_us = [model](const Point& p,
-                                  const WorkloadShape& shape) {
-      // Mirrors serve/packed.cpp dispatch_group over a waiting pool of
-      // same-shape tiny jobs: the pool splits into cohorts of max_cohort,
-      // each cohort's element launches merge into one dispatch — warp-
-      // per-job below the threshold, block-per-job otherwise — priced by
-      // the same GpuPerfModel entry point the engine accounts with.
-      const double threshold = p[0] / 100.0;
-      const int max_cohort = p[1];
-      const std::int64_t n = shape.elements;
-      const int block = 256;  // the element-launch default geometry
-      const std::int64_t grid = (n + block - 1) / block;
-      double total = 0;
-      for (int begin = 0; begin < kServePackPoolJobs; begin += max_cohort) {
-        const int k = std::min(max_cohort, kServePackPoolJobs - begin);
-        const double per_job_threads = static_cast<double>(grid) * block;
-        const bool warp_mode =
-            k >= 2 && static_cast<double>(n) < threshold * per_job_threads &&
-            (n + 31) / 32 <= block / 32;
-        std::int64_t cfg_grid;
-        if (warp_mode) {
-          const std::int64_t warps_per_job =
-              std::max<std::int64_t>((n + 31) / 32, 1);
-          const std::int64_t jobs_per_block =
-              std::max<std::int64_t>((block / 32) / warps_per_job, 1);
-          cfg_grid = (k + jobs_per_block - 1) / jobs_per_block;
-        } else {
-          cfg_grid = grid * k;
-        }
-        const vgpu::KernelCostSpec one = swarm_cost(n, shape.dim, 0);
-        vgpu::KernelCostSpec summed;
-        summed.flops = one.flops * k;
-        summed.transcendentals = one.transcendentals * k;
-        summed.dram_read_bytes = one.dram_read_bytes * k;
-        summed.dram_write_bytes = one.dram_write_bytes * k;
-        total += model->kernel_seconds(
-            static_cast<double>(cfg_grid) * block, summed);
-      }
-      return total * 1e6;
-    };
-    family.entries = [](const Point& p, const WorkloadShape& shape) {
-      const std::string prefix =
-          vgpu::tuned::shape_key("serve_pack", shape.elements);
-      return StoreEntries{{prefix + "/warp_threshold_pct", p[0]},
-                          {prefix + "/max_cohort", p[1]}};
-    };
-    family.executed_us = [gpu](const StoreEntries& entries,
-                               const WorkloadShape& shape) {
-      return probe_serve_pack(gpu, entries, shape);
-    };
-    families.push_back(std::move(family));
-  }
-
-  return families;
 }
 
 std::vector<KernelFamily> tgbm_site_families(const tgbm::DatasetSpec& spec,
@@ -456,8 +86,7 @@ std::vector<KernelFamily> tgbm_site_families(const tgbm::DatasetSpec& spec,
     };
     family.entries = [name = family.name](const Point& p,
                                           const WorkloadShape& shape) {
-      const std::string prefix =
-          vgpu::tuned::shape_key(name, shape.elements);
+      const std::string prefix = shape_key(name, shape.elements);
       return StoreEntries{{prefix + "/block", p[0]},
                           {prefix + "/items", p[1]}};
     };
@@ -483,6 +112,29 @@ std::vector<WorkloadShape> tgbm_site_shapes(const tgbm::DatasetSpec& spec,
                       swarm});
   }
   return shapes;
+}
+
+tgbm::ConfigSet site_configs(const tgbm::DatasetSpec& spec,
+                             const tgbm::GbmParams& params,
+                             const StoreEntries& store) {
+  tgbm::ConfigSet configs = tgbm::default_configs();
+  const auto sites = tgbm::kernel_sites(spec, params);
+  for (int k = 0; k < tgbm::kNumKernels; ++k) {
+    const std::string prefix =
+        shape_key("tgbm/" + sites[k].name,
+                  static_cast<std::int64_t>(sites[k].work_items));
+    if (const auto it = store.find(prefix + "/block");
+        it != store.end() &&
+        std::find(tgbm::kBlockChoices.begin(), tgbm::kBlockChoices.end(),
+                  it->second) != tgbm::kBlockChoices.end()) {
+      configs[k].block_size = it->second;
+    }
+    if (const auto it = store.find(prefix + "/items"); it != store.end()) {
+      configs[k].items_per_thread =
+          std::clamp(it->second, 1, tgbm::kMaxItemsPerThread);
+    }
+  }
+  return configs;
 }
 
 const KernelFamily* find_family(const std::vector<KernelFamily>& families,

@@ -1,26 +1,20 @@
-// The tunable kernel families of the engine (DESIGN.md §13).
+// The tunable kernel families of the Table 5 case study (DESIGN.md §13).
 //
 // A KernelFamily bundles everything the tuner needs to search one kernel's
 // configuration space for one workload shape:
 //   * its JoinedSpace (axes + validity predicates) and default point;
-//   * predicted_us — the modeled-cost oracle: the family mirrors the exact
-//     launch geometry its runtime consumer derives from a tuned point and
-//     prices it with vgpu::GpuPerfModel, so predicted ordering matches what
-//     the engine will report;
-//   * entries — the vgpu::tuned store keys a point pins for a shape's
-//     bucket (the producer half of the key schema the consumers look up);
-//   * executed_us — the executed-replay probe: runs the real kernel on a
-//     vgpu::Device with the entries installed (ScopedTuning-bracketed) and
-//     returns the modeled time actually accrued, validating predictions
-//     against the engine rather than the mirror.
+//   * predicted_us — the modeled-cost oracle: the site's launches planned
+//     by tgbm::plan_launch under a point and priced with
+//     vgpu::GpuPerfModel;
+//   * entries — the store keys a point pins for a shape's bucket
+//     ("tgbm/<site>/b<bucket>/block" and "/items");
+//   * executed_us — the modeled time of a whole training run with the
+//     entries applied through site_configs, validating a per-site
+//     prediction against the full plan the trainer prices.
 //
-// Families: "launch_policy" (element-wise block size + items-per-thread,
-// consumer core::LaunchPolicy), "reduce" (tree width + partial-grid cap,
-// consumer vgpu::reduce), "swarm_tile" (shared-memory tile edge, consumer
-// core::swarm_update), "serve_pack" (cross-job packing warp-utilization
-// threshold + cohort width, consumer serve::PackOptions::resolve), and one
-// "tgbm/<site>" family per MiniGBM kernel site (consumer
-// tgbm::tuned_configs / plan_launch).
+// There is one "tgbm/<site>" family per MiniGBM kernel site. site_configs
+// turns the store a search emits back into the ConfigSet the trainer
+// takes.
 #pragma once
 
 #include <map>
@@ -44,23 +38,19 @@ struct KernelFamily {
   std::string name;  ///< family label == WorkloadShape::kernel
   JoinedSpace space;
   Point default_point;
-  /// Modeled cost (microseconds) of one launch of this family's kernel
-  /// over `shape` under `point`. Pure function of (point, shape).
+  /// Modeled cost (microseconds) of the family's launches over `shape`
+  /// under `point`. Pure function of (point, shape).
   std::function<double(const Point&, const WorkloadShape&)> predicted_us;
-  /// vgpu::tuned store entries `point` pins for `shape`'s bucket.
+  /// Store entries `point` pins for `shape`'s bucket.
   std::function<StoreEntries(const Point&, const WorkloadShape&)> entries;
-  /// Executed-replay probe: modeled microseconds the real kernel accrues
-  /// on a fresh Device with `entries` installed (empty = default
-  /// geometry). Null when the family has no cheap executed form.
+  /// Executed probe: modeled microseconds with `entries` applied (empty =
+  /// default configuration). Null when the family has no executed form.
   std::function<double(const StoreEntries&, const WorkloadShape&)>
       executed_us;
 
   /// "axis=value;axis=value" rendering of a point (table provenance).
   [[nodiscard]] std::string point_string(const Point& point) const;
 };
-
-/// The engine's three launch-geometry families on `gpu`.
-std::vector<KernelFamily> engine_families(const vgpu::GpuSpec& gpu);
 
 /// One family per MiniGBM kernel site for (spec, params) on `gpu`, named
 /// "tgbm/<site>"; includes the shared-memory fit predicate for
@@ -73,6 +63,15 @@ std::vector<KernelFamily> tgbm_site_families(const tgbm::DatasetSpec& spec,
 /// the site's per-launch work items).
 std::vector<WorkloadShape> tgbm_site_shapes(const tgbm::DatasetSpec& spec,
                                             const tgbm::GbmParams& params);
+
+/// default_configs() with the per-site entries of `store` applied (keys
+/// shape_key("tgbm/<site>", work items) + "/block" and "/items"). A block
+/// size outside tgbm::kBlockChoices keeps the default, so the trainer's
+/// table fast path still covers the result; items clamp to
+/// [1, tgbm::kMaxItemsPerThread]. An empty store gives default_configs().
+tgbm::ConfigSet site_configs(const tgbm::DatasetSpec& spec,
+                             const tgbm::GbmParams& params,
+                             const StoreEntries& store);
 
 /// Family with the given name, or nullptr.
 const KernelFamily* find_family(const std::vector<KernelFamily>& families,

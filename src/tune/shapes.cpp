@@ -1,12 +1,23 @@
 #include "tune/shapes.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <utility>
 
-#include "vgpu/tuned.h"
-
 namespace fastpso::tune {
+
+int elements_bucket(std::int64_t elements) {
+  const auto bits = std::bit_width(static_cast<std::uint64_t>(elements));
+  return elements <= 0 ? 0 : static_cast<int>(bits) - 1;
+}
+
+std::string shape_key(std::string_view kernel, std::int64_t elements) {
+  std::string key(kernel);
+  key += "/b";
+  key += std::to_string(elements_bucket(elements));
+  return key;
+}
 
 std::string ShapeGroup::key() const {
   return kernel + "/b" + std::to_string(bucket);
@@ -15,7 +26,7 @@ std::string ShapeGroup::key() const {
 std::vector<ShapeGroup> group_shapes(std::vector<WorkloadShape> shapes) {
   std::map<std::pair<std::string, int>, ShapeGroup> groups;
   for (WorkloadShape& shape : shapes) {
-    const int bucket = vgpu::tuned::elements_bucket(shape.elements);
+    const int bucket = elements_bucket(shape.elements);
     auto [it, inserted] =
         groups.try_emplace({shape.kernel, bucket}, ShapeGroup{});
     ShapeGroup& group = it->second;
@@ -48,38 +59,6 @@ std::vector<ShapeGroup> group_shapes(std::vector<WorkloadShape> shapes) {
     out.push_back(std::move(group));
   }
   return out;
-}
-
-std::vector<WorkloadShape> smoke_shapes() {
-  // The Table 1 smoke geometries used across the bench suite, plus the
-  // paper-scale run.
-  struct Geometry {
-    int swarm;
-    int dim;
-  };
-  constexpr Geometry kGeometries[] = {
-      {256, 16}, {512, 32}, {1024, 50}, {2048, 64}, {5000, 200}};
-
-  std::vector<WorkloadShape> shapes;
-  for (const Geometry& g : kGeometries) {
-    const std::int64_t elements =
-        static_cast<std::int64_t>(g.swarm) * g.dim;
-    // Element-wise update launches over n*d; reductions over n.
-    shapes.push_back({"launch_policy", elements, g.dim, g.swarm});
-    shapes.push_back({"swarm_tile", elements, g.dim, g.swarm});
-    shapes.push_back({"reduce", g.swarm, g.dim, g.swarm});
-  }
-  // The serve layer's cross-job packing knobs tune on the tiny-job
-  // geometries (bench/serve_load --tiny table): the regime where warp-
-  // per-job sub-packing and cohort width actually matter.
-  constexpr Geometry kTinyGeometries[] = {
-      {8, 2}, {8, 4}, {16, 2}, {16, 4}, {8, 8}, {16, 8}};
-  for (const Geometry& g : kTinyGeometries) {
-    const std::int64_t elements =
-        static_cast<std::int64_t>(g.swarm) * g.dim;
-    shapes.push_back({"serve_pack", elements, g.dim, g.swarm});
-  }
-  return shapes;
 }
 
 }  // namespace fastpso::tune

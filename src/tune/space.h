@@ -1,7 +1,7 @@
 // Joined configuration subspaces with validity predicates (DESIGN.md §13).
 //
-// A kernel family's tunables — block size, items per thread, reduce tree
-// width, tile edge, partial-grid cap — are each a small discrete Axis. A
+// A kernel family's tunables — block size and items per thread for a
+// MiniGBM kernel site — are each a small discrete Axis. A
 // JoinedSpace is their cross product joined by named validity predicates
 // (occupancy, shared-memory arena fit, divisibility), the AMOS-style
 // construction of SNIPPETS.md snippets 1-3: the search only ever scores

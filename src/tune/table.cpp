@@ -2,113 +2,18 @@
 
 #include <charconv>
 #include <fstream>
-#include <system_error>
-#include <utility>
-
-#include "common/trace_export.h"
-#include "vgpu/tuned.h"
 
 namespace fastpso::tune {
 namespace {
 
-/// Shortest representation that round-trips the exact double, so
-/// save -> load -> save is byte-identical.
+/// Shortest representation that round-trips the exact double.
 std::string format_double(double value) {
   char buf[64];
   const auto result = std::to_chars(buf, buf + sizeof(buf), value);
   return std::string(buf, result.ptr);
 }
 
-// --- rigid scanner for the format to_json() emits --------------------------
-
-struct Cursor {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\n' || text[pos] == '\t' ||
-            text[pos] == '\r' || text[pos] == ',')) {
-      ++pos;
-    }
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-};
-
-bool parse_string(Cursor& c, std::string* out) {
-  if (!c.eat('"')) {
-    return false;
-  }
-  out->clear();
-  while (c.pos < c.text.size() && c.text[c.pos] != '"') {
-    char ch = c.text[c.pos++];
-    if (ch == '\\' && c.pos < c.text.size()) {
-      const char esc = c.text[c.pos++];
-      switch (esc) {
-        case 'n': ch = '\n'; break;
-        case 't': ch = '\t'; break;
-        case 'r': ch = '\r'; break;
-        default: ch = esc; break;
-      }
-    }
-    out->push_back(ch);
-  }
-  return c.eat('"');
-}
-
-bool parse_number(Cursor& c, double* out) {
-  c.skip_ws();
-  const char* begin = c.text.data() + c.pos;
-  const char* end = c.text.data() + c.text.size();
-  const auto result = std::from_chars(begin, end, *out);
-  if (result.ec != std::errc{}) {
-    return false;
-  }
-  c.pos += static_cast<std::size_t>(result.ptr - begin);
-  return true;
-}
-
 }  // namespace
-
-void TunedTable::install() const { vgpu::tuned::install(store_); }
-
-std::string TunedTable::to_json() const {
-  std::string out;
-  out += "{\n  \"fastpso_tuned_table\": 1,\n  \"groups\": [";
-  bool first = true;
-  for (const GroupResult& group : groups_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"key\": \"" + json_escape(group.key) + "\", \"point\": \"" +
-           json_escape(group.point) + "\", \"default_us\": " +
-           format_double(group.default_us) + ", \"tuned_us\": " +
-           format_double(group.tuned_us) + ", \"executed_default_us\": " +
-           format_double(group.executed_default_us) +
-           ", \"executed_tuned_us\": " +
-           format_double(group.executed_tuned_us) + "}";
-  }
-  out += first ? "],\n" : "\n  ],\n";
-  out += "  \"store\": {";
-  first = true;
-  for (const auto& [key, value] : store_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(key) + "\": " + std::to_string(value);
-  }
-  out += first ? "}\n}\n" : "\n  }\n}\n";
-  return out;
-}
 
 std::string TunedTable::to_csv() const {
   std::string out =
@@ -132,15 +37,6 @@ std::string TunedTable::to_csv() const {
   return out;
 }
 
-bool TunedTable::save_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.good()) {
-    return false;
-  }
-  out << to_json();
-  return out.good();
-}
-
 bool TunedTable::save_csv(const std::string& path) const {
   std::ofstream out(path);
   if (!out.good()) {
@@ -148,86 +44,6 @@ bool TunedTable::save_csv(const std::string& path) const {
   }
   out << to_csv();
   return out.good();
-}
-
-std::optional<TunedTable> TunedTable::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    return std::nullopt;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return parse(text);
-}
-
-std::optional<TunedTable> TunedTable::parse(const std::string& json) {
-  TunedTable table;
-  Cursor c{json};
-  const std::size_t groups_pos = json.find("\"groups\"");
-  if (groups_pos == std::string::npos) {
-    return std::nullopt;
-  }
-  c.pos = groups_pos + 8;
-  if (!c.eat(':') || !c.eat('[')) {
-    return std::nullopt;
-  }
-  while (c.peek('{')) {
-    c.eat('{');
-    GroupResult group;
-    while (!c.peek('}')) {
-      std::string field;
-      if (!parse_string(c, &field) || !c.eat(':')) {
-        return std::nullopt;
-      }
-      if (field == "key" || field == "point") {
-        std::string value;
-        if (!parse_string(c, &value)) {
-          return std::nullopt;
-        }
-        (field == "key" ? group.key : group.point) = std::move(value);
-      } else {
-        double value = 0;
-        if (!parse_number(c, &value)) {
-          return std::nullopt;
-        }
-        if (field == "default_us") {
-          group.default_us = value;
-        } else if (field == "tuned_us") {
-          group.tuned_us = value;
-        } else if (field == "executed_default_us") {
-          group.executed_default_us = value;
-        } else if (field == "executed_tuned_us") {
-          group.executed_tuned_us = value;
-        }
-      }
-    }
-    c.eat('}');
-    table.groups_.push_back(std::move(group));
-  }
-  if (!c.eat(']')) {
-    return std::nullopt;
-  }
-
-  const std::size_t store_pos = json.find("\"store\"", c.pos);
-  if (store_pos == std::string::npos) {
-    return std::nullopt;
-  }
-  c.pos = store_pos + 7;
-  if (!c.eat(':') || !c.eat('{')) {
-    return std::nullopt;
-  }
-  while (c.peek('"')) {
-    std::string key;
-    double value = 0;
-    if (!parse_string(c, &key) || !c.eat(':') || !parse_number(c, &value)) {
-      return std::nullopt;
-    }
-    table.store_[key] = static_cast<int>(value);
-  }
-  if (!c.eat('}')) {
-    return std::nullopt;
-  }
-  return table;
 }
 
 }  // namespace fastpso::tune

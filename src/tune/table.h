@@ -1,22 +1,19 @@
-// Tuned-config tables: the deterministic artifact the tuner emits and the
-// runtime loads (DESIGN.md §13).
+// Tuned-config tables: the deterministic artifact the tuner emits
+// (DESIGN.md §13).
 //
 // A TunedTable carries two things:
-//   * the flat key -> int store the runtime consumes (vgpu::tuned keys:
-//     "launch_policy/b9/block", "reduce/b12/max_blocks", ...), and
+//   * the flat key -> int store of winning points ("tgbm/<site>/b<bucket>/
+//     block", ".../items"), which tune::site_configs turns into a
+//     tgbm::ConfigSet, and
 //   * per-group provenance: which point won each shape group and its
-//     predicted / executed-replay costs against the defaults — the
-//     predicted-vs-executed record bench/tune_search reports.
+//     predicted / executed costs against the defaults — the
+//     predicted-vs-executed record bench/tune_search writes as CSV.
 //
-// Serialization is deterministic: keys in sorted order, groups in emission
-// order, doubles via shortest-round-trip formatting. load() parses exactly
-// the format save() writes, so save -> load -> save is byte-identical
-// (pinned by test_tune.cpp); the "store" section is also what
-// vgpu::tuned::load_file scans at startup under FASTPSO_TUNED=1.
+// The CSV is deterministic: groups in emission order, doubles via
+// shortest-round-trip formatting.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,7 +25,7 @@ struct GroupResult {
   std::string point;        ///< winning point, "axis=value;..." form
   double default_us = 0;    ///< predicted cost of the default config
   double tuned_us = 0;      ///< predicted cost of the winning config
-  double executed_default_us = 0;  ///< executed-replay probe (0: not probed)
+  double executed_default_us = 0;  ///< executed probe (0: not probed)
   double executed_tuned_us = 0;
 };
 
@@ -46,20 +43,9 @@ class TunedTable {
     return groups_;
   }
 
-  /// Installs the store into the vgpu::tuned runtime (does not flip the
-  /// master toggle).
-  void install() const;
-
-  /// Deterministic JSON / CSV renderings.
-  [[nodiscard]] std::string to_json() const;
+  /// Deterministic CSV rendering: one predicted-vs-executed row per group.
   [[nodiscard]] std::string to_csv() const;
-
-  bool save_json(const std::string& path) const;
   bool save_csv(const std::string& path) const;
-
-  /// Parses a table previously produced by to_json()/save_json().
-  static std::optional<TunedTable> load(const std::string& path);
-  static std::optional<TunedTable> parse(const std::string& json);
 
  private:
   std::map<std::string, int> store_;

@@ -8,7 +8,6 @@
 #include "core/optimizer.h"
 #include "core/params.h"
 #include "vgpu/device.h"
-#include "vgpu/tuned.h"
 
 namespace fastpso::tune {
 namespace {
@@ -32,12 +31,6 @@ Tuner::Tuner(vgpu::GpuSpec gpu, TunerOptions options)
 
 GroupOutcome Tuner::tune_group(const KernelFamily& family,
                                const ShapeGroup& group) const {
-  // The search itself must run on default geometry: a previously loaded
-  // table would otherwise perturb the searching optimizer's own launches
-  // (and the executed probes install their own candidate entries).
-  vgpu::tuned::ScopedTuning guard;
-  vgpu::tuned::set_enabled(false);
-
   const WorkloadShape& shape = group.representative;
   const JoinedSpace& space = family.space;
 
@@ -93,8 +86,8 @@ GroupOutcome Tuner::tune_group(const KernelFamily& family,
     }
   }
 
-  // (c) executed-replay validation: if the engine's own accounting says the
-  // winner is not at least as fast as the default, demote it.
+  // (c) executed validation: if the executed probe says the winner is not
+  // at least as fast as the default, demote it.
   if (options_.executed_probe && family.executed_us) {
     outcome.executed_default_us = family.executed_us(StoreEntries{}, shape);
     outcome.executed_tuned_us = family.executed_us(

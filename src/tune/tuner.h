@@ -9,10 +9,8 @@
 // point, the PSO gbest, and the gbest's valid axis neighbors — and picks
 // the predicted-cost argmin, so the tuned choice can never be predicted
 // worse than the default; (c) optionally validates with the family's
-// executed-replay probe, demoting to the default if the real engine
-// disagrees with the prediction. Winning non-default points are emitted
-// into a TunedTable; every search runs under a ScopedTuning snapshot with
-// tuning disabled, so a loaded table never perturbs the tuner itself.
+// executed probe, demoting to the default if it disagrees with the
+// prediction. Winning non-default points are emitted into a TunedTable.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +31,7 @@ struct TunerOptions {
   int particles = 48;        ///< PSO swarm size per group search
   int iterations = 24;       ///< PSO iterations per group search
   std::uint64_t seed = 42;
-  bool executed_probe = true;  ///< run executed-replay validation
+  bool executed_probe = true;  ///< run executed-probe validation
 };
 
 /// Outcome of tuning one shape group.

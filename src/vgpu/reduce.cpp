@@ -1,6 +1,5 @@
 #include "vgpu/reduce.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -9,48 +8,19 @@
 #include "vgpu/buffer.h"
 #include "vgpu/prof/prof.h"
 #include "vgpu/san/tracked.h"
-#include "vgpu/tuned.h"
 
 namespace fastpso::vgpu {
 namespace {
 
+/// Tree width of the shared-memory reduction (a power of two) and the cap
+/// on its partial grid, which keeps the partial array small.
 constexpr int kReduceBlock = 256;
 constexpr int kReduceMaxBlocks = 1024;
 
-/// The shared-memory tree needs a power-of-two width; tuned entries are
-/// emitted from a power-of-two axis, but the store is user-writable so
-/// sanitize anyway: round down to a power of two within [32, device max].
-int sanitize_block(int block, const GpuSpec& spec) {
-  block = std::clamp(block, 32, spec.max_threads_per_block);
-  int pow2 = 32;
-  while (pow2 * 2 <= block) {
-    pow2 *= 2;
-  }
-  return pow2;
-}
-
-/// Tuned tree width for a reduction over n elements (default kReduceBlock).
-/// Geometry-only for argmin — the result is "first strict minimum in
-/// ascending index order" at any width — so retuning it never moves gbest.
-int reduce_block(const GpuSpec& spec, std::int64_t n) {
-  if (!tuned::enabled()) {
-    return kReduceBlock;  // no key string built on the default path
-  }
-  const int block =
-      tuned::lookup(tuned::shape_key("reduce", n) + "/block", kReduceBlock);
-  return block == kReduceBlock ? kReduceBlock : sanitize_block(block, spec);
-}
-
 /// Launch shape for a reduction over n elements: one block per
-/// `block`-element chunk, capped so the partial array stays small.
-LaunchConfig reduce_config(const GpuSpec& spec, std::int64_t n, int block) {
-  const int max_blocks =
-      tuned::enabled()
-          ? std::max(1, tuned::lookup(tuned::shape_key("reduce", n) +
-                                          "/max_blocks",
-                                      kReduceMaxBlocks))
-          : kReduceMaxBlocks;
-  return LaunchConfig::for_elements(spec, n, block, max_blocks);
+/// kReduceBlock-element chunk, at most kReduceMaxBlocks blocks.
+LaunchConfig reduce_config(const GpuSpec& spec, std::int64_t n) {
+  return LaunchConfig::for_elements(spec, n, kReduceBlock, kReduceMaxBlocks);
 }
 
 /// Cost of one reduction pass over n elements of `elem_bytes` each,
@@ -59,11 +29,11 @@ LaunchConfig reduce_config(const GpuSpec& spec, std::int64_t n, int block) {
 /// (block - 1 folds per block).
 KernelCostSpec reduce_cost(std::int64_t n, std::size_t elem_bytes,
                            std::int64_t blocks, std::size_t out_bytes,
-                           int barriers, int block) {
+                           int barriers) {
   KernelCostSpec cost;
   cost.flops = static_cast<double>(n) +
                (barriers > 0
-                    ? static_cast<double>(blocks) * (block - 1)
+                    ? static_cast<double>(blocks) * (kReduceBlock - 1)
                     : 0.0);
   cost.dram_read_bytes = static_cast<double>(n) * elem_bytes;
   cost.dram_write_bytes = static_cast<double>(blocks) * out_bytes;
@@ -83,8 +53,7 @@ int log2_ceil(int x) {
 
 ArgMin reduce_argmin(Device& device, const float* data, std::int64_t n) {
   FASTPSO_CHECK(n > 0);
-  const int block = reduce_block(device.spec(), n);
-  const auto cfg = reduce_config(device.spec(), n, block);
+  const auto cfg = reduce_config(device.spec(), n);
   const auto blocks = cfg.grid;
 
   if (use_fast_path()) {
@@ -99,7 +68,7 @@ ArgMin reduce_argmin(Device& device, const float* data, std::int64_t n) {
       device.account_launch(
           cfg, reduce_cost(n, sizeof(float), blocks,
                            sizeof(float) + sizeof(std::int64_t),
-                           log2_ceil(block), block));
+                           log2_ceil(kReduceBlock)));
       // Footprint: reductions never fuse (barriers), but declaring the
       // input read keeps the node non-opaque so the fusion pass's
       // outside-reader analysis sees exactly what it consumes (the fast
@@ -127,7 +96,7 @@ ArgMin reduce_argmin(Device& device, const float* data, std::int64_t n) {
       device.account_launch(
           final_cfg,
           reduce_cost(blocks, sizeof(float) + sizeof(std::int64_t), blocks,
-                      0, 0, block));
+                      0, 0));
       // The fast path folds in place — the final pass touches no device
       // buffer, declared as an empty (non-opaque) footprint.
       if (device.capturing()) {
@@ -155,12 +124,12 @@ ArgMin reduce_argmin(Device& device, const float* data, std::int64_t n) {
         cfg,
         reduce_cost(n, sizeof(float), blocks,
                     sizeof(float) + sizeof(std::int64_t),
-                    log2_ceil(block), block),
+                    log2_ceil(kReduceBlock)),
         [&](BlockCtx& blk) {
           auto sh_val = san::track_shared(
-              blk.shared_array<float>(block), "sh_val");
+              blk.shared_array<float>(kReduceBlock), "sh_val");
           auto sh_idx = san::track_shared(
-              blk.shared_array<std::int64_t>(block), "sh_idx");
+              blk.shared_array<std::int64_t>(kReduceBlock), "sh_idx");
           // Phase 1: each thread folds its grid-stride slice.
           blk.for_each_thread([&](const ThreadCtx& t) {
             float best = std::numeric_limits<float>::infinity();
@@ -178,7 +147,7 @@ ArgMin reduce_argmin(Device& device, const float* data, std::int64_t n) {
             sh_idx[t.thread_idx] = best_i;
           });
           // Phase 2..log2(block): shared-memory tree reduction.
-          for (int stride = block / 2; stride > 0; stride /= 2) {
+          for (int stride = kReduceBlock / 2; stride > 0; stride /= 2) {
             blk.sync();
             blk.for_each_thread([&](const ThreadCtx& t) {
               if (t.thread_idx < stride) {
@@ -224,7 +193,7 @@ ArgMin reduce_argmin(Device& device, const float* data, std::int64_t n) {
   san::KernelScope scope("reduce/argmin_final");
   device.launch(final_cfg,
                 reduce_cost(blocks, sizeof(float) + sizeof(std::int64_t),
-                            blocks, 0, 0, block),
+                            blocks, 0, 0),
                 [&](const ThreadCtx&) {
                   for (std::int64_t b = 0; b < blocks; ++b) {
                     san::count_flops(1.0);
@@ -255,8 +224,7 @@ float reduce_min(Device& device, const float* data, std::int64_t n) {
 
 double reduce_sum(Device& device, const float* data, std::int64_t n) {
   FASTPSO_CHECK(n > 0);
-  const int block = reduce_block(device.spec(), n);
-  const auto cfg = reduce_config(device.spec(), n, block);
+  const auto cfg = reduce_config(device.spec(), n);
   const auto blocks = cfg.grid;
 
   if (use_fast_path()) {
@@ -270,21 +238,21 @@ double reduce_sum(Device& device, const float* data, std::int64_t n) {
       device.account_launch(cfg,
                             reduce_cost(n, sizeof(float), blocks,
                                         sizeof(double),
-                                        log2_ceil(block), block));
+                                        log2_ceil(kReduceBlock)));
     }
     const std::int64_t stride_all =
-        blocks * static_cast<std::int64_t>(block);
-    std::vector<double> sh(static_cast<std::size_t>(block));
+        blocks * static_cast<std::int64_t>(kReduceBlock);
+    std::vector<double> sh(static_cast<std::size_t>(kReduceBlock));
     std::vector<double> partial(blocks, 0.0);
     for (std::int64_t b = 0; b < blocks; ++b) {
-      for (int t = 0; t < block; ++t) {
+      for (int t = 0; t < kReduceBlock; ++t) {
         double acc = 0.0;
-        for (std::int64_t i = b * block + t; i < n; i += stride_all) {
+        for (std::int64_t i = b * kReduceBlock + t; i < n; i += stride_all) {
           acc += static_cast<double>(data[i]);
         }
         sh[t] = acc;
       }
-      for (int stride = block / 2; stride > 0; stride /= 2) {
+      for (int stride = kReduceBlock / 2; stride > 0; stride /= 2) {
         for (int t = 0; t < stride; ++t) {
           sh[t] += sh[t + stride];
         }
@@ -298,7 +266,7 @@ double reduce_sum(Device& device, const float* data, std::int64_t n) {
       prof::KernelLabel klabel("reduce/sum_final");
       device.account_launch(
           final_cfg,
-          reduce_cost(blocks, sizeof(double), blocks, 0, 0, block));
+          reduce_cost(blocks, sizeof(double), blocks, 0, 0));
     }
     double total = 0.0;
     for (std::int64_t b = 0; b < blocks; ++b) {
@@ -319,10 +287,10 @@ double reduce_sum(Device& device, const float* data, std::int64_t n) {
     device.launch_blocks(
         cfg,
         reduce_cost(n, sizeof(float), blocks, sizeof(double),
-                    log2_ceil(block), block),
+                    log2_ceil(kReduceBlock)),
         [&](BlockCtx& blk) {
           auto sh = san::track_shared(
-              blk.shared_array<double>(block), "sh_sum");
+              blk.shared_array<double>(kReduceBlock), "sh_sum");
           blk.for_each_thread([&](const ThreadCtx& t) {
             double acc = 0.0;
             for (std::int64_t i = t.global_id(); i < n;
@@ -332,7 +300,7 @@ double reduce_sum(Device& device, const float* data, std::int64_t n) {
             }
             sh[t.thread_idx] = acc;
           });
-          for (int stride = block / 2; stride > 0; stride /= 2) {
+          for (int stride = kReduceBlock / 2; stride > 0; stride /= 2) {
             blk.sync();
             blk.for_each_thread([&](const ThreadCtx& t) {
               if (t.thread_idx < stride) {
@@ -351,7 +319,7 @@ double reduce_sum(Device& device, const float* data, std::int64_t n) {
   final_cfg.block = 1;
   san::KernelScope scope("reduce/sum_final");
   device.launch(final_cfg,
-                reduce_cost(blocks, sizeof(double), blocks, 0, 0, block),
+                reduce_cost(blocks, sizeof(double), blocks, 0, 0),
                 [&](const ThreadCtx&) {
                   for (std::int64_t b = 0; b < blocks; ++b) {
                     san::count_flops(1.0);

@@ -68,9 +68,7 @@ TEST(GpuPso, DeterministicForSeed) {
       {"griewank", 64, 33, 40, 0x40481c0400000000ull, 0xe752f59a142aa62bull,
        0x1.871ee2d84209cp-10, 221},
       // Evaluation grain 2^14 / 200 = 81 rows: the batched evaluation of
-      // 250 particles splits across host workers. (At n >= 256 the gbest
-      // reduction takes tuned geometry under FASTPSO_TUNED=1, which moves
-      // the modeled seconds.)
+      // 250 particles splits across host workers.
       {"griewank", 250, 200, 10, 0x40a35659e0000000ull, 0x7c55f455be442f6eull,
        0x1.a7291a9458021p-9, 58},
   };

@@ -48,6 +48,7 @@
 #include "core/swarm_update.h"
 #include "problems/problem.h"
 #include "problems/transforms.h"
+#include "switch_guards.h"
 #include "vgpu/device.h"
 #include "vgpu/parallel.h"
 #include "vgpu/san/sanitizer.h"
@@ -58,23 +59,6 @@ namespace {
 using benchkit::Impl;
 using benchkit::RunOutcome;
 using benchkit::RunSpec;
-
-/// RAII toggle so a failing assertion cannot leave the fast path disabled
-/// for the rest of the test binary.
-class FastPathGuard {
- public:
-  explicit FastPathGuard(bool enabled)
-      : saved_(vgpu::fast_path_enabled()) {
-    vgpu::set_fast_path_enabled(enabled);
-  }
-  ~FastPathGuard() { vgpu::set_fast_path_enabled(saved_); }
-
-  FastPathGuard(const FastPathGuard&) = delete;
-  FastPathGuard& operator=(const FastPathGuard&) = delete;
-
- private:
-  bool saved_;
-};
 
 /// Sets the host worker count (the OpenMP team size vgpu::parallel_for
 /// splits over) for one scope and restores it after.

@@ -43,6 +43,7 @@
 #include "core/swarm_state.h"
 #include "problems/problem.h"
 #include "serve/graph_cache.h"
+#include "switch_guards.h"
 #include "vgpu/buffer.h"
 #include "vgpu/device.h"
 #include "vgpu/graph/fusion.h"
@@ -62,36 +63,6 @@ using vgpu::graph::Graph;
 using vgpu::graph::GraphExec;
 using vgpu::graph::Node;
 using vgpu::graph::NodeKind;
-
-// ---- RAII toggles (mirroring test_graph.cpp) -----------------------------
-
-class ProfGuard {
- public:
-  explicit ProfGuard(bool enabled) : saved_(vgpu::prof::active()) {
-    vgpu::prof::set_enabled(enabled);
-  }
-  ~ProfGuard() { vgpu::prof::set_enabled(saved_); }
-
-  ProfGuard(const ProfGuard&) = delete;
-  ProfGuard& operator=(const ProfGuard&) = delete;
-
- private:
-  bool saved_;
-};
-
-class FastPathGuard {
- public:
-  explicit FastPathGuard(bool enabled) : saved_(vgpu::fast_path_enabled()) {
-    vgpu::set_fast_path_enabled(enabled);
-  }
-  ~FastPathGuard() { vgpu::set_fast_path_enabled(saved_); }
-
-  FastPathGuard(const FastPathGuard&) = delete;
-  FastPathGuard& operator=(const FastPathGuard&) = delete;
-
- private:
-  bool saved_;
-};
 
 bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&

@@ -37,6 +37,7 @@
 #include "core/params.h"
 #include "problems/problem.h"
 #include "serve/graph_cache.h"
+#include "switch_guards.h"
 #include "vgpu/device.h"
 #include "vgpu/graph/graph.h"
 #include "vgpu/memory_pool.h"
@@ -45,21 +46,6 @@
 
 namespace fastpso {
 namespace {
-
-/// RAII profiler toggle (FASTPSO_PROF equivalent).
-class ProfGuard {
- public:
-  explicit ProfGuard(bool enabled) : saved_(vgpu::prof::active()) {
-    vgpu::prof::set_enabled(enabled);
-  }
-  ~ProfGuard() { vgpu::prof::set_enabled(saved_); }
-
-  ProfGuard(const ProfGuard&) = delete;
-  ProfGuard& operator=(const ProfGuard&) = delete;
-
- private:
-  bool saved_;
-};
 
 /// Bitwise equality for float vectors (NaN-safe, distinguishes -0.0f).
 bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {

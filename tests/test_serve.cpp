@@ -11,8 +11,6 @@
 // The suite runs unchanged under FASTPSO_SAN=1 and FASTPSO_SERVE_PACK=1
 // (CI's serve steps): the solo side never captures, and replay accounting
 // is byte-identical to eager accounting, so the differential still closes.
-// Tests that pin default pack geometry scope the tuned store off, so they
-// also hold under FASTPSO_TUNED=1.
 
 #include <gtest/gtest.h>
 
@@ -30,8 +28,8 @@
 #include "problems/problem.h"
 #include "serve/packed.h"
 #include "serve/scheduler.h"
+#include "switch_guards.h"
 #include "vgpu/device.h"
-#include "vgpu/tuned.h"
 
 namespace fastpso::serve {
 namespace {
@@ -494,11 +492,6 @@ TEST(ServePacked, MixedShapesWithFusionMatchSoloBitwise) {
 }
 
 TEST(ServePacked, WarpPerJobSubPackingOnTinyShapes) {
-  // The warp threshold and cohort size below are PackOptions' defaults:
-  // pin them against whatever tuned table the environment installs.
-  vgpu::tuned::ScopedTuning tuning;
-  vgpu::tuned::set_enabled(false);
-
   // levy 8x2: every element launch spans at most 16 elements — far below
   // the warp-utilization threshold of a 256-thread block — so each job
   // occupies whole warps inside one shared block (warp-per-job mode).
@@ -535,61 +528,34 @@ TEST(ServePacked, WarpPerJobSubPackingOnTinyShapes) {
   EXPECT_GT(boundary_stats.packed_warp_dispatches, 0u);
 }
 
-/// RAII host fast-path toggle (FASTPSO_FAST_PATH equivalent).
-class FastPathGuard {
- public:
-  explicit FastPathGuard(bool enabled) : saved_(vgpu::fast_path_enabled()) {
-    vgpu::set_fast_path_enabled(enabled);
-  }
-  ~FastPathGuard() { vgpu::set_fast_path_enabled(saved_); }
-
-  FastPathGuard(const FastPathGuard&) = delete;
-  FastPathGuard& operator=(const FastPathGuard&) = delete;
-
- private:
-  bool saved_;
-};
-
-TEST(ServePacked, TunedGeometryPacksAndMatchesSoloBitwise) {
-  // A tuned store with non-default pack geometry (PackOptions::resolve's
-  // keys) and reduction width for both shapes; solo runs read the same
-  // store, so tuning may move the timeline but never a job's numbers.
-  // Cohort dispatches execute on the host fast path only, so it is pinned
-  // on like the store.
+TEST(ServePacked, CohortLargerThanMaxCohortSplitsAndMatchesSoloBitwise) {
+  // A same-shape cohort wider than PackOptions::max_cohort (16) splits each
+  // merged node into chunks, one packed dispatch per chunk — the regime of
+  // the tiny serve workload, which admits up to 128 jobs at once. Cohort
+  // dispatches execute on the host fast path only, so it is pinned on.
   const FastPathGuard fast(true);
-  vgpu::tuned::ScopedTuning tuning;
-  vgpu::tuned::clear_values();
-  vgpu::tuned::set_enabled(true);
-  // levy 8x2: 16-element launches (bucket 4), 8-particle argmin (bucket 3).
-  vgpu::tuned::set_value("serve_pack/b4/warp_threshold_pct", 100);
-  vgpu::tuned::set_value("serve_pack/b4/max_cohort", 4);
-  vgpu::tuned::set_value("reduce/b3/block", 64);
-  // sphere 32x8: 256-element launches (bucket 8), 32-particle argmin
-  // (bucket 5).
-  vgpu::tuned::set_value("serve_pack/b8/warp_threshold_pct", 90);
-  vgpu::tuned::set_value("serve_pack/b8/max_cohort", 2);
-  vgpu::tuned::set_value("reduce/b5/block", 128);
-
+  constexpr int kMaxCohort = PackOptions{}.max_cohort;
   std::vector<JobSpec> specs;
-  for (int i = 0; i < 6; ++i) {
-    specs.push_back(make_spec("levy", 8, 2, 10, 1000 + i));
+  for (int i = 0; i <= kMaxCohort; ++i) {
+    specs.push_back(make_spec("sphere", 16, 4, 6, 1200 + i));
   }
-  for (int i = 0; i < 5; ++i) {
-    specs.push_back(make_spec("sphere", 32, 8, 8, 1100 + i));
-  }
-  // The store is live: the scheduler resolves the tuned pack geometry.
-  EXPECT_EQ(PackOptions::resolve(16).max_cohort, 4);
-  EXPECT_EQ(PackOptions::resolve(256).max_cohort, 2);
-
   SchedulerOptions options = packed_options();
-  options.max_active = 16;
-  ServeStats stats;
-  const auto served = serve_run(specs, options, &stats);
+  options.max_active = 32;
+
+  ServeStats split_stats;
+  const auto served = serve_run(specs, options, &split_stats);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
     expect_bitwise_equal(solo_run(specs[i]), served[i]);
   }
-  EXPECT_GT(stats.packed_dispatches, 0u);
+
+  // The same jobs minus one fit one chunk: the extra job costs a second
+  // dispatch per merged node instead of riding the first.
+  const std::vector<JobSpec> whole(specs.begin(), specs.end() - 1);
+  ServeStats whole_stats;
+  serve_run(whole, options, &whole_stats);
+  EXPECT_GT(whole_stats.packed_dispatches, 0u);
+  EXPECT_GT(split_stats.packed_dispatches, whole_stats.packed_dispatches);
 }
 
 TEST(ServePacked, StressFiveHundredJobsPackedSampleMatchesSolo) {
@@ -752,11 +718,6 @@ TEST(ServeGolden, TraceMatchesGoldenFile) {
 // cohort's lockstep round, and job timings shift to the packed timeline.
 // Byte-compared against its own golden.
 TEST(ServeGolden, PackedTraceHasCohortEventsAndMatchesGolden) {
-  // The golden pins the default pack and launch geometry: pin it against
-  // whatever tuned table the environment installs.
-  vgpu::tuned::ScopedTuning tuning;
-  vgpu::tuned::set_enabled(false);
-
   std::vector<JobSpec> specs;
   for (int i = 0; i < 10; ++i) {
     JobSpec spec = (i % 3 == 0)

@@ -1,6 +1,6 @@
 // Tests for the offline autotuner (src/tune, DESIGN.md §13): validity
-// predicates, shape grouping, table round-trips, and the bitwise-safety
-// contract of tuned launch geometry under FASTPSO_TUNED.
+// predicates, shape grouping, the predicted-vs-executed CSV, and
+// site_configs, which turns a tuner's store into MiniGBM kernel configs.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "benchkit/runner.h"
-#include "core/objective.h"
-#include "core/optimizer.h"
-#include "core/params.h"
 #include "tgbm/dataset.h"
 #include "tgbm/kernels.h"
 #include "tune/kernels.h"
@@ -21,11 +17,7 @@
 #include "tune/space.h"
 #include "tune/table.h"
 #include "tune/tuner.h"
-#include "vgpu/buffer.h"
-#include "vgpu/device.h"
 #include "vgpu/device_spec.h"
-#include "vgpu/reduce.h"
-#include "vgpu/tuned.h"
 
 namespace fastpso {
 namespace {
@@ -34,12 +26,29 @@ using tune::JoinedSpace;
 using tune::Point;
 using tune::WorkloadShape;
 
+std::vector<tune::KernelFamily> covtype_families() {
+  return tune::tgbm_site_families(tgbm::covtype_spec(), tgbm::GbmParams{},
+                                  vgpu::tesla_v100());
+}
+
+/// The kernel-site shapes of every Table 5 dataset: the same 25 site
+/// names at different element counts, so some shapes share a group.
+std::vector<WorkloadShape> table5_site_shapes() {
+  std::vector<WorkloadShape> shapes;
+  for (const tgbm::DatasetSpec& spec : tgbm::table5_specs()) {
+    for (WorkloadShape& shape :
+         tune::tgbm_site_shapes(spec, tgbm::GbmParams{})) {
+      shapes.push_back(std::move(shape));
+    }
+  }
+  return shapes;
+}
+
 // ---------------------------------------------------------------------------
 // JoinedSpace / validity predicates
 
 TEST(TuneSpace, EnumerateNeverViolatesPredicates) {
-  for (const tune::KernelFamily& family :
-       tune::engine_families(vgpu::tesla_v100())) {
+  for (const tune::KernelFamily& family : covtype_families()) {
     const std::vector<Point> valid = family.space.enumerate_valid();
     EXPECT_FALSE(valid.empty()) << family.name;
     for (const Point& point : valid) {
@@ -82,8 +91,7 @@ TEST(TuneSpace, TgbmFamiliesNeverAdmitSharedSpill) {
 }
 
 TEST(TuneSpace, DecodeClampsAndNeighborsStayValid) {
-  const auto families = tune::engine_families(vgpu::tesla_v100());
-  for (const tune::KernelFamily& family : families) {
+  for (const tune::KernelFamily& family : covtype_families()) {
     // Out-of-range coordinates clamp into the axis domains.
     const std::vector<float> lo(8, -3.0f);
     const std::vector<float> hi(8, 7.5f);
@@ -112,11 +120,14 @@ TEST(TuneTuner, NeverEmitsInvalidConfiguration) {
   options.particles = 12;
   options.iterations = 6;
   const tune::Tuner tuner(vgpu::tesla_v100(), options);
-  const auto families = tune::engine_families(vgpu::tesla_v100());
-  const tune::TuneReport report = tuner.tune(families, tune::smoke_shapes());
-  EXPECT_FALSE(report.outcomes.empty());
+  const auto families = covtype_families();
+  const tune::TuneReport report = tuner.tune(
+      families,
+      tune::tgbm_site_shapes(tgbm::covtype_spec(), tgbm::GbmParams{}));
+  EXPECT_EQ(report.outcomes.size(), families.size());
   for (const tune::GroupOutcome& outcome : report.outcomes) {
-    const std::string kernel = outcome.key.substr(0, outcome.key.find('/'));
+    // "tgbm/<site>/b<bucket>": the family is the key minus its bucket.
+    const std::string kernel = outcome.key.substr(0, outcome.key.rfind('/'));
     const tune::KernelFamily* family = tune::find_family(families, kernel);
     ASSERT_NE(family, nullptr) << outcome.key;
     EXPECT_TRUE(family->space.valid(outcome.tuned_point)) << outcome.key;
@@ -132,7 +143,7 @@ TEST(TuneTuner, NeverEmitsInvalidConfiguration) {
 // Shape grouping
 
 TEST(TuneShapes, GroupingIsOrderIndependent) {
-  std::vector<WorkloadShape> shapes = tune::smoke_shapes();
+  std::vector<WorkloadShape> shapes = table5_site_shapes();
   // Duplicates must collapse, order must not matter.
   shapes.push_back(shapes.front());
   std::vector<WorkloadShape> shuffled = shapes;
@@ -142,6 +153,8 @@ TEST(TuneShapes, GroupingIsOrderIndependent) {
   const auto a = tune::group_shapes(shapes);
   const auto b = tune::group_shapes(shuffled);
   ASSERT_EQ(a.size(), b.size());
+  // Four datasets' shapes collapse into fewer groups than shapes.
+  EXPECT_LT(a.size(), shapes.size() - 1);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].key(), b[i].key());
     EXPECT_EQ(a[i].representative, b[i].representative);
@@ -151,186 +164,133 @@ TEST(TuneShapes, GroupingIsOrderIndependent) {
 
 TEST(TuneShapes, GroupKeyMatchesStorePrefix) {
   for (const tune::ShapeGroup& group :
-       tune::group_shapes(tune::smoke_shapes())) {
-    EXPECT_EQ(group.key(),
-              vgpu::tuned::shape_key(group.kernel,
-                                     group.representative.elements));
+       tune::group_shapes(table5_site_shapes())) {
+    EXPECT_EQ(group.key(), tune::shape_key(group.kernel,
+                                           group.representative.elements));
     for (const WorkloadShape& shape : group.shapes) {
-      EXPECT_EQ(vgpu::tuned::elements_bucket(shape.elements), group.bucket);
+      EXPECT_EQ(tune::elements_bucket(shape.elements), group.bucket);
     }
   }
+  EXPECT_EQ(tune::elements_bucket(0), 0);
+  EXPECT_EQ(tune::elements_bucket(1), 0);
+  EXPECT_EQ(tune::elements_bucket(1023), 9);
+  EXPECT_EQ(tune::elements_bucket(1024), 10);
+  EXPECT_EQ(tune::shape_key("tgbm/tree_sync", 5000), "tgbm/tree_sync/b12");
 }
 
 // ---------------------------------------------------------------------------
-// Table serialization
+// Table CSV
 
-tune::TunedTable sample_table() {
+TEST(TuneTable, CsvMatchesLiteral) {
   tune::TunedTable table;
-  table.set("reduce/b8/block", 32);
-  table.set("reduce/b8/max_blocks", 64);
-  table.set("launch_policy/b12/block", 128);
-  table.set("swarm_tile/b12/tile", 32);
   tune::GroupResult group;
-  group.key = "reduce/b8";
-  group.point = "block=32;max_blocks=64";
+  group.key = "tgbm/gradient_reduce/b19";
+  group.point = "block=32;items=8";
   group.default_us = 10.440931054046635;
   group.tuned_us = 9.567664190742189;
   group.executed_default_us = 10.440931054046636;
   group.executed_tuned_us = 9.567664190742189;
   table.add_group(group);
   tune::GroupResult tie;
-  tie.key = "launch_policy/b12";
-  tie.point = "block=128;ipt=1";
+  tie.key = "tgbm/tree_sync/b0";
+  tie.point = "block=256;items=1";
   tie.default_us = 5.5;
   tie.tuned_us = 5.5;
   table.add_group(tie);
-  return table;
-}
-
-TEST(TuneTable, JsonRoundTripIsByteIdentical) {
-  const tune::TunedTable table = sample_table();
-  const std::string json = table.to_json();
-  const auto parsed = tune::TunedTable::parse(json);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->to_json(), json);
-  EXPECT_EQ(parsed->store(), table.store());
-  EXPECT_EQ(parsed->to_csv(), table.to_csv());
-  ASSERT_EQ(parsed->groups().size(), table.groups().size());
-}
-
-TEST(TuneTable, SaveLoadRoundTrip) {
-  const tune::TunedTable table = sample_table();
-  const std::string path = testing::TempDir() + "fastpso_tuned_table.json";
-  ASSERT_TRUE(table.save_json(path));
-  const auto loaded = tune::TunedTable::load(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->to_json(), table.to_json());
-}
-
-TEST(TuneTable, InstallFeedsRuntimeLookups) {
-  vgpu::tuned::ScopedTuning guard;
-  vgpu::tuned::clear_values();
-  sample_table().install();
-  vgpu::tuned::set_enabled(true);
-  EXPECT_EQ(vgpu::tuned::lookup("reduce/b8/block", 256), 32);
-  EXPECT_EQ(vgpu::tuned::lookup("swarm_tile/b12/tile", 16), 32);
-  EXPECT_EQ(vgpu::tuned::lookup("absent/b1/key", 99), 99);
-  vgpu::tuned::set_enabled(false);
-  EXPECT_EQ(vgpu::tuned::lookup("reduce/b8/block", 256), 256);
+  // Shortest round-trip doubles; an unprobed group's executed speedup is 1.
+  EXPECT_EQ(table.to_csv(),
+            "group,point,default_us,tuned_us,predicted_speedup,"
+            "executed_default_us,executed_tuned_us,executed_speedup\n"
+            "tgbm/gradient_reduce/b19,block=32;items=8,10.440931054046635,"
+            "9.567664190742189,1.091272733437847,10.440931054046636,"
+            "9.567664190742189,1.0912727334378471\n"
+            "tgbm/tree_sync/b0,block=256;items=1,5.5,5.5,1,0,0,1\n");
 }
 
 // ---------------------------------------------------------------------------
-// Bitwise safety of tuned launch geometry
+// site_configs: a tuner store applied to the default kernel configs
 
-core::Result run_pso(const std::string& problem_name, int n, int d,
-                     int iters, core::UpdateTechnique technique) {
-  const auto problem = benchkit::make_any_problem(problem_name);
-  core::PsoParams params;
-  params.particles = n;
-  params.dim = d;
-  params.max_iter = iters;
-  params.technique = technique;
-  vgpu::Device device;
-  core::Optimizer optimizer(device, params);
-  return optimizer.optimize(core::objective_from_problem(*problem, d));
+/// Store key prefix of covtype's site `k`.
+std::string site_prefix(int k) {
+  const auto sites =
+      tgbm::kernel_sites(tgbm::covtype_spec(), tgbm::GbmParams{});
+  return tune::shape_key("tgbm/" + sites[k].name,
+                         static_cast<std::int64_t>(sites[k].work_items));
 }
 
-TEST(TuneBitwise, EnabledEmptyStoreMatchesDefault) {
-  // FASTPSO_TUNED=1 with no table loaded must reproduce the default
-  // geometry (every lookup falls back to the default value).
-  const core::Result base =
-      run_pso("sphere", 64, 8, 10, core::UpdateTechnique::kGlobalMemory);
-  vgpu::tuned::ScopedTuning guard;
-  vgpu::tuned::clear_values();
-  vgpu::tuned::set_enabled(true);
-  const core::Result tuned =
-      run_pso("sphere", 64, 8, 10, core::UpdateTechnique::kGlobalMemory);
-  EXPECT_EQ(base.gbest_value, tuned.gbest_value);
-  EXPECT_EQ(base.gbest_position, tuned.gbest_position);
-  EXPECT_EQ(base.gbest_history, tuned.gbest_history);
+tgbm::ConfigSet covtype_site_configs(const tune::StoreEntries& store) {
+  return tune::site_configs(tgbm::covtype_spec(), tgbm::GbmParams{}, store);
 }
 
-TEST(TuneBitwise, ElementKernelGeometryChangesAreBitwiseSafe) {
-  // Element kernels compute each element independently of launch geometry,
-  // so retuning block / items-per-thread / tile must be bitwise invisible.
-  constexpr int kN = 64;
-  constexpr int kD = 8;
-  const std::int64_t elements = static_cast<std::int64_t>(kN) * kD;
-  for (const auto technique : {core::UpdateTechnique::kGlobalMemory,
-                               core::UpdateTechnique::kSharedMemory}) {
-    const core::Result base = run_pso("griewank", kN, kD, 10, technique);
-    vgpu::tuned::ScopedTuning guard;
-    vgpu::tuned::clear_values();
-    vgpu::tuned::set_value(
-        vgpu::tuned::shape_key("launch_policy", elements) + "/block", 128);
-    vgpu::tuned::set_value(
-        vgpu::tuned::shape_key("launch_policy", elements) + "/ipt", 2);
-    vgpu::tuned::set_value(
-        vgpu::tuned::shape_key("swarm_tile", elements) + "/tile", 8);
-    vgpu::tuned::set_enabled(true);
-    const core::Result tuned = run_pso("griewank", kN, kD, 10, technique);
-    EXPECT_EQ(base.gbest_value, tuned.gbest_value)
-        << core::to_string(technique);
-    EXPECT_EQ(base.gbest_position, tuned.gbest_position);
-    EXPECT_EQ(base.gbest_history, tuned.gbest_history);
+void expect_configs_equal(const tgbm::ConfigSet& a, const tgbm::ConfigSet& b) {
+  for (int k = 0; k < tgbm::kNumKernels; ++k) {
+    EXPECT_EQ(a[k].block_size, b[k].block_size) << "site " << k;
+    EXPECT_EQ(a[k].items_per_thread, b[k].items_per_thread) << "site " << k;
   }
 }
 
-TEST(TuneBitwise, ReduceWidthPreservesGbestOnTable1Problems) {
-  // The argmin reduction resolves ties to the lowest index at every tree
-  // width, so gbest selection is width-invariant on the full Table 1 set.
-  constexpr int kN = 64;
-  constexpr int kD = 8;
-  for (const std::string problem :
-       {"sphere", "griewank", "easom", "threadconf"}) {
-    const core::Result base =
-        run_pso(problem, kN, kD, 8, core::UpdateTechnique::kGlobalMemory);
-    for (const int block : {32, 64, 512}) {
-      vgpu::tuned::ScopedTuning guard;
-      vgpu::tuned::clear_values();
-      vgpu::tuned::set_value(
-          vgpu::tuned::shape_key("reduce", kN) + "/block", block);
-      vgpu::tuned::set_value(
-          vgpu::tuned::shape_key("reduce", kN) + "/max_blocks", 64);
-      vgpu::tuned::set_enabled(true);
-      const core::Result tuned =
-          run_pso(problem, kN, kD, 8, core::UpdateTechnique::kGlobalMemory);
-      EXPECT_EQ(base.gbest_value, tuned.gbest_value)
-          << problem << " block=" << block;
-      EXPECT_EQ(base.gbest_position, tuned.gbest_position)
-          << problem << " block=" << block;
-      EXPECT_EQ(base.gbest_history, tuned.gbest_history)
-          << problem << " block=" << block;
+TEST(TuneSiteConfigs, EmptyStoreGivesDefaults) {
+  expect_configs_equal(covtype_site_configs({}), tgbm::default_configs());
+}
+
+TEST(TuneSiteConfigs, EntriesChangeOnlyTheirSite) {
+  constexpr int kSite = 7;
+  const tgbm::ConfigSet configs = covtype_site_configs(
+      {{site_prefix(kSite) + "/block", 512},
+       {site_prefix(kSite) + "/items", 4},
+       // Another dataset's bucket, or no site at all: ignored.
+       {"tgbm/unknown_site/b3/block", 64}});
+  tgbm::ConfigSet expected = tgbm::default_configs();
+  expected[kSite] = {.block_size = 512, .items_per_thread = 4};
+  expect_configs_equal(configs, expected);
+}
+
+TEST(TuneSiteConfigs, BlockSizeSnapsToChoices) {
+  const std::string key = site_prefix(0) + "/block";
+  for (const int block : tgbm::kBlockChoices) {
+    EXPECT_EQ(covtype_site_configs({{key, block}})[0].block_size, block);
+  }
+  // A block size the position decode cannot produce keeps the default.
+  const int fallback = tgbm::default_configs()[0].block_size;
+  for (const int block : {0, 100, 2048, -256}) {
+    EXPECT_EQ(covtype_site_configs({{key, block}})[0].block_size, fallback)
+        << "block=" << block;
+  }
+}
+
+TEST(TuneSiteConfigs, ItemsClampToRange) {
+  const std::string key = site_prefix(3) + "/items";
+  EXPECT_EQ(covtype_site_configs({{key, 0}})[3].items_per_thread, 1);
+  EXPECT_EQ(covtype_site_configs({{key, -5}})[3].items_per_thread, 1);
+  EXPECT_EQ(covtype_site_configs({{key, 9}})[3].items_per_thread, 9);
+  EXPECT_EQ(covtype_site_configs({{key, 99}})[3].items_per_thread,
+            tgbm::kMaxItemsPerThread);
+}
+
+TEST(TuneSiteConfigs, AppliesEveryWinnerTheTunerEmits) {
+  tune::TunerOptions options;
+  options.particles = 12;
+  options.iterations = 6;
+  const tune::Tuner tuner(vgpu::tesla_v100(), options);
+  const tune::TuneReport report = tuner.tune(
+      covtype_families(),
+      tune::tgbm_site_shapes(tgbm::covtype_spec(), tgbm::GbmParams{}));
+  ASSERT_GT(report.improved_groups(), 0);
+  const tgbm::ConfigSet configs =
+      covtype_site_configs(report.table.store());
+  // Each outcome's key is its site's store prefix.
+  for (const tune::GroupOutcome& outcome : report.outcomes) {
+    int site = -1;
+    for (int k = 0; k < tgbm::kNumKernels; ++k) {
+      if (site_prefix(k) == outcome.key) {
+        site = k;
+      }
     }
-  }
-}
-
-TEST(TuneBitwise, ReduceArgminMatchesScalarScanAtAllWidths) {
-  // Direct differential on the reduction itself: tuned widths against a
-  // first-strict-minimum scalar scan.
-  vgpu::Device device;
-  constexpr int kCount = 1000;
-  vgpu::DeviceArray<float> values(device, kCount);
-  for (int i = 0; i < kCount; ++i) {
-    values[static_cast<std::size_t>(i)] =
-        static_cast<float>((i * 2654435761ull) % 997) * 0.25f;
-  }
-  int expect_idx = 0;
-  for (int i = 1; i < kCount; ++i) {
-    if (values[static_cast<std::size_t>(i)] <
-        values[static_cast<std::size_t>(expect_idx)]) {
-      expect_idx = i;
-    }
-  }
-  for (const int block : {32, 64, 256, 1024}) {
-    vgpu::tuned::ScopedTuning guard;
-    vgpu::tuned::clear_values();
-    vgpu::tuned::set_value(
-        vgpu::tuned::shape_key("reduce", kCount) + "/block", block);
-    vgpu::tuned::set_enabled(true);
-    const auto result = vgpu::reduce_argmin(device, values.data(), kCount);
-    EXPECT_EQ(result.index, expect_idx) << "block=" << block;
-    EXPECT_EQ(result.value, values[static_cast<std::size_t>(expect_idx)]);
+    ASSERT_GE(site, 0) << outcome.key;
+    EXPECT_EQ(configs[site].block_size, outcome.tuned_point[0])
+        << outcome.key;
+    EXPECT_EQ(configs[site].items_per_thread, outcome.tuned_point[1])
+        << outcome.key;
   }
 }
 
