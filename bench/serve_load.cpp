@@ -6,12 +6,12 @@
 // vs serial seconds, and p50/p99 modeled job latency. All modeled numbers
 // are deterministic for a given (jobs, seed, policy, streams, max-active)
 // configuration; --smoke pins them for the golden CSV regression and gates
-// the ISSUE acceptance thresholds (hit rate > 90%, batched launch
-// reduction > 30% on a mixed 200-job workload).
+// them (hit rate > 90%, batched launch reduction > 30% on a mixed 200-job
+// workload).
 //
 //   ./serve_load [--jobs 1000] [--policy fifo|priority|fair]
 //                [--streams 4] [--max-active 32] [--seed 42]
-//                [--no-graphs] [--no-batching] [--fuse] [--tiny]
+//                [--no-graphs] [--no-batching] [--tiny]
 //                [--csv out.csv] [--json BENCH_serve.json]
 //                [--trace serve_trace.json]
 //                [--smoke]   (fixed 200-job config + acceptance gates)
@@ -181,7 +181,6 @@ int main(int argc, char** argv) {
   options.max_active = static_cast<int>(args.get_int("max-active", 32));
   options.use_graphs = !args.get_bool("no-graphs", false);
   options.batching = !args.get_bool("no-batching", false);
-  options.fuse = args.get_bool("fuse", false);
   // options.pack already defaulted from FASTPSO_SERVE_PACK; --smoke pins
   // it off below so the golden CSV is env-stable. --pack runs the
   // executed-packing comparison on top of the primary run.
@@ -198,7 +197,6 @@ int main(int argc, char** argv) {
     options.max_active = 32;
     options.use_graphs = true;
     options.batching = true;
-    options.fuse = false;
     options.pack = false;  // env-stable golden; --pack compares below
   }
 
@@ -336,8 +334,7 @@ int main(int argc, char** argv) {
                  "batch_reduction", "batch_rounds", "launches_real",
                  "real_reduction", "makespan_s",
                  "serial_s", "graph_saved_s", "batch_saved_s",
-                 "fusion_saved_s", "p50_latency_s", "p99_latency_s",
-                 "wall_s"});
+                 "p50_latency_s", "p99_latency_s", "wall_s"});
   csv.add_row({std::to_string(jobs), to_string(options.policy),
                std::to_string(options.streams),
                std::to_string(options.max_active),
@@ -356,7 +353,6 @@ int main(int argc, char** argv) {
                fmt_fixed(stats.serial_seconds, 6),
                fmt_fixed(stats.graph_modeled_seconds_saved, 6),
                fmt_fixed(stats.batch_modeled_seconds_saved, 6),
-               fmt_fixed(stats.fusion_modeled_seconds_saved, 6),
                fmt_fixed(p50, 6), fmt_fixed(p99, 6),
                smoke ? "0.000" : fmt_fixed(wall_s, 3)});
   maybe_write_csv(csv, args.get_string("csv", ""));
@@ -376,7 +372,7 @@ int main(int argc, char** argv) {
     json.setf(std::ios::fixed);
     json.precision(6);
     json << "{\n"
-         << "  \"schema\": \"fastpso-bench-serve-v2\",\n"
+         << "  \"schema\": \"fastpso-bench-serve-v3\",\n"
          << "  \"jobs\": " << jobs << ",\n"
          << "  \"policy\": \"" << to_string(options.policy) << "\",\n"
          << "  \"streams\": " << options.streams << ",\n"
@@ -396,8 +392,6 @@ int main(int argc, char** argv) {
          << stats.graph_modeled_seconds_saved << ",\n"
          << "  \"batch_modeled_seconds_saved\": "
          << stats.batch_modeled_seconds_saved << ",\n"
-         << "  \"fusion_modeled_seconds_saved\": "
-         << stats.fusion_modeled_seconds_saved << ",\n"
          << "  \"batched_modeled_seconds\": "
          << stats.batched_modeled_seconds() << ",\n"
          << "  \"graph_modeled_seconds\": " << stats.graph_modeled_seconds()

@@ -30,19 +30,6 @@ void update_pbest_compare(vgpu::Device& device, const LaunchPolicy& policy,
     san::KernelScope scope("best_update/compare_flag");
     device.launch_kernel<kernels::PbestCompareKernel>(decision.config, cost,
                                                       n, args);
-    // Fusion footprint (vgpu/graph/fusion.h): element i touches scalar i of
-    // each array; pbest_err is an aligned read-modify-write.
-    if (device.capturing()) {
-      device.graph_note_uses(
-          {{state.perror.data(), static_cast<double>(n) * sizeof(float),
-            sizeof(float), /*write=*/false, "perror"},
-           {state.pbest_err.data(), static_cast<double>(n) * sizeof(float),
-            sizeof(float), /*write=*/false, "pbest_err"},
-           {state.pbest_err.data(), static_cast<double>(n) * sizeof(float),
-            sizeof(float), /*write=*/true, "pbest_err"},
-           {state.improved.data(), static_cast<double>(n), 1,
-            /*write=*/true, "improved"}});
-    }
   }
 }
 
@@ -77,22 +64,6 @@ PbestStats update_pbest_finish(vgpu::Device& device,
     san::KernelScope scope("best_update/gather");
     device.launch_kernel<kernels::PbestGatherKernel>(decision.config, cost, n,
                                                      args);
-    // Footprint: element i reads its flag and may copy its row — the
-    // declared spans are the data-independent superset of what the flags
-    // select this iteration.
-    if (device.capturing()) {
-      const double row_bytes =
-          static_cast<double>(state.elements()) * sizeof(float);
-      const std::int64_t row_elem =
-          static_cast<std::int64_t>(d * sizeof(float));
-      device.graph_note_uses(
-          {{state.improved.data(), static_cast<double>(n), 1,
-            /*write=*/false, "improved"},
-           {state.positions.data(), row_bytes, row_elem, /*write=*/false,
-            "positions"},
-           {state.pbest_pos.data(), row_bytes, row_elem, /*write=*/true,
-            "pbest_pos"}});
-    }
   }
 
   return {.improved = improved_count};
@@ -115,17 +86,6 @@ float update_gbest(vgpu::Device& device, SwarmState& state) {
         state.pbest_pos.data() + best.index * d, state.gbest_pos.data()};
     san::KernelScope scope("best_update/gbest_copy");
     device.launch_kernel<kernels::GbestCopyKernel>(cfg, cost, d, args);
-    // Footprint: the read is an interior row of pbest_pos, so its address
-    // range overlaps (unaligned) with the gather's row-sliced writes — the
-    // fusion pass's hazard check is what keeps this copy out of any group.
-    if (device.capturing()) {
-      const double row_bytes = static_cast<double>(d) * sizeof(float);
-      device.graph_note_uses(
-          {{state.pbest_pos.data() + best.index * d, row_bytes,
-            sizeof(float), /*write=*/false, "gbest_src_row"},
-           {state.gbest_pos.data(), row_bytes, sizeof(float),
-            /*write=*/true, "gbest_pos"}});
-    }
   }
   return state.gbest_err;
 }

@@ -89,17 +89,6 @@ inline void evaluate_positions(vgpu::Device& device,
         EvalKernel::element(args, i);
       }
     });
-    device.graph_note_elements(n);
-  }
-  // Fusion footprint (vgpu/graph/fusion.h): element i reads its position
-  // row and writes its error scalar.
-  if (device.capturing()) [[unlikely]] {
-    device.graph_note_uses(
-        {{positions, static_cast<double>(n) * d * sizeof(float),
-          static_cast<std::int64_t>(d * sizeof(float)), /*write=*/false,
-          "positions"},
-         {out, static_cast<double>(n) * sizeof(float), sizeof(float),
-          /*write=*/true, "perror"}});
   }
 }
 

@@ -20,17 +20,6 @@ vgpu::KernelCostSpec fill_cost(std::int64_t elements) {
   return cost;
 }
 
-/// Fusion footprint of a fill launch (vgpu/graph/fusion.h): one write of
-/// `count` floats of `out`, `elem_bytes` per element (no-op unless
-/// capturing).
-void note_fill_footprint(vgpu::Device& device, float* out, std::int64_t count,
-                         std::int64_t elem_bytes) {
-  if (device.capturing()) {
-    device.graph_note_uses({{out, static_cast<double>(count) * sizeof(float),
-                             elem_bytes, /*write=*/true, "fill_out"}});
-  }
-}
-
 /// Grid-stride fill of `out[0, elements)` with U(lo, hi) from `stream`.
 /// Each thread produces whole 4-lane Philox blocks (element i still gets
 /// the value uniform_at(i), independent of launch shape).
@@ -43,7 +32,6 @@ void fill_uniform(vgpu::Device& device, const LaunchPolicy& policy,
   san::KernelScope scope("init/fill_uniform");
   device.launch_kernel<kernels::FillUniformKernel>(
       policy.for_elements(blocks).config, fill_cost(elements), blocks, args);
-  note_fill_footprint(device, out, elements, 4 * sizeof(float));
 }
 
 /// Sharded fill: element b of the launch is the b-th global Philox block
@@ -65,10 +53,6 @@ void fill_uniform_slice_impl(vgpu::Device& device, const LaunchPolicy& policy,
   san::KernelScope scope("init/fill_uniform_slice");
   device.launch_kernel<kernels::FillUniformSliceKernel>(
       policy.for_elements(blocks).config, fill_cost(count), blocks, args);
-  // Boundary blocks straddle the shard edge, so elements do not own
-  // aligned 16-byte rows of `out`: the footprint is the conservative
-  // whole-span write (elem_bytes = 0).
-  note_fill_footprint(device, out, count, /*elem_bytes=*/0);
 }
 
 /// pbest starts at +inf so the first evaluation always improves it; the
@@ -84,8 +68,6 @@ void reset_pbest(vgpu::Device& device, const LaunchPolicy& policy,
       state.pbest_err.data(), state.perror.data(), state.positions.data(),
       state.pbest_pos.data(), state.d};
   san::KernelScope scope("init/pbest_reset");
-  // No declared footprint: this launch never fuses (it runs once, outside
-  // the iteration loop).
   device.launch_kernel<kernels::PbestResetKernel>(
       policy.for_particles(state.n).config, cost, state.n, args);
   state.gbest_err = std::numeric_limits<float>::infinity();

@@ -4,8 +4,8 @@
 // code. Call sites (init.cpp, swarm_update.cpp, best_update.cpp,
 // neighborhood.cpp, eval_schema.h) launch it with
 // Device::launch_kernel<K>(cfg, cost, n, args), the one launch path on both
-// engines: it accounts the launch, notes its element domain while
-// capturing and runs the body. The eager fast path runs
+// engines: it accounts the launch (recording its node while capturing)
+// and runs the body. The eager fast path runs
 // vgpu::run_span<K> — K's span when it has one, else the element loop —
 // inline, split across host workers, or handed to packed dispatch. The
 // faithful per-thread engine (FASTPSO_FAST_PATH=0, sanitizer Sessions)

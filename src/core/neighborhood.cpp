@@ -23,10 +23,6 @@ void update_ring_nbest(vgpu::Device& device, const LaunchPolicy& policy,
       static_cast<double>(n) * (2 * neighbors + 1) * sizeof(float);
   cost.dram_write_bytes = static_cast<double>(n) * sizeof(std::int32_t);
 
-  // Registered by-value kernel: a graph captured with bodies replays the
-  // live window argmin (a reference-capturing per-thread kernel records no
-  // replayable body). No declared footprint — the window read is not
-  // element-aligned, so the node must stay opaque to the fusion pass.
   const kernels::RingNbestKernel::Args args{state.pbest_err.data(),
                                             nbest_idx.data(), n, neighbors};
   device.launch_kernel<kernels::RingNbestKernel>(decision.config, cost, n,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
-#include <vector>
 
 #include "core/kernels_registry.h"
 #include "vgpu/block.h"
@@ -35,48 +33,6 @@ vgpu::KernelCostSpec update_cost(std::int64_t elements, int d, int barriers,
   return cost;
 }
 
-/// Fusion footprint of a global or ring update (vgpu/graph/fusion.h; no-op
-/// unless capturing): one float per element across the five matrices, plus
-/// the attractor source. The global update reads the gbest row as a
-/// broadcast (elem_bytes = 0: every element may read the whole row). The
-/// ring update (`nbest_idx` set) instead gathers out of pbest_pos — a
-/// second, whole-span read — steered by the row-broadcast neighborhood
-/// index array.
-void note_update_footprint(vgpu::Device& device, const SwarmState& state,
-                           const float* l_mat, const float* g_mat,
-                           const std::int32_t* nbest_idx) {
-  if (!device.capturing()) {
-    return;
-  }
-  const double mat_bytes =
-      static_cast<double>(state.elements()) * sizeof(float);
-  std::vector<vgpu::graph::BufferUse> uses = {
-      {state.velocities.data(), mat_bytes, sizeof(float), /*write=*/false,
-       "velocities"},
-      {state.velocities.data(), mat_bytes, sizeof(float), /*write=*/true,
-       "velocities"},
-      {state.positions.data(), mat_bytes, sizeof(float), /*write=*/false,
-       "positions"},
-      {state.positions.data(), mat_bytes, sizeof(float), /*write=*/true,
-       "positions"},
-      {l_mat, mat_bytes, sizeof(float), /*write=*/false, "l_mat"},
-      {g_mat, mat_bytes, sizeof(float), /*write=*/false, "g_mat"},
-      {state.pbest_pos.data(), mat_bytes, sizeof(float), /*write=*/false,
-       "pbest_pos"}};
-  if (nbest_idx == nullptr) {
-    uses.push_back({state.gbest_pos.data(),
-                    static_cast<double>(state.d) * sizeof(float), 0,
-                    /*write=*/false, "gbest_pos"});
-  } else {
-    uses.push_back({state.pbest_pos.data(), mat_bytes, 0, /*write=*/false,
-                    "pbest_pos_gather"});
-    uses.push_back({nbest_idx,
-                    static_cast<double>(state.n) * sizeof(std::int32_t), 0,
-                    /*write=*/false, "nbest_idx"});
-  }
-  device.graph_note_uses(std::move(uses));
-}
-
 void update_global(vgpu::Device& device, const LaunchPolicy& policy,
                    SwarmState& state, const float* l_mat, const float* g_mat,
                    const UpdateCoefficients& coeff) {
@@ -88,7 +44,6 @@ void update_global(vgpu::Device& device, const LaunchPolicy& policy,
   device.launch_kernel<kernels::SwarmUpdateGlobalKernel>(
       policy.for_elements(elements).config,
       update_cost(elements, state.d, 0, false), elements, args);
-  note_update_footprint(device, state, l_mat, g_mat, /*nbest_idx=*/nullptr);
 }
 
 void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
@@ -123,7 +78,7 @@ void update_shared(vgpu::Device& device, const LaunchPolicy& policy,
     // moves values without changing them, and each element's update reads
     // only its own tile slot and gbest column — so the whole launch is the
     // global update's row-segment span over the same elements, accounted
-    // as the tiled block launch (same cfg, barriers, opaque graph node).
+    // as the tiled block launch (same cfg and barriers).
     // Like launch_kernel's inline run, the span splits across host workers
     // (vgpu/parallel.h) at 2 * kHostGrain elements.
     const kernels::SwarmUpdateGlobalKernel::Args update_args{
@@ -370,7 +325,6 @@ void swarm_update_ring(vgpu::Device& device, const LaunchPolicy& policy,
   san::KernelScope scope("swarm_update/ring");
   device.launch_kernel<kernels::SwarmUpdateRingKernel>(
       policy.for_elements(elements).config, cost, elements, args);
-  note_update_footprint(device, state, l_mat.data(), g_mat.data(), nbest_idx);
 }
 
 UpdateCoefficients coefficients_for_iter(const UpdateCoefficients& base,

@@ -5,8 +5,7 @@
 
 namespace fastpso::serve {
 
-GraphCache::GraphCache(vgpu::Device& device, bool fuse)
-    : device_(device), fuse_(fuse) {}
+GraphCache::GraphCache(vgpu::Device& device) : device_(device) {}
 
 GraphCache::IterationMode GraphCache::begin_iteration(const JobShape& shape,
                                                       int stream) {
@@ -40,9 +39,6 @@ bool GraphCache::end_iteration(const JobShape& shape, IterationMode mode) {
     }
     entry.exec = std::make_unique<vgpu::graph::GraphExec>(
         entry.graph.instantiate(device_.perf()));
-    if (fuse_) {
-      entry.exec->apply_fusion(device_.perf());
-    }
     return true;
   }
   // kReplay: a diverged replay already fell back to eager accounting for
@@ -101,17 +97,6 @@ double GraphCache::graph_seconds_saved() const {
     (void)shape;
     if (entry.exec != nullptr) {
       saved += entry.exec->stats().modeled_seconds_saved;
-    }
-  }
-  return saved;
-}
-
-double GraphCache::fusion_seconds_saved() const {
-  double saved = 0;
-  for (const auto& [shape, entry] : entries_) {
-    (void)shape;
-    if (entry.exec != nullptr) {
-      saved += entry.exec->fusion_stats().modeled_seconds_saved;
     }
   }
   return saved;

@@ -2,8 +2,7 @@
 //
 // The first job of a JobShape captures its iteration's launch sequence
 // (Device::begin_capture over one JobRun::step) and the cache instantiates
-// it once (Graph::instantiate, plus the fusion pass when requested). Every
-// later same-shape job replays that one GraphExec regardless of which
+// it once (Graph::instantiate). Every later same-shape job replays that one GraphExec regardless of which
 // stream it was assigned: GraphExec::set_replay_stream retargets the
 // positional matching, which is legal because a scheduled job issues all
 // its launches on its single assigned stream. Replay accounting is
@@ -35,10 +34,7 @@ class GraphCache {
   /// returned by begin_iteration back into end_iteration.
   enum class IterationMode : std::uint8_t { kEager, kCapture, kReplay };
 
-  /// `fuse` additionally runs the fusion pass over each instantiated graph
-  /// (GraphExec::apply_fusion), so replays also accumulate the reported
-  /// fused-pricing credit.
-  GraphCache(vgpu::Device& device, bool fuse);
+  explicit GraphCache(vgpu::Device& device);
 
   GraphCache(const GraphCache&) = delete;
   GraphCache& operator=(const GraphCache&) = delete;
@@ -50,7 +46,7 @@ class GraphCache {
   IterationMode begin_iteration(const JobShape& shape, int stream);
 
   /// Closes the bracket opened by begin_iteration. kCapture: instantiates
-  /// (and optionally fuses) the recorded graph. kReplay: finishes the
+  /// the recorded graph. kReplay: finishes the
   /// replay; a diverged replay poisons the shape. Returns false when the
   /// iteration poisoned its shape.
   bool end_iteration(const JobShape& shape, IterationMode mode);
@@ -79,7 +75,6 @@ class GraphCache {
   [[nodiscard]] std::uint64_t graphs_captured() const;
   [[nodiscard]] std::uint64_t graphs_poisoned() const;
   [[nodiscard]] double graph_seconds_saved() const;
-  [[nodiscard]] double fusion_seconds_saved() const;
 
  private:
   struct Entry {
@@ -89,7 +84,6 @@ class GraphCache {
   };
 
   vgpu::Device& device_;
-  bool fuse_;
   std::map<JobShape, Entry> entries_;
 };
 

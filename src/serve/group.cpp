@@ -11,7 +11,6 @@ GroupScheduler::GroupScheduler(vgpu::comm::DeviceGroup& group,
   // Mirror the per-device scheduler's effective pack gate: placement only
   // discounts for cohorts the schedulers will actually execute packed.
   pack_ = options.pack && options.batching && options.use_graphs;
-  max_cohort_ = PackOptions{}.max_cohort;
   parts_.reserve(static_cast<std::size_t>(group.size()));
   for (int i = 0; i < group.size(); ++i) {
     Part part;
@@ -46,7 +45,7 @@ int GroupScheduler::submit(JobSpec spec) {
     }
     const auto it = part.shape_counts.find(shape);
     const int cohort = 1 + (it != part.shape_counts.end() ? it->second : 0);
-    return estimate / static_cast<double>(std::min(cohort, max_cohort_));
+    return estimate / static_cast<double>(std::min(cohort, kMaxCohort));
   };
   int device = 0;
   for (int i = 1; i < size(); ++i) {
@@ -120,7 +119,6 @@ ServeStats GroupScheduler::stats() const {
     total.packed_warp_dispatches += s.packed_warp_dispatches;
     total.batch_modeled_seconds_saved += s.batch_modeled_seconds_saved;
     total.graph_modeled_seconds_saved += s.graph_modeled_seconds_saved;
-    total.fusion_modeled_seconds_saved += s.fusion_modeled_seconds_saved;
     // Devices drain concurrently: the group makespan is the slowest
     // device's; serial work and idle gaps add.
     total.makespan_seconds = std::max(total.makespan_seconds,

@@ -85,8 +85,7 @@ class GroupScheduler {
 
   std::vector<Part> parts_;
   std::vector<Placement> placements_;  ///< indexed by group-wide job id
-  bool pack_ = false;   ///< effective pack gate (pack && batching && graphs)
-  int max_cohort_ = 1;  ///< discount cap, from the default PackOptions
+  bool pack_ = false;  ///< effective pack gate (pack && batching && graphs)
 };
 
 }  // namespace fastpso::serve

@@ -15,13 +15,12 @@ bool pack_enabled_from_env() {
 }
 
 void CohortQueue::begin_round(vgpu::Device& device,
-                              const vgpu::graph::GraphExec& exec, int lanes,
-                              const PackOptions& options) {
+                              const vgpu::graph::GraphExec& exec,
+                              int lanes) {
   FASTPSO_CHECK_MSG(exec_ == nullptr, "cohort round already open");
   FASTPSO_CHECK_MSG(lanes >= 1, "cohort needs at least one lane");
   device_ = &device;
   exec_ = &exec;
-  options_ = options;
   // Shrink-free reset: lane capacity survives across rounds so the steady
   // state defers without allocating.
   if (lanes_.size() < static_cast<std::size_t>(lanes)) {
@@ -97,8 +96,7 @@ void CohortQueue::flush_barrier(vgpu::Device& device) {
       }
     }
     // Chunk oversized cohorts: each chunk is one packed dispatch.
-    const std::size_t chunk =
-        static_cast<std::size_t>(std::max(options_.max_cohort, 1));
+    constexpr std::size_t chunk = kMaxCohort;
     for (std::size_t begin = 0; begin < merge_members_.size();
          begin += chunk) {
       const std::size_t end =
@@ -130,7 +128,7 @@ void CohortQueue::dispatch_group(vgpu::Device& device, int node_index,
   const bool warp_mode =
       k >= 2 && block % 32 == 0 && per_job_threads > 0 &&
       static_cast<double>(n) <
-          options_.warp_threshold * per_job_threads &&
+          kWarpThreshold * per_job_threads &&
       (n + 31) / 32 <= block / 32;
 
   vgpu::LaunchConfig cfg;

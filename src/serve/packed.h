@@ -45,14 +45,11 @@ class Device;
 
 namespace fastpso::serve {
 
-/// Packing knobs. The scheduler packs every shape with these defaults.
-struct PackOptions {
-  /// Per-job thread utilization (elements / (grid x block)) below which a
-  /// node is packed warp-per-job instead of block-per-job.
-  double warp_threshold = 0.5;
-  /// Jobs per packed dispatch; larger cohorts split into chunks this size.
-  int max_cohort = 16;
-};
+/// Per-job thread utilization (elements / (grid x block)) below which a
+/// node is packed warp-per-job instead of block-per-job.
+inline constexpr double kWarpThreshold = 0.5;
+/// Jobs per packed dispatch; larger cohorts split into chunks this size.
+inline constexpr int kMaxCohort = 16;
 
 /// FASTPSO_SERVE_PACK=1 — the scheduler's default for executing (rather
 /// than only pricing) cross-job packing. Read once per scheduler.
@@ -82,7 +79,7 @@ class CohortQueue : public vgpu::PackSink {
   /// indices key the packing) with `lanes` member jobs on `device` (the
   /// clocks merged dispatches and inline flushes settle against).
   void begin_round(vgpu::Device& device, const vgpu::graph::GraphExec& exec,
-                   int lanes, const PackOptions& options);
+                   int lanes);
 
   /// Routes subsequent offers to `lane` (-1: none — offers are declined
   /// and flush_lane is a no-op, which is the safe scheduler-context state).
@@ -106,7 +103,7 @@ class CohortQueue : public vgpu::PackSink {
   /// Substep barrier: packs every lane's pending spans into per-node cohort
   /// dispatches on `device` and executes them. Lanes are merged by node
   /// index (each lane's entries are in replay order, so per-job program
-  /// order is preserved); groups larger than max_cohort split into chunks.
+  /// order is preserved); groups larger than kMaxCohort split into chunks.
   void flush_barrier(vgpu::Device& device);
 
   /// Closes the round: checks every lane drained, returns the round's
@@ -127,7 +124,6 @@ class CohortQueue : public vgpu::PackSink {
                       const Entry* const* members, int k);
 
   const vgpu::GpuPerfModel& perf_;
-  PackOptions options_;
   vgpu::Device* device_ = nullptr;  ///< round-scoped, set by begin_round
   const vgpu::graph::GraphExec* exec_ = nullptr;
   std::vector<std::vector<Entry>> lanes_;  ///< capacity kept across rounds

@@ -36,9 +36,12 @@ Policy policy_from_string(const std::string& name) {
 Scheduler::Scheduler(vgpu::Device& device, SchedulerOptions options)
     : device_(device),
       options_(options),
-      cache_(device, options.fuse),
+      cache_(device),
       batcher_(device.perf()),
       queue_(device.perf()) {
+  FASTPSO_CHECK_MSG(!options_.fuse,
+                    "SchedulerOptions::fuse must be false: fusion pricing "
+                    "was removed");
   FASTPSO_CHECK_MSG(options_.streams >= 1, "need at least one stream");
   FASTPSO_CHECK_MSG(options_.max_active >= 1, "need max_active >= 1");
   while (device_.stream_count() < options_.streams) {
@@ -296,8 +299,7 @@ std::uint64_t Scheduler::round_packed(const JobShape& shape,
   record.shape = shape;
   record.begin_seconds = now();
 
-  queue_.begin_round(device_, exec, static_cast<int>(members.size()),
-                     PackOptions{});
+  queue_.begin_round(device_, exec, static_cast<int>(members.size()));
   vgpu::PackSink* const previous_sink = device_.set_pack_sink(&queue_);
 
   // Lockstep substep stepping: every member runs the same sub-step of its
@@ -451,7 +453,6 @@ ServeStats Scheduler::stats() const {
   stats.graphs_captured = cache_.graphs_captured();
   stats.graphs_poisoned = cache_.graphs_poisoned();
   stats.graph_modeled_seconds_saved = cache_.graph_seconds_saved();
-  stats.fusion_modeled_seconds_saved = cache_.fusion_seconds_saved();
   stats.makespan_seconds = device_.modeled_seconds();
   return stats;
 }

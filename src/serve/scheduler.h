@@ -76,7 +76,10 @@ struct SchedulerOptions {
   int max_active = 16;
   /// Shape-keyed graph capture/replay across jobs (serve::GraphCache).
   bool use_graphs = true;
-  /// Run the fusion pass over each cached graph (reported credit).
+  /// Inert: must stay false (the Scheduler constructor throws otherwise).
+  /// Fusion pricing is gone; the field remains only because the benchmark
+  /// driver (perfbench/driver.cpp) assigns it, and it goes together with
+  /// that assignment (ROADMAP item 1).
   bool fuse = false;
   /// Price cross-job batch packing of same-shape cohorts (reported
   /// credit). With pack on, the priced model yields to the executed one.

@@ -1,10 +1,10 @@
 // Aggregate bookkeeping of one serve::Scheduler run.
 //
 // Every number here is either a real counter of issued device work or a
-// reported credit: graph amortization, fused pricing and cross-job batch
-// packing are accounted against the shape cache and NEVER folded into the
-// eager clocks or any job's counters — solo-vs-scheduled results stay
-// bitwise identical, and the savings are auditable side channels.
+// reported credit: graph amortization and cross-job batch packing are
+// accounted against the shape cache and NEVER folded into the eager clocks
+// or any job's counters — solo-vs-scheduled results stay bitwise
+// identical, and the savings are auditable side channels.
 //
 // Cross-job batching is a tri-state (see SchedulerOptions / README):
 //   * packed (FASTPSO_SERVE_PACK=1 or options.pack): cohorts EXECUTE as
@@ -52,9 +52,8 @@ struct ServeStats {
   std::uint64_t packed_dispatches = 0;         ///< merged cohort dispatches
   std::uint64_t packed_warp_dispatches = 0;    ///< subset packed warp-per-job
 
-  // -- graph amortization / fusion credit, summed over the cache ----------
+  // -- graph amortization credit, summed over the cache -------------------
   double graph_modeled_seconds_saved = 0;
-  double fusion_modeled_seconds_saved = 0;
 
   // -- timeline -----------------------------------------------------------
   double makespan_seconds = 0;   ///< device clock when the queue drained

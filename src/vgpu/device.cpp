@@ -98,7 +98,7 @@ void Device::raw_free(void* p) {
 void Device::memcpy_h2d(void* dst, const void* src, std::size_t bytes) {
   pack_flush_lane();
   if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
-    capture_graph_->record_memcpy(graph::NodeKind::kMemcpyH2D, dst, src,
+    capture_graph_->record_memcpy(graph::NodeKind::kMemcpyH2D,
                                   static_cast<double>(bytes),
                                   current_stream_, phase_);
   }
@@ -119,7 +119,7 @@ void Device::memcpy_h2d(void* dst, const void* src, std::size_t bytes) {
 void Device::memcpy_d2h(void* dst, const void* src, std::size_t bytes) {
   pack_flush_lane();
   if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
-    capture_graph_->record_memcpy(graph::NodeKind::kMemcpyD2H, dst, src,
+    capture_graph_->record_memcpy(graph::NodeKind::kMemcpyD2H,
                                   static_cast<double>(bytes),
                                   current_stream_, phase_);
   }
@@ -140,7 +140,7 @@ void Device::memcpy_d2h(void* dst, const void* src, std::size_t bytes) {
 void Device::memcpy_d2d(void* dst, const void* src, std::size_t bytes) {
   pack_flush_lane();
   if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
-    capture_graph_->record_memcpy(graph::NodeKind::kMemcpyD2D, dst, src,
+    capture_graph_->record_memcpy(graph::NodeKind::kMemcpyD2D,
                                   static_cast<double>(bytes),
                                   current_stream_, phase_);
   }
@@ -326,29 +326,10 @@ bool Device::graph_account(const LaunchConfig& cfg,
   counters_->modeled_seconds += seconds;
   *replay_session_->slots[static_cast<std::size_t>(index)] += seconds;
   stream_clock_[current_stream_] += seconds;
-  if (node->fuse_group >= 0) {
-    // Fusion is pure reporting under paired replay: the group accumulates
-    // the live cost/seconds and is priced as one fused launch at
-    // end_replay — nothing above changes.
-    replay_exec_->note_member(*replay_session_, node->fuse_group, cost,
-                              seconds);
-  }
   // Deferral key for pack_offer_range (vgpu/pack.h).
   last_replay_node_ = index;
   last_replay_seconds_ = seconds;
   return true;
-}
-
-void Device::graph_note_elements(std::int64_t elems) {
-  if (graph_mode_ == GraphMode::kCapturing) {
-    capture_graph_->note_elements(elems);
-  }
-}
-
-void Device::graph_note_uses(std::vector<graph::BufferUse> uses) {
-  if (graph_mode_ == GraphMode::kCapturing) {
-    capture_graph_->note_uses(std::move(uses));
-  }
 }
 
 void Device::begin_capture(graph::Graph& g) {

@@ -344,20 +344,6 @@ class Device {
   void attach_replay(graph::GraphExec& exec,
                      graph::GraphExec::ReplaySession& session);
 
-  /// True while a graph capture is open — call sites use this to gate the
-  /// construction of fusion footprints (graph_note_uses) to capture time.
-  [[nodiscard]] bool capturing() const {
-    return graph_mode_ == GraphMode::kCapturing;
-  }
-  /// Notes the element domain of the node just captured (no-op unless
-  /// capturing). launch_kernel does this automatically; a per-thread
-  /// launch over an element domain (core::evaluate_positions for an
-  /// objective without batch_fn) calls it directly.
-  void graph_note_elements(std::int64_t elems);
-  /// Attaches the declared buffer footprint of the node just captured
-  /// (no-op unless capturing) — see graph::BufferUse.
-  void graph_note_uses(std::vector<graph::BufferUse> uses);
-
   // --- cross-job batch packing (vgpu/pack.h, src/serve/packed.h) ----------
   /// Attaches/clears the deferred-execution sink. While attached and a
   /// replay is open, matched element launches on the fast path are offered
@@ -389,8 +375,7 @@ class Device {
 
   // --- kernel launch ------------------------------------------------------
   /// Accounts one launch of `cfg`/`cost` and runs `run()` once, inline, in
-  /// its place: the pack lane is flushed first (inline work never defers)
-  /// and a capture records an opaque node (no body, no element domain).
+  /// its place: the pack lane is flushed first (inline work never defers).
   /// The shared core of launch and launch_blocks, and the fast-path form of
   /// block kernels whose per-thread phases reduce to one flat loop
   /// (core::swarm_update's shared-memory tiles).
@@ -439,10 +424,10 @@ class Device {
   /// launch path for element-wise kernels on both engines. K follows the
   /// core/kernels_registry.h contract: a by-value `Args` pack, the
   /// reference `element(args, i)` and optionally `track(args, n)`,
-  /// `span(args, begin, end)` and `grain(args)`. Both paths account through
-  /// account_launch, and while capturing the node records K's element
-  /// domain. On the fast path the body is run_span<K> — K's span when it
-  /// defines one — offered as a range span to an attached pack sink for a
+  /// `span(args, begin, end)` and `grain(args)`. Both paths account (and,
+  /// while capturing, record their node) through account_launch. On the
+  /// fast path the body is run_span<K> — K's span when it defines one —
+  /// offered as a range span to an attached pack sink for a
   /// replay-matched launch, or run inline, split across host workers
   /// (vgpu/parallel.h) in ranges of at least K::grain (default kHostGrain)
   /// once the domain reaches two of them; every registered span takes
@@ -470,15 +455,9 @@ class Device {
       } else {
         run_threads(args);
       }
-      if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
-        graph_note_elements(n_elems);
-      }
       return;
     }
     account_launch(cfg, cost);
-    if (graph_mode_ == GraphMode::kCapturing) [[unlikely]] {
-      graph_note_elements(n_elems);
-    }
     if (pack_offer_range(n_elems, cost,
                          [args](std::int64_t b, std::int64_t e) {
                            run_span<K>(args, b, e);

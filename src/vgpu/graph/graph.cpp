@@ -38,29 +38,15 @@ void Graph::record_kernel(std::int64_t grid, int block, int stream,
   nodes_.push_back(std::move(node));
 }
 
-void Graph::record_memcpy(NodeKind kind, void* dst, const void* src,
-                          double bytes, int stream, PhaseId phase) {
+void Graph::record_memcpy(NodeKind kind, double bytes, int stream,
+                          PhaseId phase) {
   FASTPSO_CHECK(kind != NodeKind::kKernel);
   Node node;
   node.kind = kind;
   node.stream = stream;
   node.phase = phase;
-  node.dst = dst;
-  node.src = src;
   node.bytes = bytes;
   nodes_.push_back(std::move(node));
-}
-
-void Graph::note_elements(std::int64_t elems) {
-  FASTPSO_CHECK_MSG(!nodes_.empty(), "note_elements on an empty graph");
-  FASTPSO_CHECK(elems > 0);
-  nodes_.back().elems = elems;
-}
-
-void Graph::note_uses(std::vector<BufferUse> uses) {
-  FASTPSO_CHECK_MSG(!nodes_.empty(), "note_uses on an empty graph");
-  nodes_.back().uses = std::move(uses);
-  nodes_.back().has_uses = true;
 }
 
 GraphExec Graph::instantiate(const GpuPerfModel& perf) const {
@@ -153,7 +139,6 @@ void GraphExec::begin_replay(ReplaySession& session,
   session.pending_matched = 0;
   session.diverged = false;
   session.open = true;
-  session.groups.assign(fusion_groups_.size(), GroupAccum{});
 }
 
 int GraphExec::match_kernel(ReplaySession& session, std::int64_t grid,
@@ -198,47 +183,7 @@ bool GraphExec::end_replay(ReplaySession& session) {
       static_cast<double>(session.pending_matched) *
           (launch_overhead_s_ - node_gap_s_) -
       graph_launch_s_;
-  if (!fusion_groups_.empty()) {
-    // Price each fully matched group as one fused launch of the live cost
-    // sum with the capture-time intermediate traffic elided. The credit is
-    // stated on top of the graph credit above: that credit already reduced
-    // every matched launch's overhead to the node gap, so the per-launch
-    // part of the fusion saving is (members - 1) node gaps, not full
-    // launch overheads. Partially matched groups (a conditional member was
-    // skipped this iteration) earn nothing and stay unfused.
-    std::uint64_t fused_away = 0;
-    for (std::size_t i = 0; i < fusion_groups_.size(); ++i) {
-      const FusedGroup& g = fusion_groups_[i];
-      const GroupAccum& a = session.groups[i];
-      if (a.matched != static_cast<int>(g.members.size())) {
-        continue;
-      }
-      KernelCostSpec fused = a.live_sum;
-      fused.elide_traffic(g.elide_read_useful, g.elide_read_fetched,
-                          g.elide_write_useful, g.elide_write_fetched);
-      const double fused_seconds =
-          fusion_perf_->kernel_seconds_resolved(g.shape, fused);
-      const double member_overhead_already_credited =
-          static_cast<double>(a.matched - 1) *
-          (launch_overhead_s_ - node_gap_s_);
-      fusion_stats_.modeled_seconds_saved +=
-          a.member_seconds - fused_seconds -
-          member_overhead_already_credited;
-      fused_away += static_cast<std::uint64_t>(a.matched - 1);
-    }
-    ++fusion_stats_.replays;
-    fusion_stats_.launches_eager += session.pending_matched;
-    fusion_stats_.launches_fused += session.pending_matched - fused_away;
-  }
   return true;
-}
-
-void GraphExec::note_member(ReplaySession& session, int group,
-                            const KernelCostSpec& cost, double seconds) {
-  GroupAccum& a = session.groups[static_cast<std::size_t>(group)];
-  a.live_sum += cost;
-  a.member_seconds += seconds;
-  ++a.matched;
 }
 
 }  // namespace fastpso::vgpu::graph

@@ -64,42 +64,6 @@ enum class NodeKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(NodeKind kind);
 
-/// One declared buffer access of an element-wise launch — the static
-/// counterpart of the sanitizer's tracked-buffer access sets, declared at
-/// the call site because per-element attribution cannot be recovered from
-/// the execution hooks (grid-stride thread identity != element identity).
-/// The fusion pass consumes these for hazard analysis and traffic elision;
-/// san::footprints_consistent cross-checks them against what a tracked run
-/// actually touched.
-struct BufferUse {
-  const void* base = nullptr;  ///< first byte the launch may touch
-  double bytes = 0;            ///< total span touched over all elements
-  /// Per-element slice: element i touches
-  /// [base + i*elem_bytes, base + (i+1)*elem_bytes). 0 means the whole
-  /// span per element (a broadcast read or data-dependent gather).
-  std::int64_t elem_bytes = 0;
-  bool write = false;
-  const char* name = "";  ///< for diagnostics; static-lifetime literal
-
-  [[nodiscard]] const char* end() const {
-    return static_cast<const char*>(base) + static_cast<std::int64_t>(bytes);
-  }
-  /// Address-range intersection — catches interior-pointer aliasing (e.g.
-  /// the gbest copy reads pbest_pos + index*d).
-  [[nodiscard]] bool overlaps(const BufferUse& other) const {
-    return base != nullptr && other.base != nullptr &&
-           static_cast<const char*>(base) < other.end() &&
-           static_cast<const char*>(other.base) < end();
-  }
-  /// Same per-element slicing of the same storage: element i of one access
-  /// is element i of the other, so back-to-back per-element execution
-  /// preserves the eager value even across a write.
-  [[nodiscard]] bool aligned_with(const BufferUse& other) const {
-    return base == other.base && elem_bytes == other.elem_bytes &&
-           elem_bytes > 0;
-  }
-};
-
 /// One captured device operation.
 struct Node {
   NodeKind kind = NodeKind::kKernel;
@@ -108,22 +72,13 @@ struct Node {
   int stream = 0;
   PhaseId phase = PhaseId::kDefault;
   /// Prof label at capture time ("" when no label was pushed — labels exist
-  /// only while prof::active()). Interned for introspection; replay reads
-  /// the live label so prof events match eager mode trivially.
+  /// only while prof::active()). Names packed cohort dispatches; replay
+  /// reads the live label so prof events match eager mode trivially.
   std::string label;
-  KernelCostSpec cost;     ///< as declared at capture (audit/introspection)
-  void* dst = nullptr;     ///< memcpy nodes only
-  const void* src = nullptr;
-  double bytes = 0;        ///< memcpy nodes only
-  /// Element domain of an element-wise launch (-1: not element-wise; such
-  /// nodes are never fused). Noted automatically by launch_kernel while
-  /// capturing, or explicitly via Device::graph_note_elements.
-  std::int64_t elems = -1;
-  /// Declared per-node buffer footprint (graph_note_uses). Nodes without a
-  /// footprint are opaque to the fusion pass: they never fuse, and they
-  /// conservatively count as readers of everything for write elision.
-  std::vector<BufferUse> uses;
-  bool has_uses = false;
+  /// As declared at capture: audited at instantiate and priced by the serve
+  /// Batcher. Replay accounting always uses the live call site's cost.
+  KernelCostSpec cost;
+  double bytes = 0;  ///< memcpy nodes only (audited at instantiate)
 };
 
 /// Replay bookkeeping of one GraphExec (GraphExec::stats()).
@@ -141,32 +96,6 @@ struct GraphStats {
   double modeled_seconds_saved = 0;
 };
 
-/// Fusion bookkeeping of one GraphExec (GraphExec::fusion_stats()). Like
-/// GraphStats, every number here is *reported* — under paired replay the
-/// fused pricing never touches device clocks, counters or traces.
-struct FusionStats {
-  bool applied = false;  ///< the pass ran over an instantiated graph
-  int groups = 0;        ///< fused groups of >= 2 members
-  int fused_members = 0; ///< member kernels across all groups
-  std::uint64_t replays = 0;         ///< replays with fused pricing applied
-  std::uint64_t launches_eager = 0;  ///< kernel launches as issued
-  std::uint64_t launches_fused = 0;  ///< launches after fusion
-  /// Modeled seconds the fused pricing saves vs per-member pricing
-  /// (fewer launch overheads + elided intermediate traffic). Reported only.
-  double modeled_seconds_saved = 0;
-  /// Useful intermediate bytes elided between producer/consumer members.
-  double elided_read_bytes = 0;
-  double elided_write_bytes = 0;
-
-  /// Fraction of per-iteration launches removed by fusion.
-  [[nodiscard]] double launch_reduction() const {
-    return launches_eager > 0
-               ? 1.0 - static_cast<double>(launches_fused) /
-                           static_cast<double>(launches_eager)
-               : 0.0;
-  }
-};
-
 class GraphExec;
 
 /// An ordered record of captured device operations (cudaGraph analogue).
@@ -181,12 +110,7 @@ class Graph {
   void record_kernel(std::int64_t grid, int block, int stream,
                      PhaseId phase, const char* label,
                      const KernelCostSpec& cost);
-  void record_memcpy(NodeKind kind, void* dst, const void* src, double bytes,
-                     int stream, PhaseId phase);
-  /// Notes the element domain of the most recently recorded node.
-  void note_elements(std::int64_t elems);
-  /// Attaches the declared buffer footprint of the most recent node.
-  void note_uses(std::vector<BufferUse> uses);
+  void record_memcpy(NodeKind kind, double bytes, int stream, PhaseId phase);
 
   /// One-time validation + pre-resolution (cudaGraphInstantiate analogue).
   /// Audits every node structurally (shape within device limits, cost spec
@@ -212,40 +136,6 @@ class GraphExec {
   struct ExecNode {
     Node node;
     ResolvedLaunchShape shape;  ///< kernel nodes only
-    /// Index into fused_groups(), or -1 when the node is unfused.
-    int fuse_group = -1;
-  };
-
-  /// One fused run of >= 2 consecutive element-wise kernel nodes
-  /// (installed by the FusionPass, vgpu/graph/fusion.h).
-  struct FusedGroup {
-    std::vector<int> members;  ///< node indices, in capture order
-    std::int64_t elems = 0;
-    std::string label;  ///< "fused:" + member labels joined with '+'
-    /// The members' capture-time specs merged with intermediate
-    /// producer/consumer traffic elided and only one launch overhead
-    /// charged (barriers are zero by legality) — what PerfModel prices as
-    /// the fused launch (static_fused_seconds).
-    KernelCostSpec merged_cost;
-    ResolvedLaunchShape shape;  ///< the members' shared launch shape
-    /// Capture-time elision constants, subtracted from the live cost sum
-    /// when pricing a paired replay (useful and fetched bytes per class).
-    double elide_read_useful = 0;
-    double elide_read_fetched = 0;
-    double elide_write_useful = 0;
-    double elide_write_fetched = 0;
-    /// Capture-time pricing of the members vs the fused node (reporting).
-    double static_member_seconds = 0;
-    double static_fused_seconds = 0;
-  };
-
-  /// Per-session accumulator for one FusedGroup's live replay (the static
-  /// plan stays on the group; the per-replay sums live with the session so
-  /// interleaved sessions don't clobber each other).
-  struct GroupAccum {
-    KernelCostSpec live_sum;
-    double member_seconds = 0;
-    int matched = 0;
   };
 
   /// All mutable state of one paired replay. A GraphExec is a shared,
@@ -270,8 +160,6 @@ class GraphExec {
     std::vector<double*> slots;
     const TimeBreakdown* resolved_breakdown = nullptr;
     std::uint64_t resolved_epoch = 0;
-    /// Parallel to GraphExec::fused_groups() (sized at begin_replay).
-    std::vector<GroupAccum> groups;
   };
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
@@ -326,29 +214,8 @@ class GraphExec {
   /// set_replay_stream legality condition).
   [[nodiscard]] bool single_stream() const { return single_stream_; }
 
-  // --- fusion (vgpu/graph/fusion.h) --------------------------------------
-  /// Runs the FusionPass over this instantiated graph and installs its
-  /// plan. After this, clean paired replays additionally price each fully
-  /// matched group as a single fused launch (reported via fusion_stats(),
-  /// composing with the graph credit without double counting). Nothing is
-  /// executed fused: the members still run through their call sites.
-  /// Idempotent.
-  void apply_fusion(const GpuPerfModel& perf);
-  [[nodiscard]] const std::vector<FusedGroup>& fused_groups() const {
-    return fusion_groups_;
-  }
-  [[nodiscard]] const FusionStats& fusion_stats() const {
-    return fusion_stats_;
-  }
-  /// Accumulates a matched member's live cost and modeled seconds into its
-  /// group accumulator on `session` (called by Device::graph_account
-  /// during paired replay).
-  void note_member(ReplaySession& session, int group,
-                   const KernelCostSpec& cost, double seconds);
-
  private:
   friend class Graph;
-  friend class FusionPass;
   GraphExec() = default;
 
   void resolve_session_slots(ReplaySession& session,
@@ -366,12 +233,6 @@ class GraphExec {
   /// Built-in session backing the exec-level replay API.
   ReplaySession own_session_;
   GraphStats stats_;
-
-  std::vector<FusedGroup> fusion_groups_;
-  FusionStats fusion_stats_;
-  /// Perf model the fusion plan was priced against (outlives the exec: it
-  /// belongs to the Device the graph was captured on).
-  const GpuPerfModel* fusion_perf_ = nullptr;
 };
 
 }  // namespace fastpso::vgpu::graph

@@ -24,46 +24,6 @@ double stride_amplification(std::size_t stride_elems, std::size_t elem_bytes) {
   return std::min(cap, span / static_cast<double>(elem_bytes));
 }
 
-KernelCostSpec& KernelCostSpec::operator+=(const KernelCostSpec& other) {
-  // Amplifications must be folded into byte counts before merging.
-  const double my_read = fetched_read_bytes();
-  const double my_write = fetched_write_bytes();
-  flops += other.flops;
-  transcendentals += other.transcendentals;
-  dram_read_bytes += other.dram_read_bytes;
-  dram_write_bytes += other.dram_write_bytes;
-  read_amplification = dram_read_bytes > 0
-                           ? (my_read + other.fetched_read_bytes()) /
-                                 dram_read_bytes
-                           : 1.0;
-  write_amplification = dram_write_bytes > 0
-                            ? (my_write + other.fetched_write_bytes()) /
-                                  dram_write_bytes
-                            : 1.0;
-  barriers += other.barriers;
-  uses_tensor_cores = uses_tensor_cores || other.uses_tensor_cores;
-  return *this;
-}
-
-KernelCostSpec& KernelCostSpec::elide_traffic(double read_useful,
-                                              double read_fetched,
-                                              double write_useful,
-                                              double write_fetched) {
-  const double new_read = std::max(0.0, dram_read_bytes - read_useful);
-  const double new_read_fetched =
-      std::max(0.0, fetched_read_bytes() - read_fetched);
-  read_amplification =
-      new_read > 0 ? std::max(1.0, new_read_fetched / new_read) : 1.0;
-  dram_read_bytes = new_read;
-  const double new_write = std::max(0.0, dram_write_bytes - write_useful);
-  const double new_write_fetched =
-      std::max(0.0, fetched_write_bytes() - write_fetched);
-  write_amplification =
-      new_write > 0 ? std::max(1.0, new_write_fetched / new_write) : 1.0;
-  dram_write_bytes = new_write;
-  return *this;
-}
-
 GpuPerfModel::GpuPerfModel(GpuSpec spec) : spec_(std::move(spec)) {
   // Compute saturates once every lane has a couple of warps to interleave.
   compute_saturation_ = spec_.lanes() * 2.0;

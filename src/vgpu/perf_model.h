@@ -60,17 +60,6 @@ struct KernelCostSpec {
   [[nodiscard]] double fetched_bytes() const {
     return fetched_read_bytes() + fetched_write_bytes();
   }
-
-  /// Accumulates another launch's cost (used by multi-launch steps).
-  KernelCostSpec& operator+=(const KernelCostSpec& other);
-
-  /// Removes elided intermediate traffic from a merged spec (kernel
-  /// fusion, vgpu/graph/fusion.h): subtracts the given useful and fetched
-  /// bytes per class and re-derives the amplifications from what remains.
-  /// Clamped at zero useful bytes (amplification then 1) and at
-  /// amplification >= 1, so the result always passes the graph audit.
-  KernelCostSpec& elide_traffic(double read_useful, double read_fetched,
-                                double write_useful, double write_fetched);
 };
 
 /// Term-by-term decomposition of kernel_seconds, for profiler attribution

@@ -30,9 +30,6 @@ const char* current_label();
 /// Turns collection on/off for subsequently issued device operations.
 void set_enabled(bool enabled);
 
-/// True when the environment requested profiling (FASTPSO_PROF=1).
-bool env_enabled();
-
 /// Event taxonomy: what a profile record describes. kKernel covers every
 /// Device::launch / launch_kernel / launch_blocks / account_launch;
 /// kHost covers modeled host seconds folded into the device timeline;

@@ -38,14 +38,6 @@ const char* current_label() {
 
 void set_enabled(bool enabled) { detail::g_enabled = enabled; }
 
-bool env_enabled() {
-  static const bool enabled = [] {
-    const char* e = std::getenv("FASTPSO_PROF");
-    return e != nullptr && e[0] == '1' && e[1] == '\0';
-  }();
-  return enabled;
-}
-
 const char* to_string(EventKind kind) {
   switch (kind) {
     case EventKind::kKernel:

@@ -69,15 +69,6 @@ ArgMin reduce_argmin(Device& device, const float* data, std::int64_t n) {
           cfg, reduce_cost(n, sizeof(float), blocks,
                            sizeof(float) + sizeof(std::int64_t),
                            log2_ceil(kReduceBlock)));
-      // Footprint: reductions never fuse (barriers), but declaring the
-      // input read keeps the node non-opaque so the fusion pass's
-      // outside-reader analysis sees exactly what it consumes (the fast
-      // path materializes no partial arrays).
-      if (device.capturing()) {
-        device.graph_note_uses({{data,
-                                 static_cast<double>(n) * sizeof(float), 0,
-                                 /*write=*/false, "reduce_in"}});
-      }
     }
     ArgMin result;
     result.value = std::numeric_limits<float>::infinity();
@@ -97,11 +88,6 @@ ArgMin reduce_argmin(Device& device, const float* data, std::int64_t n) {
           final_cfg,
           reduce_cost(blocks, sizeof(float) + sizeof(std::int64_t), blocks,
                       0, 0));
-      // The fast path folds in place — the final pass touches no device
-      // buffer, declared as an empty (non-opaque) footprint.
-      if (device.capturing()) {
-        device.graph_note_uses({});
-      }
     }
     return result;
   }
@@ -171,16 +157,6 @@ ArgMin reduce_argmin(Device& device, const float* data, std::int64_t n) {
           p_val[blk.block_idx()] = sh_val[0];
           p_idx[blk.block_idx()] = sh_idx[0];
         });
-    if (device.capturing()) {
-      device.graph_note_uses(
-          {{data, static_cast<double>(n) * sizeof(float), 0,
-            /*write=*/false, "reduce_in"},
-           {partial_val.data(), static_cast<double>(blocks) * sizeof(float),
-            0, /*write=*/true, "partial_val"},
-           {partial_idx.data(),
-            static_cast<double>(blocks) * sizeof(std::int64_t), 0,
-            /*write=*/true, "partial_idx"}});
-    }
   }
 
   // Final single-block pass over the partials.
@@ -207,14 +183,6 @@ ArgMin reduce_argmin(Device& device, const float* data, std::int64_t n) {
                     }
                   }
                 });
-  if (device.capturing()) {
-    device.graph_note_uses(
-        {{partial_val.data(), static_cast<double>(blocks) * sizeof(float), 0,
-          /*write=*/false, "partial_val"},
-         {partial_idx.data(),
-          static_cast<double>(blocks) * sizeof(std::int64_t), 0,
-          /*write=*/false, "partial_idx"}});
-  }
   return result;
 }
 

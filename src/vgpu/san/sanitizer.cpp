@@ -193,7 +193,6 @@ struct Session::Impl {
 
   struct Buffer {
     std::string name;
-    const void* data = nullptr;
     std::size_t count = 0;
     std::size_t elem_bytes = 0;
     BufferClass cls = BufferClass::kGlobal;
@@ -433,21 +432,6 @@ struct Session::Impl {
     trace.counted = counted;
     trace.audited = audited;
     trace.findings = cur_findings;
-    trace.touched.reserve(touched.size());
-    for (int id : touched) {
-      const Buffer& buf = buffers[static_cast<std::size_t>(id)];
-      if (buf.cls == BufferClass::kShared) {
-        continue;  // block-local scratch, not part of the global footprint
-      }
-      BufferTouch t;
-      t.name = buf.name;
-      t.data = buf.data;
-      t.count = buf.count;
-      t.elem_bytes = buf.elem_bytes;
-      t.unique_reads = buf.unique_reads;
-      t.unique_writes = buf.unique_writes;
-      trace.touched.push_back(std::move(t));
-    }
     report.launches.push_back(std::move(trace));
     in_launch = false;
   }
@@ -578,7 +562,6 @@ int register_buffer(const void* data, std::size_t count,
   }
   Session::Impl::Buffer buf;
   buf.name = name;
-  buf.data = data;
   buf.count = count;
   buf.elem_bytes = elem_bytes;
   buf.cls = cls;

@@ -92,19 +92,6 @@ struct CountedCost {
   int barriers = 0;        ///< max sync() count over the launch's blocks
 };
 
-/// Unique-touch summary of one tracked buffer during one launch. Feeds the
-/// fusion pass's footprint validation (graph::footprints_consistent): the
-/// observed access set must be covered by the footprint the call site
-/// declared. Not part of the JSON trace — goldens are unaffected.
-struct BufferTouch {
-  std::string name;
-  const void* data = nullptr;
-  std::size_t count = 0;
-  std::size_t elem_bytes = 0;
-  std::uint64_t unique_reads = 0;   ///< unique elements read
-  std::uint64_t unique_writes = 0;  ///< unique elements written
-};
-
 /// Deterministic per-launch trace entry.
 struct LaunchTrace {
   std::string kernel;  ///< KernelScope label, or "<unnamed>"
@@ -114,8 +101,6 @@ struct LaunchTrace {
   CountedCost counted;
   bool audited = false;  ///< label present and audit mode kFull
   int findings = 0;      ///< findings attributed to this launch
-  /// Tracked buffers touched by this launch (excluded from to_json()).
-  std::vector<BufferTouch> touched;
 
   /// Relative drift between declared and counted, with a both-zero guard.
   [[nodiscard]] static double drift(double declared_v, double counted_v);

@@ -40,8 +40,8 @@ TEST(GpuPso, ConvergesOnSphere) {
 /// A literal pin of one baseline run: the gbest value's bits, an
 /// FNV-1a-64 digest of the position bits, the modeled seconds and the
 /// launch count. The literals hold on the fast path, on the faithful
-/// engine (FASTPSO_FAST_PATH=0, FASTPSO_SAN=1), on one host worker and
-/// with glibc's AVX/FMA variants masked.
+/// engine (FASTPSO_FAST_PATH=0), on one host worker and with glibc's
+/// AVX/FMA variants masked.
 struct Pin {
   const char* problem;
   int n;

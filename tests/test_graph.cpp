@@ -20,7 +20,9 @@
 //   * divergence — a replayed sequence whose shape changes falls back to
 //     eager accounting with correct counters and stats().diverged set;
 //     conditional nodes that are captured but not re-issued are skipped
-//     without spoiling the replay.
+//     without spoiling the replay;
+//   * credit — a clean replay credits exactly the amortization formula of
+//     vgpu/graph/graph.h, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -103,7 +105,7 @@ ReplayedRun run_replayed(vgpu::Device& device, const core::PsoParams& params,
   device.reset_counters();
   device.pool().set_enabled(params.memory_caching);
   core::JobRun run(device, params, objective);
-  serve::GraphCache cache(device, /*fuse=*/false);
+  serve::GraphCache cache(device);
   const serve::JobShape shape{};
   while (!run.done()) {
     const auto mode = cache.begin_iteration(shape, /*stream=*/0);
@@ -366,6 +368,40 @@ TEST(Graph, ReplayUsesLiveCosts) {
   eager.account_launch(cfg_of(4, 128), cost_of(1e6, 4e4));
   eager.account_launch(cfg_of(4, 128), cost_of(5e6, 9e4));
   expect_counters_equal(device.counters(), eager.counters());
+}
+
+// ---- amortization credit -------------------------------------------------
+
+// The one exact check of GraphStats::modeled_seconds_saved: in a clean
+// replay, three matched launches each pay a node gap instead of a launch
+// overhead, and the replay pays one graph launch. The expectation follows
+// GraphExec::end_replay's operation order, so it holds bit for bit.
+TEST(Graph, CleanReplayCreditsExactlyThreeNodeGapsAndOneGraphLaunch) {
+  vgpu::Device device;
+  device.set_phase("test");
+  const auto launch_three = [&device] {
+    device.account_launch(cfg_of(1, 64), cost_of(64, 256));
+    device.account_launch(cfg_of(2, 128), cost_of(256, 1024));
+    device.account_launch(cfg_of(4, 256), cost_of(1024, 4096));
+  };
+  vgpu::graph::Graph g;
+  device.begin_capture(g);
+  launch_three();
+  device.end_capture();
+  vgpu::graph::GraphExec exec = g.instantiate(device.perf());
+
+  device.begin_replay(exec);
+  launch_three();
+  ASSERT_TRUE(device.end_replay());
+
+  const vgpu::GpuSpec& spec = device.spec();
+  const double launch_s = spec.launch_overhead_us * 1e-6;
+  const double node_gap_s = spec.graph_node_overhead_us * 1e-6;
+  const double graph_launch_s = spec.graph_launch_overhead_us * 1e-6;
+  EXPECT_EQ(exec.stats().replays, 1u);
+  EXPECT_EQ(exec.stats().replayed_launches, 3u);
+  EXPECT_EQ(exec.stats().modeled_seconds_saved,
+            3.0 * (launch_s - node_gap_s) - graph_launch_s);
 }
 
 // ---- instantiate audit ---------------------------------------------------

@@ -14,10 +14,6 @@
 //     digests of their gbest value, history and position.
 //   * Modeled time is max(device_seconds), with the collectives inside
 //     each device's comm stream.
-//
-// The whole suite runs unchanged under FASTPSO_SAN=1 (CI's widened
-// sanitizer sweep): the sanitizer only records launches, so every
-// differential and every pin still closes.
 
 #include <gtest/gtest.h>
 
@@ -106,8 +102,8 @@ void expect_same_optimum(const Result& a, const Result& b) {
 /// FNV-1a-64 digest of the gbest history bits followed by the position
 /// bits. Recorded when a second implementation of the strategy (staged
 /// host exchanges instead of collectives) agreed on every cell; they hold
-/// under FASTPSO_FAST_PATH=0, FASTPSO_SAN=1, one host worker and glibc's
-/// AVX/FMA variants masked.
+/// under FASTPSO_FAST_PATH=0, one host worker and glibc's AVX/FMA variants
+/// masked.
 struct SplitPin {
   const char* problem;
   int devices;

@@ -5,12 +5,13 @@
 // spec run solo on a fresh device — same gbest value/position/history,
 // same iteration count, same counters, same per-phase breakdown, same
 // modeled seconds — across admission policies, submission orders, and the
-// graph/fusion/batching switches. Scheduling may change only where on the
-// shared timeline work lands, never what it computes or accounts.
+// graph/batching switches. Scheduling may change only where on the shared
+// timeline work lands, never what it computes or accounts.
 //
-// The suite runs unchanged under FASTPSO_SAN=1 and FASTPSO_SERVE_PACK=1
-// (CI's serve steps): the solo side never captures, and replay accounting
-// is byte-identical to eager accounting, so the differential still closes.
+// The suite runs unchanged under FASTPSO_SERVE_PACK=1 (CI reruns the whole
+// ctest under it): the solo side never captures, and replay accounting is
+// byte-identical to eager accounting, so the differential still closes.
+// FASTPSO_SAN=1 changes nothing here; no test in this file reads it.
 
 #include <gtest/gtest.h>
 
@@ -181,8 +182,8 @@ void expect_counters_equal(const vgpu::DeviceCounters& a,
 }
 
 /// Bitwise equality of everything a solo and a scheduled run must share.
-/// Wall clocks, the profiler timeline and the solo path's graph/fusion
-/// bookkeeping are run-local and excluded by design.
+/// Wall clocks and the profiler timeline are run-local and excluded by
+/// design.
 void expect_bitwise_equal(const core::Result& solo,
                           const core::Result& served) {
   EXPECT_EQ(solo.gbest_value, served.gbest_value);
@@ -267,7 +268,7 @@ TEST(ServeDifferential, AllPoliciesAndSubmissionOrdersMatchSolo) {
   }
 }
 
-TEST(ServeDifferential, GraphFusionAndBatchingSwitchesPreserveResults) {
+TEST(ServeDifferential, GraphAndBatchingSwitchesPreserveResults) {
   const auto specs = mixed_specs();
   const auto& solo = mixed_solo_results();
 
@@ -276,9 +277,6 @@ TEST(ServeDifferential, GraphFusionAndBatchingSwitchesPreserveResults) {
   no_graphs.use_graphs = false;
   no_graphs.batching = false;
   variants.push_back(no_graphs);
-  SchedulerOptions fused = base_options();
-  fused.fuse = true;
-  variants.push_back(fused);
   SchedulerOptions no_batching = base_options();
   no_batching.batching = false;
   variants.push_back(no_batching);
@@ -421,12 +419,21 @@ TEST(ServeScheduler, RejectsUnschedulableSpecs) {
   EXPECT_EQ(scheduler.outcomes().size(), 1u);
 }
 
+// Fusion pricing is gone; its option survives only as an inert field, and
+// turning it on is rejected rather than silently ignored.
+TEST(ServeScheduler, RejectsFuseOption) {
+  vgpu::Device device;
+  SchedulerOptions options = base_options();
+  options.fuse = true;
+  EXPECT_THROW({ Scheduler scheduler(device, options); }, CheckError);
+}
+
 // ---- executed packing (FASTPSO_SERVE_PACK / options.pack) ----------------
 
 // The packed engine's own differential suite: lockstep cohort stepping
 // with merged block/warp-per-job dispatches must leave every job's Result
 // bitwise identical to solo, across admission policies, cohort sizes and
-// the graph/fusion switches. These force pack on regardless of the env.
+// mixed shapes. These force pack on regardless of the env.
 
 SchedulerOptions packed_options() {
   SchedulerOptions options = base_options();
@@ -476,11 +483,10 @@ TEST(ServePacked, PackedMatchesSoloBitwiseAcrossPoliciesAndCohortSizes) {
   }
 }
 
-TEST(ServePacked, MixedShapesWithFusionMatchSoloBitwise) {
+TEST(ServePacked, MixedShapesMatchSoloBitwise) {
   const auto specs = mixed_specs();
   const auto& solo = mixed_solo_results();
   SchedulerOptions options = packed_options();
-  options.fuse = true;
   ServeStats stats;
   const auto served = serve_run(specs, options, &stats);
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -510,7 +516,7 @@ TEST(ServePacked, WarpPerJobSubPackingOnTinyShapes) {
   EXPECT_LE(stats.packed_warp_dispatches, stats.packed_dispatches);
 
   // Threshold boundary: sphere 16x8 issues 128-element launches — exactly
-  // warp_threshold * block (0.5 * 256), which the strict `<` comparison
+  // kWarpThreshold * block (0.5 * 256), which the strict `<` comparison
   // keeps in block-per-job mode — alongside tiny per-particle launches
   // that still sub-pack. Both modes must coexist in one cohort.
   std::vector<JobSpec> boundary;
@@ -529,12 +535,11 @@ TEST(ServePacked, WarpPerJobSubPackingOnTinyShapes) {
 }
 
 TEST(ServePacked, CohortLargerThanMaxCohortSplitsAndMatchesSoloBitwise) {
-  // A same-shape cohort wider than PackOptions::max_cohort (16) splits each
-  // merged node into chunks, one packed dispatch per chunk — the regime of
-  // the tiny serve workload, which admits up to 128 jobs at once. Cohort
-  // dispatches execute on the host fast path only, so it is pinned on.
+  // A same-shape cohort wider than kMaxCohort (16) splits each merged node
+  // into chunks, one packed dispatch per chunk — the regime of the tiny
+  // serve workload, which admits up to 128 jobs at once. Cohort dispatches
+  // execute on the host fast path only, so it is pinned on.
   const FastPathGuard fast(true);
-  constexpr int kMaxCohort = PackOptions{}.max_cohort;
   std::vector<JobSpec> specs;
   for (int i = 0; i <= kMaxCohort; ++i) {
     specs.push_back(make_spec("sphere", 16, 4, 6, 1200 + i));

@@ -47,33 +47,6 @@ TEST(KernelCostSpec, FetchedBytesApplyAmplification) {
   EXPECT_DOUBLE_EQ(cost.fetched_bytes(), 500.0);
 }
 
-TEST(KernelCostSpec, MergePreservesFetchedTotals) {
-  KernelCostSpec a;
-  a.dram_read_bytes = 100;
-  a.read_amplification = 8.0;
-  KernelCostSpec b;
-  b.dram_read_bytes = 100;
-  b.read_amplification = 1.0;
-  a += b;
-  EXPECT_DOUBLE_EQ(a.dram_read_bytes, 200.0);
-  EXPECT_DOUBLE_EQ(a.fetched_read_bytes(), 900.0);
-  EXPECT_EQ(a.barriers, 0);
-}
-
-TEST(KernelCostSpec, MergeAccumulatesScalars) {
-  KernelCostSpec a;
-  a.flops = 10;
-  a.barriers = 1;
-  KernelCostSpec b;
-  b.flops = 5;
-  b.barriers = 2;
-  b.uses_tensor_cores = true;
-  a += b;
-  EXPECT_DOUBLE_EQ(a.flops, 15.0);
-  EXPECT_EQ(a.barriers, 3);
-  EXPECT_TRUE(a.uses_tensor_cores);
-}
-
 // ---- GPU model ------------------------------------------------------------------
 
 class GpuModelTest : public ::testing::Test {
