@@ -17,7 +17,9 @@
 //
 // Both launch paths issue the identical account_launch call, so modeled
 // seconds and DeviceCounters are unaffected by the toggle — the probes
-// measure host execution speed only.
+// measure host execution speed only. The output names the widest SIMD form
+// the batch paths ran ("simd": avx512f, avx2 or scalar; common/cpu.h), since
+// the eval and table1 readings depend on it.
 //
 //   ./micro_engine [--smoke] [--prof-overhead]
 //                  [--json BENCH_engine.json]
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/cpu.h"
 #include "common/stopwatch.h"
 #include "problems/problem.h"
 #include "vgpu/device.h"
@@ -336,6 +339,7 @@ int main(int argc, char** argv) {
   table.add_note("identical account_launch on both paths: modeled seconds "
                  "and counters do not depend on the toggle");
   table.print(std::cout);
+  std::cout << "\"simd\": \"" << cpu_simd_name() << "\"\n";
 
   if (!json_path.empty()) {
     std::ostringstream json;
@@ -343,6 +347,7 @@ int main(int argc, char** argv) {
     json.precision(3);
     json << "{\n"
          << "  \"schema\": \"fastpso-bench-engine-v1\",\n"
+         << "  \"simd\": \"" << cpu_simd_name() << "\",\n"
          << "  \"launch\": {\n"
          << "    \"n_elems\": " << launch_elems << ",\n"
          << "    \"reps\": " << launch_reps << ",\n"

@@ -8,7 +8,7 @@
 
 #include "common/cpu.h"
 
-#ifdef FASTPSO_X86_AVX2
+#ifdef FASTPSO_X86_SIMD
 #include <immintrin.h>
 #endif
 
@@ -83,34 +83,65 @@ constexpr std::array<double, 12> kExpPoly = {kE13, kE12, kE11, kE10,
                                              kE9,  kE8,  kE7,  kE6,
                                              kE5,  kE4,  kE3,  kE2};
 
-template <std::size_t N>
-double horner(double z, const std::array<double, N>& c) {
-  double p = c[0];
+// Lane arithmetic, written once for the scalar form and the AVX-512F
+// groups. V is double or a vector of eight doubles (GCC/Clang vector
+// extension); its built-in operators run the same IEEE operation on every
+// lane and broadcast a scalar operand, so every lane repeats the scalar
+// form's operations in its order. Always inlined, with lane values passed
+// by reference (never by value, see common/cpu.h), so the vector
+// instantiation compiles inside its target function.
+#define FASTPSO_LANES [[gnu::always_inline]] inline
+
+template <typename V, std::size_t N>
+FASTPSO_LANES void horner(const V& z, const std::array<double, N>& c, V& p) {
+  p = V{} + c[0];
   for (std::size_t i = 1; i < N; ++i) {
     p = c[i] + z * p;
   }
-  return p;
 }
 
 /// cos(x + y) for |x + y| <= ~pi/4, y the tail of a double-double.
-double kernel_cos(double x, double y) {
-  const double z = x * x;
-  const double r = z * horner(z, kCosPoly);
-  const double hz = 0.5 * z;
-  const double w = 1.0 - hz;
-  return w + (((1.0 - w) - hz) + (z * r - x * y));
+template <typename V>
+FASTPSO_LANES void kernel_cos(const V& x, const V& y, V& k) {
+  const V z = x * x;
+  V p{};
+  horner(z, kCosPoly, p);
+  const V r = z * p;
+  const V hz = 0.5 * z;
+  const V w = 1.0 - hz;
+  k = w + (((1.0 - w) - hz) + (z * r - x * y));
 }
 
 /// sin(x + y) for |x + y| <= ~pi/4, y the tail of a double-double.
-double kernel_sin(double x, double y) {
-  const double z = x * x;
-  const double v = z * x;
-  const double r = horner(z, kSinPoly);
-  return x - ((z * (0.5 * y - v * r) - y) - v * kS3);
+template <typename V>
+FASTPSO_LANES void kernel_sin(const V& x, const V& y, V& k) {
+  const V z = x * x;
+  const V v = z * x;
+  V r{};
+  horner(z, kSinPoly, r);
+  k = x - ((z * (0.5 * y - v * r) - y) - v * kS3);
 }
 
-/// cos(x) for shift 0, sin(x) for shift 3. The AVX2 form below repeats
-/// these operations lane by lane; keep the two in step.
+/// Stages 1 and 2 of the reduction by pi/2: y0 + ((r - y0) - w) = x - fn *
+/// (kPio2_1 + kPio2_2 + kPio2_2t), fn = x * 2/pi rounded to the nearest
+/// integer; t's low mantissa bits hold fn mod 4, the quadrant. |fn| <= 2^19,
+/// so each fn * kPio2_k (33-bit head) is exact.
+template <typename V>
+FASTPSO_LANES void reduce(const V& x, V& t, V& fn, V& r, V& w, V& y0) {
+  t = x * kTwoOverPi + kShifter;
+  fn = t - kShifter;
+  const V r1 = x - fn * kPio2_1;
+  const V w2 = fn * kPio2_2;
+  r = r1 - w2;
+  w = fn * kPio2_2t - ((r1 - r) - w2);
+  y0 = r - w;
+}
+
+#undef FASTPSO_LANES
+
+/// cos(x) for shift 0, sin(x) for shift 3. The SIMD groups below run these
+/// operations lane by lane and hand a group with a fallback or third-stage
+/// lane to this form.
 double trig(double x, std::uint64_t shift) {
   const double ax = std::fabs(x);
   if (!(ax <= kFastBound)) {
@@ -119,17 +150,12 @@ double trig(double x, std::uint64_t shift) {
     }
     return shift == kCosShift ? std::cos(x) : std::sin(x);
   }
-  // fn = x * 2/pi rounded to the nearest integer; t's low mantissa bits
-  // hold fn mod 4, the quadrant.
-  const double t = x * kTwoOverPi + kShifter;
-  const double fn = t - kShifter;
-  // Stages 1 and 2: y0 + y1 = x - fn * (kPio2_1 + kPio2_2 + kPio2_2t).
-  // |fn| <= 2^19, so each fn * kPio2_k (33-bit head) is exact.
-  const double r1 = x - fn * kPio2_1;
-  const double w2 = fn * kPio2_2;
-  double r = r1 - w2;
-  double w = fn * kPio2_2t - ((r1 - r) - w2);
-  double y0 = r - w;
+  double t = 0.0;
+  double fn = 0.0;
+  double r = 0.0;
+  double w = 0.0;
+  double y0 = 0.0;
+  reduce(x, t, fn, r, w, y0);
   if (std::fabs(y0) < ax * kHeavyCancel) {
     const double r2 = r;
     const double w3 = fn * kPio2_3;
@@ -139,13 +165,33 @@ double trig(double x, std::uint64_t shift) {
   }
   const double y1 = (r - y0) - w;
   const std::uint64_t q = std::bit_cast<std::uint64_t>(t) + shift;
-  const double k = (q & 1) != 0 ? kernel_sin(y0, y1) : kernel_cos(y0, y1);
+  double k = 0.0;
+  if ((q & 1) != 0) {
+    kernel_sin(y0, y1, k);
+  } else {
+    kernel_cos(y0, y1, k);
+  }
   return ((q + 1) & 2) != 0 ? -k : k;
 }
 
-#ifdef FASTPSO_X86_AVX2
+std::uint64_t shift_of(bool sine) { return sine ? kSinShift : kCosShift; }
 
-#define FASTPSO_AVX2 __attribute__((target("avx2")))
+/// The scalar form on x[i, i + width).
+void trig_group(const double* x, double* out, std::size_t i,
+                std::size_t width, std::uint64_t shift) {
+  for (std::size_t j = i; j < i + width; ++j) {
+    out[j] = trig(x[j], shift);
+  }
+}
+
+}  // namespace
+
+#ifdef FASTPSO_X86_SIMD
+namespace {
+
+// The AVX2 group's own four-lane forms of the lane arithmetic, in
+// intrinsics. Written over the lane templates instead, gcc schedules the
+// group's loop differently and it ran about 1% slower.
 
 FASTPSO_AVX2 inline __m256d mul(__m256d a, __m256d b) {
   return _mm256_mul_pd(a, b);
@@ -186,27 +232,29 @@ FASTPSO_AVX2 inline __m256d kernel_sin4(__m256d x, __m256d y) {
                     mul(v, splat(kS3))));
 }
 
-/// trig() on the first n - n % 4 inputs, four per step. A group with an
-/// input outside the fast range or near a multiple of pi/2 (third stage)
-/// goes through the scalar form, which computes the same bits.
-FASTPSO_AVX2 void trig_avx2(const double* x, double* out, std::size_t n,
-                            std::uint64_t shift) {
+}  // namespace
+
+// Both widths test the group first: a lane outside the fast range, or near
+// a multiple of pi/2 (third stage), sends the whole group to the scalar
+// form, which computes the same bits. Otherwise every lane takes both
+// kernels, and the quadrant's low bit picks sin over cos and its next bit
+// the sign.
+
+FASTPSO_AVX2 std::size_t detail::trig_avx2(const double* x, double* out,
+                                           std::size_t n, bool sine) {
+  const std::uint64_t shift = shift_of(sine);
   const __m256d abs_mask =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
   const __m256i one = _mm256_set1_epi64x(1);
   const __m256i two = _mm256_set1_epi64x(2);
   const __m256i shift_v = _mm256_set1_epi64x(static_cast<long long>(shift));
-  const auto scalar_group = [&](std::size_t i) {
-    for (std::size_t j = i; j < i + 4; ++j) {
-      out[j] = trig(x[j], shift);
-    }
-  };
-  for (std::size_t i = 0; i + 4 <= n; i += 4) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
     const __m256d xv = _mm256_loadu_pd(x + i);
     const __m256d ax = _mm256_and_pd(xv, abs_mask);
     if (_mm256_movemask_pd(_mm256_cmp_pd(ax, splat(kFastBound),
                                          _CMP_LE_OQ)) != 0xF) {
-      scalar_group(i);
+      trig_group(x, out, i, 4, shift);
       continue;
     }
     const __m256d t = add(mul(xv, splat(kTwoOverPi)), splat(kShifter));
@@ -219,7 +267,7 @@ FASTPSO_AVX2 void trig_avx2(const double* x, double* out, std::size_t n,
     if (_mm256_movemask_pd(_mm256_cmp_pd(_mm256_and_pd(y0, abs_mask),
                                          mul(ax, splat(kHeavyCancel)),
                                          _CMP_LT_OQ)) != 0) {
-      scalar_group(i);
+      trig_group(x, out, i, 4, shift);
       continue;
     }
     const __m256d y1 = sub(sub(r, y0), w);
@@ -232,24 +280,61 @@ FASTPSO_AVX2 void trig_avx2(const double* x, double* out, std::size_t n,
         _mm256_blendv_pd(kernel_cos4(y0, y1), kernel_sin4(y0, y1), odd);
     _mm256_storeu_pd(out + i, _mm256_xor_pd(k, sign));
   }
+  return i;
 }
 
-#undef FASTPSO_AVX2
+FASTPSO_AVX512 std::size_t detail::trig_avx512(const double* x, double* out,
+                                               std::size_t n, bool sine) {
+  const auto shift = static_cast<long long>(shift_of(sine));
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d xv = _mm512_loadu_pd(x + i);
+    const __m512d ax = _mm512_abs_pd(xv);
+    if (_mm512_cmp_pd_mask(ax, _mm512_set1_pd(kFastBound), _CMP_LE_OQ) !=
+        0xFF) {
+      trig_group(x, out, i, 8, shift);
+      continue;
+    }
+    __m512d t{};
+    __m512d fn{};
+    __m512d r{};
+    __m512d w{};
+    __m512d y0{};
+    reduce(xv, t, fn, r, w, y0);
+    if (_mm512_cmp_pd_mask(_mm512_abs_pd(y0), ax * kHeavyCancel,
+                           _CMP_LT_OQ) != 0) {
+      trig_group(x, out, i, 8, shift);
+      continue;
+    }
+    const __m512d y1 = (r - y0) - w;
+    const __m512i q = _mm512_castpd_si512(t) + shift;
+    const __mmask8 odd = _mm512_test_epi64_mask(q, _mm512_set1_epi64(1));
+    const __m512i sign = ((q + 1) & 2) << 62;
+    __m512d kc{};
+    __m512d ks{};
+    kernel_cos(y0, y1, kc);
+    kernel_sin(y0, y1, ks);
+    const __m512i k = _mm512_castpd_si512(_mm512_mask_blend_pd(odd, kc, ks));
+    _mm512_storeu_pd(out + i, _mm512_castsi512_pd(k ^ sign));
+  }
+  return i;
+}
 
-#endif  // FASTPSO_X86_AVX2
+#endif  // FASTPSO_X86_SIMD
 
-void trig_n(const double* x, double* out, std::size_t n,
-            std::uint64_t shift) {
+namespace {
+
+void trig_n(const double* x, double* out, std::size_t n, bool sine) {
   std::size_t done = 0;
-#ifdef FASTPSO_X86_AVX2
-  if (n >= 4 && cpu_has_avx2()) {
-    done = n - n % 4;
-    trig_avx2(x, out, done, shift);
+#ifdef FASTPSO_X86_SIMD
+  if (n >= 8 && cpu_has_avx512()) {
+    done = detail::trig_avx512(x, out, n, sine);
+  }
+  if (n - done >= 4 && cpu_has_avx2()) {
+    done += detail::trig_avx2(x + done, out + done, n - done, sine);
   }
 #endif
-  for (std::size_t i = done; i < n; ++i) {
-    out[i] = trig(x[i], shift);
-  }
+  trig_group(x, out, done, n - done, shift_of(sine));
 }
 
 /// 2^e for e in the normal exponent range.
@@ -264,11 +349,11 @@ double cos(double x) { return trig(x, kCosShift); }
 double sin(double x) { return trig(x, kSinShift); }
 
 void cos_n(const double* x, double* out, std::size_t n) {
-  trig_n(x, out, n, kCosShift);
+  trig_n(x, out, n, false);
 }
 
 void sin_n(const double* x, double* out, std::size_t n) {
-  trig_n(x, out, n, kSinShift);
+  trig_n(x, out, n, true);
 }
 
 double exp(double x) {
@@ -288,7 +373,9 @@ double exp(double x) {
   const double lo = kd * kLn2Lo;
   const double r = hi - lo;
   // p = exp(r) - 1 - r.
-  const double p = r * r * horner(r, kExpPoly);
+  double poly = 0.0;
+  horner(r, kExpPoly, poly);
+  const double p = r * r * poly;
   // 1 + hi as s + e exactly (Fast2Sum: |hi| < 1), so that the last
   // addition is the only rounding of size.
   const double s = 1.0 + hi;

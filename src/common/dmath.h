@@ -15,12 +15,17 @@
 //   exact scaling by 2^k. Within 1 ulp; overflows to +Inf, underflows
 //   through the subnormals to +0, NaN for NaN.
 //
-// The batch forms cos_n/sin_n compute four values per step with AVX2 when a
-// one-time CPU check finds it. They run the scalar form's operations in the
-// same order, so each output is bitwise-equal to the scalar call.
+// The batch forms cos_n/sin_n compute eight values per step with AVX-512F,
+// then four per step with AVX2, as one-time CPU checks allow, then the rest
+// in the scalar form. Every lane runs the scalar form's operations in the
+// same order (the scalar and eight-wide forms share one template over the
+// lane type; the four-wide form spells the same operations in AVX2
+// intrinsics), so each output is bitwise-equal to the scalar call.
 #pragma once
 
 #include <cstddef>
+
+#include "common/cpu.h"
 
 namespace fastpso::dmath {
 
@@ -32,5 +37,18 @@ namespace fastpso::dmath {
 void cos_n(const double* x, double* out, std::size_t n);
 /// out[i] = sin(x[i]) for i in [0, n). `out` may be `x` itself.
 void sin_n(const double* x, double* out, std::size_t n);
+
+namespace detail {
+#ifdef FASTPSO_X86_SIMD
+/// One SIMD width of cos_n (sin_n when `sine`), entered without the CPU
+/// check: the caller makes sure the CPU has the feature. It covers the
+/// first n - n % w inputs in groups of w = 4 (AVX2) or 8 (AVX-512F) and
+/// returns that count. cos_n and sin_n chain them; tests pin each width.
+FASTPSO_AVX2 std::size_t trig_avx2(const double* x, double* out,
+                                   std::size_t n, bool sine);
+FASTPSO_AVX512 std::size_t trig_avx512(const double* x, double* out,
+                                       std::size_t n, bool sine);
+#endif
+}  // namespace detail
 
 }  // namespace fastpso::dmath

@@ -16,7 +16,6 @@
 // runs one virtual thread per particle.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "core/objective.h"
@@ -62,11 +61,7 @@ struct EvalKernel {
                           static_cast<int>(end - begin), a.d,
                           a.out + begin);
   }
-  /// A row is d elements of work, so a host worker takes at least
-  /// kHostGrain elements' worth of rows.
-  static std::int64_t grain(const Args& a) {
-    return std::max<std::int64_t>(1, vgpu::kHostGrain / a.d);
-  }
+  static std::int64_t grain(const Args& a) { return vgpu::row_grain(a.d); }
 };
 
 /// Evaluates `n` particle rows of `positions` into `out` through the

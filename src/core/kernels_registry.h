@@ -29,11 +29,13 @@
 //                      buffer and coverage expectation the sanitizer
 //                      audits; launch_kernel calls it before the launch
 //   static span()      optional batched form over [begin, end) when cheaper
-//                      than the per-element loop (row segments, 8-wide
-//                      Philox); it must accept any sub-range, since host
-//                      fan-out and packed dispatch both split the domain
+//                      than the per-element loop (row segments, bulk
+//                      Philox fills); it must accept any sub-range, since
+//                      host fan-out and packed dispatch both split the domain
 //   static grain()     optional: grain(args) is the smallest range a host
-//                      worker runs (default vgpu::kHostGrain elements)
+//                      worker runs (default vgpu::kHostGrain elements); a
+//                      kernel over particle rows (EvalKernel, the pbest
+//                      reset and gather) returns vgpu::row_grain(d)
 #pragma once
 
 #include <algorithm>
@@ -44,6 +46,7 @@
 #include "core/init.h"
 #include "core/swarm_update.h"
 #include "rng/philox.h"
+#include "vgpu/parallel.h"
 #include "vgpu/san/tracked.h"
 
 namespace fastpso::core::kernels {
@@ -110,8 +113,9 @@ struct FillUniformKernel {
     san::expect_writes_exactly_once(v.out);
     return v;
   }
-  /// Whole blocks go through the bulk Philox fill (eight blocks per step
-  /// where the CPU allows); only a clamped tail block runs element().
+  /// Whole blocks go through the bulk Philox fill (sixteen or eight blocks
+  /// per step where the CPU allows); only a clamped tail block runs
+  /// element().
   static void span(const void* args, std::int64_t begin, std::int64_t end) {
     const Args& a = *static_cast<const Args*>(args);
     const std::int64_t whole_end = std::min(end, a.elements / 4);
@@ -221,6 +225,7 @@ struct PbestResetKernel {
     san::expect_writes_exactly_once(v.pbest_pos);
     return v;
   }
+  static std::int64_t grain(const Args& a) { return vgpu::row_grain(a.d); }
 };
 
 /// best_update/compare_flag: branchless pbest compare + improved flag.
@@ -280,6 +285,7 @@ struct PbestGatherKernel {
             san::track(a.positions, elements, "positions"),
             san::track(a.pbest_pos, elements, "pbest_pos"), a.d};
   }
+  static std::int64_t grain(const Args& a) { return vgpu::row_grain(a.d); }
 };
 
 /// best_update/gbest_copy: copies the winning pbest row into gbest_pos.

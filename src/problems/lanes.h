@@ -42,7 +42,7 @@ struct Row {
   void load(int i, double& v) const { v = static_cast<double>(x[i]); }
 };
 
-#ifdef FASTPSO_X86_AVX2
+#ifdef FASTPSO_X86_SIMD
 /// Four doubles in one vector (GCC/Clang vector extension).
 using Double4 = double __attribute__((vector_size(32)));
 
@@ -82,8 +82,8 @@ void apply(V& v, const Fn& fn) {
 
 enum Trig { kCos, kSin };
 
-/// dmath's batch form of F: one AVX2 kernel call covers a group of four
-/// doubles, with the scalar form's bits.
+/// dmath's batch form of F: groups of eight doubles (AVX-512F) or four
+/// (AVX2) per step, with the scalar form's bits.
 template <Trig F>
 void trig_n(double* values, int n) {
   (F == kCos ? dmath::cos_n : dmath::sin_n)(values, values,
@@ -112,8 +112,9 @@ void each(const Rows& x, int n, const Use& use) {
 /// Calls use(i, x_i, F(a_i)) for the columns i in [0, n), in index order,
 /// where arg(i, a) turns a = x_i into the argument a_i in place. Arguments
 /// are staged kChunk columns at a time, one batch call per chunk: four rows
-/// put one column's lanes in one AVX2 group. Each value is the scalar
-/// form's bits, so accumulating in index order keeps every result bit.
+/// put two columns' lanes in one AVX-512F group or one column's in an AVX2
+/// group. Each value is the scalar form's bits, so accumulating in index
+/// order keeps every result bit.
 inline constexpr int kChunk = 64;
 template <Trig F, typename Rows, typename Arg, typename Use>
 void map(const Rows& x, int n, const Arg& arg, const Use& use) {
@@ -140,7 +141,7 @@ void map(const Rows& x, int n, const Arg& arg, const Use& use) {
   }
 }
 
-#ifdef FASTPSO_X86_AVX2
+#ifdef FASTPSO_X86_SIMD
 /// out[i] = (float)problem's formula on row i, for the rows [0, n) of X,
 /// n a multiple of 4, four rows per step. flatten inlines the formula, the
 /// row view and the lane helpers into this AVX2 function.
@@ -166,7 +167,7 @@ template <typename P>
 int eval_rows4([[maybe_unused]] const P& problem,
                [[maybe_unused]] const float* X, int n,
                [[maybe_unused]] int d, [[maybe_unused]] float* out) {
-#ifdef FASTPSO_X86_AVX2
+#ifdef FASTPSO_X86_SIMD
   if (n >= 4 && cpu_has_avx2()) {
     const int rows = n - n % 4;
     rows4_avx2(problem, X, rows, d, out);

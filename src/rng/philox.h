@@ -14,6 +14,8 @@
 #include <array>
 #include <cstdint>
 
+#include "common/cpu.h"
+
 namespace fastpso::rng {
 
 /// One Philox4x32 counter block: four 32-bit lanes.
@@ -96,11 +98,12 @@ class PhiloxStream {
       std::uint64_t block_index) const;
 
   /// Bulk fill of whole blocks: out[k] = lo + span * uniform_at(4 *
-  /// first_block + k) for k in [0, 4 * blocks), bit for bit. With AVX2
-  /// (checked once) it runs groups of eight blocks, one per lane, two
-  /// groups in flight; the other blocks take uniform4_at. Both are exact:
-  /// Philox is integer math and the scaling is one unfused multiply and add
-  /// per value.
+  /// first_block + k) for k in [0, 4 * blocks), bit for bit. As one-time
+  /// CPU checks allow, it runs groups of sixteen blocks with AVX-512F, then
+  /// groups of eight with AVX2, one block per lane and two groups in
+  /// flight; the other blocks take uniform4_at. All are exact: Philox is
+  /// integer math and the scaling is one unfused multiply and add per
+  /// value.
   void fill_uniform_blocks(std::uint64_t first_block, std::int64_t blocks,
                            float lo, float span, float* out) const;
 
@@ -112,6 +115,7 @@ class PhiloxStream {
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] std::uint64_t stream() const { return stream_; }
+  [[nodiscard]] PhiloxKey key() const { return key_; }
 
  private:
   [[nodiscard]] PhiloxBlock block_at(std::uint64_t block_index) const;
@@ -120,6 +124,24 @@ class PhiloxStream {
   std::uint64_t stream_;
   PhiloxKey key_;
 };
+
+namespace detail {
+#ifdef FASTPSO_X86_SIMD
+/// One SIMD width of PhiloxStream::fill_uniform_blocks, entered without
+/// the CPU check: the caller makes sure the CPU has the feature. It fills
+/// the first blocks - blocks % w blocks in groups of w = 8 (AVX2) or 16
+/// (AVX-512F) and returns that count. The bulk fill chains them; tests pin
+/// each width.
+FASTPSO_AVX2 std::int64_t fill_blocks_avx2(const PhiloxStream& stream,
+                                           std::uint64_t first_block,
+                                           std::int64_t blocks, float lo,
+                                           float span, float* out);
+FASTPSO_AVX512 std::int64_t fill_blocks_avx512(const PhiloxStream& stream,
+                                               std::uint64_t first_block,
+                                               std::int64_t blocks, float lo,
+                                               float span, float* out);
+#endif
+}  // namespace detail
 
 /// Converts a uint32 to a float uniform in [0,1) using the top 24 bits.
 [[nodiscard]] inline float uint32_to_unit_float(std::uint32_t x) {

@@ -8,14 +8,22 @@
 // the launch paths that use it are listed in DESIGN.md §1.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 namespace fastpso::vgpu {
 
 /// Launch-domain elements per host worker below which a split does not pay
 /// for its fork/join: a launch of fewer than 2 * kHostGrain elements runs
-/// inline. Row-domain callers (batched evaluation) pass kHostGrain / d rows.
+/// inline. Row-domain launches pass row_grain(d).
 inline constexpr std::int64_t kHostGrain = std::int64_t{1} << 14;
+
+/// The grain of a launch whose domain is rows of `d` elements each (batched
+/// evaluation, the pbest reset and gather): kHostGrain elements' worth of
+/// rows, at least one.
+inline std::int64_t row_grain(int d) {
+  return std::max<std::int64_t>(1, kHostGrain / d);
+}
 
 /// Range body of parallel_for: runs indices [begin, end) of the domain.
 using RangeFn = void (*)(const void* ctx, std::int64_t begin,

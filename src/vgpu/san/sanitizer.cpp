@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 #include <utility>
 
@@ -162,14 +161,6 @@ std::string Report::to_json() const {
   }
   out += "  ]\n}\n";
   return out;
-}
-
-bool env_enabled() {
-  static const bool enabled = [] {
-    const char* e = std::getenv("FASTPSO_SAN");
-    return e != nullptr && e[0] == '1' && e[1] == '\0';
-  }();
-  return enabled;
 }
 
 // ---- session internals ---------------------------------------------------

@@ -142,10 +142,6 @@ struct SessionOptions {
   bool check_races = true;
 };
 
-/// True when the environment requests sanitizer test mode (FASTPSO_SAN=1);
-/// test suites use this to widen their sweeps.
-bool env_enabled();
-
 /// A recording session. Constructing one activates the hooks; finish() (or
 /// destruction) deactivates them and finalizes the report. Only one Session
 /// may record at a time.

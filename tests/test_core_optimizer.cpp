@@ -186,16 +186,38 @@ TEST(Optimizer, CustomObjectiveThroughSchema) {
   EXPECT_NEAR(result.gbest_position[4], 5.0, 0.5);
 }
 
+// One field per case that PsoParams::validate() rejects.
 TEST(Optimizer, InvalidParamsThrow) {
   vgpu::Device device;
   PsoParams params;
   params.particles = 0;
   EXPECT_THROW(Optimizer(device, params), fastpso::CheckError);
   params = PsoParams{};
+  params.dim = 0;
+  EXPECT_THROW(Optimizer(device, params), fastpso::CheckError);
+  params = PsoParams{};
   params.dim = -1;
   EXPECT_THROW(Optimizer(device, params), fastpso::CheckError);
   params = PsoParams{};
   params.max_iter = 0;
+  EXPECT_THROW(Optimizer(device, params), fastpso::CheckError);
+  // A ring runs only with the global-memory technique and needs 1 <=
+  // ring_neighbors and 2 * ring_neighbors + 1 <= particles.
+  PsoParams ring = small_params();
+  ring.topology = Topology::kRing;
+  EXPECT_NO_THROW(Optimizer(device, ring));
+  for (const UpdateTechnique technique :
+       {UpdateTechnique::kSharedMemory, UpdateTechnique::kTensorCore}) {
+    params = ring;
+    params.technique = technique;
+    EXPECT_THROW(Optimizer(device, params), fastpso::CheckError)
+        << to_string(technique);
+  }
+  params = ring;
+  params.ring_neighbors = 0;
+  EXPECT_THROW(Optimizer(device, params), fastpso::CheckError);
+  params = ring;
+  params.particles = 2 * params.ring_neighbors;
   EXPECT_THROW(Optimizer(device, params), fastpso::CheckError);
 }
 

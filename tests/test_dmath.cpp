@@ -1,18 +1,20 @@
-// Tests for common/dmath: the batch forms equal the scalar forms bit for
-// bit, every result is within 1 ulp of the x87 long-double libm, and the
-// special values (NaN, +-Inf, the fallback bound, exp's overflow and
-// underflow) are pinned.
+// Tests for common/dmath: the batch forms, and each SIMD width on its own,
+// equal the scalar forms bit for bit, every result is within 1 ulp of the
+// x87 long-double libm, and the special values (NaN, +-Inf, the fallback
+// bound, exp's overflow and underflow) are pinned.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <numbers>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/dmath.h"
 #include "rng/splitmix.h"
 
@@ -180,6 +182,81 @@ TEST(Dmath, TrigSpecialValues) {
         << xs[i];
   }
 }
+
+#ifdef FASTPSO_X86_SIMD
+// cos_n and sin_n hand AVX2 only what the AVX-512F groups leave, so on an
+// AVX-512F host the AVX2 loop sees at most one group per call. These tests
+// call each width directly; a width the CPU lacks is skipped.
+
+using TrigForm = std::size_t (*)(const double*, double*, std::size_t, bool);
+
+/// Checks that `form`, `width` values per group, equals the scalar cos and
+/// sin bit for bit over `xs`, and that it stops at the last whole group.
+void expect_form_matches_scalar(TrigForm form, std::size_t width,
+                                const std::vector<double>& xs) {
+  constexpr double kGuard = 123.0;
+  const std::size_t whole = xs.size() - xs.size() % width;
+  for (const bool sine : {false, true}) {
+    std::vector<double> out(xs.size(), kGuard);
+    ASSERT_EQ(form(xs.data(), out.data(), xs.size(), sine), whole);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const double want = i < whole ? (sine ? sin(xs[i]) : cos(xs[i])) : kGuard;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                std::bit_cast<std::uint64_t>(want))
+          << (sine ? "sin" : "cos") << " at x = " << xs[i] << ", index " << i;
+    }
+  }
+}
+
+/// Each input that sends its whole group to the scalar form (NaN, +-Inf,
+/// the first double past kFastBound, a third-stage input next to 3 pi/2)
+/// at each lane position of the middle group of three, plus a tail. Then a
+/// dense sweep over the problems' argument range and near multiples of
+/// pi/2, at an offset that leaves a tail.
+void expect_width_matches_scalar(TrigForm form, std::size_t width) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double fallbacks[] = {
+      std::numeric_limits<double>::quiet_NaN(), kInf, -kInf,
+      std::nextafter(kFastBound, kInf),
+      static_cast<double>(3 * std::numbers::pi_v<long double> / 2)};
+  for (const double fallback : fallbacks) {
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      std::vector<double> xs;
+      sweep(xs, -600.0, 600.0, static_cast<int>(3 * width + 3));
+      xs[width + lane] = fallback;
+      SCOPED_TRACE(::testing::Message() << "fallback " << fallback
+                                        << " at lane " << lane);
+      expect_form_matches_scalar(form, width, xs);
+    }
+  }
+  std::vector<double> xs;
+  sweep(xs, -620.0, 620.0, 200'003);
+  const long double half_pi = std::numbers::pi_v<long double> / 2;
+  for (long k = -2000; k <= 2000; ++k) {
+    const double x = static_cast<double>(static_cast<long double>(k) * half_pi);
+    xs.push_back(std::nextafter(x, -kInf));
+    xs.push_back(x);
+    xs.push_back(std::nextafter(x, kInf));
+  }
+  expect_form_matches_scalar(form, width, xs);
+  expect_form_matches_scalar(form, width,
+                             std::vector<double>(xs.begin() + 5, xs.end()));
+}
+
+TEST(Dmath, TrigAvx512GroupsMatchScalar) {
+  if (!cpu_has_avx512()) {
+    GTEST_SKIP() << "the CPU has no AVX-512F";
+  }
+  expect_width_matches_scalar(detail::trig_avx512, 8);
+}
+
+TEST(Dmath, TrigAvx2GroupsMatchScalar) {
+  if (!cpu_has_avx2()) {
+    GTEST_SKIP() << "the CPU has no AVX2";
+  }
+  expect_width_matches_scalar(detail::trig_avx2, 4);
+}
+#endif  // FASTPSO_X86_SIMD
 
 TEST(Dmath, ExpWithinOneUlp) {
   std::vector<double> xs;

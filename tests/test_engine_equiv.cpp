@@ -487,9 +487,11 @@ TEST_P(SplitEquiv, FastPathMatchesFaithfulAndOneWorker) {
 }
 
 // 1031x131 = 135,061 floats: fills of 33,766 Philox blocks with a clamped
-// tail block, element ranges that end mid-row and 1031 evaluation rows
-// over a 125-row grain. 255x128 and 257x128 sit just below and just above
-// 2 * kHostGrain elements (and 2 * 128 evaluation rows).
+// tail block, element ranges that end mid-row, and 1031 rows of
+// evaluation, pbest reset and gather over a 125-row grain. 255x128 and
+// 257x128 sit just below and just above 2 * kHostGrain elements and 2 *
+// 128 rows, so 257x128 splits the row kernels too and 255x128 runs them
+// inline. This suite is the bitwise gate for every split.
 std::vector<SplitCase> split_cases() {
   std::vector<SplitCase> cases;
   for (const auto& [n, d] : {std::pair{1031, 131}, std::pair{255, 128},

@@ -221,6 +221,9 @@ TEST(MultiDevice, InvalidConfigsThrow) {
   params.pso.particles = 1;
   EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
   params = base;
+  params.pso.particles = 0;
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  params = base;
   params.sync_interval = 0;
   EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
   params = base;
@@ -231,6 +234,19 @@ TEST(MultiDevice, InvalidConfigsThrow) {
   EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
   params = base;
   params.pso.topology = Topology::kRing;
+  EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
+  // validate()'s ring rules reject these before the topology check does.
+  for (const UpdateTechnique technique :
+       {UpdateTechnique::kSharedMemory, UpdateTechnique::kTensorCore}) {
+    params = base;
+    params.pso.topology = Topology::kRing;
+    params.pso.technique = technique;
+    EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError)
+        << to_string(technique);
+  }
+  params = base;
+  params.pso.topology = Topology::kRing;
+  params.pso.ring_neighbors = 0;
   EXPECT_THROW(MultiDeviceOptimizer{params}, fastpso::CheckError);
   params = base;
   params.pso.synchronization = Synchronization::kAsynchronous;

@@ -6,9 +6,12 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <set>
 #include <vector>
 
+#include "common/cpu.h"
 #include "rng/philox.h"
 #include "rng/splitmix.h"
 #include "rng/xoshiro.h"
@@ -150,15 +153,20 @@ TEST(PhiloxStream, UniformPairMatchesScalarPath) {
 }
 
 /// Checks out[k] == lo + span * uniform_at(4 * first_block + k) bit for bit
-/// over a bulk fill of `blocks` blocks, and that the fill stops there.
-void expect_bulk_fill_exact(const PhiloxStream& stream,
-                            std::uint64_t first_block, std::int64_t blocks) {
+/// over the first `filled` of `blocks` blocks, and that the fill wrote
+/// nothing past them. fill(first, blocks, lo, span, out) runs the fill and
+/// returns how many blocks it filled.
+template <typename Fill>
+void expect_fill_exact(const PhiloxStream& stream, std::uint64_t first_block,
+                       std::int64_t blocks, std::int64_t filled,
+                       const Fill& fill) {
   const float lo = -3.0f;
   const float span = 6.5f;
   constexpr float kGuard = 123.0f;
   std::vector<float> out(static_cast<std::size_t>(4 * blocks + 4), kGuard);
-  stream.fill_uniform_blocks(first_block, blocks, lo, span, out.data());
-  for (std::int64_t k = 0; k < 4 * blocks; ++k) {
+  ASSERT_EQ(fill(first_block, blocks, lo, span, out.data()), filled)
+      << "first_block " << first_block << ", blocks " << blocks;
+  for (std::int64_t k = 0; k < 4 * filled; ++k) {
     const float want =
         lo + span * stream.uniform_at(4 * first_block +
                                       static_cast<std::uint64_t>(k));
@@ -167,18 +175,48 @@ void expect_bulk_fill_exact(const PhiloxStream& stream,
         << "first_block " << first_block << ", blocks " << blocks
         << ", value " << k;
   }
-  for (std::size_t k = static_cast<std::size_t>(4 * blocks); k < out.size();
+  for (std::size_t k = static_cast<std::size_t>(4 * filled); k < out.size();
        ++k) {
-    EXPECT_EQ(out[k], kGuard);
+    EXPECT_EQ(out[k], kGuard) << "first_block " << first_block << ", blocks "
+                              << blocks << ", value " << k;
   }
 }
 
-// The bulk fill runs eight-block groups (AVX2 when available), two groups
-// per step, plus a scalar remainder: block counts around one group, and two
-// to five groups with and without a remainder.
+/// expect_fill_exact for the bulk fill, which fills every block.
+void expect_bulk_fill_exact(const PhiloxStream& stream,
+                            std::uint64_t first_block, std::int64_t blocks) {
+  expect_fill_exact(stream, first_block, blocks, blocks,
+                    [&stream](std::uint64_t first, std::int64_t count,
+                              float lo, float span, float* out) {
+                      stream.fill_uniform_blocks(first, count, lo, span, out);
+                      return count;
+                    });
+}
+
+/// Block counts around one to four groups of sixteen blocks (AVX-512F) and
+/// two to eight of eight (AVX2): a group pair, a lone odd last group and a
+/// remainder in every combination.
+constexpr std::int64_t kGroupBlockCounts[] = {15, 16, 17, 31, 32, 33,
+                                              47, 48, 49, 63, 64, 65};
+
+/// First blocks 2^32 - k: the counter's low word wraps k blocks into the
+/// fill, inside the first group of sixteen (k = 1, 3), at the first block,
+/// inside and at the last block of the second (k = 16, 17, 20, 31), and at
+/// the first block after the pair (k = 32).
+constexpr std::uint64_t kCarryOffsets[] = {1, 3, 16, 17, 20, 31, 32};
+
+// The bulk fill runs AVX-512F groups of sixteen blocks, then AVX2 groups of
+// eight, two groups per step, then a scalar remainder, as the CPU allows:
+// block counts around one group, and one to eight groups with and without
+// a remainder.
 TEST(PhiloxStream, BulkFillMatchesScalarPath) {
   const PhiloxStream stream(55, 9);
-  for (const std::int64_t blocks : {0, 1, 7, 8, 9, 16, 24, 25, 33, 40, 41}) {
+  for (const std::int64_t blocks : {0, 1, 7, 8, 9, 24, 25, 40, 41}) {
+    for (const std::uint64_t first : {0ull, 5ull}) {
+      expect_bulk_fill_exact(stream, first, blocks);
+    }
+  }
+  for (const std::int64_t blocks : kGroupBlockCounts) {
     for (const std::uint64_t first : {0ull, 5ull}) {
       expect_bulk_fill_exact(stream, first, blocks);
     }
@@ -187,9 +225,11 @@ TEST(PhiloxStream, BulkFillMatchesScalarPath) {
 
 // Block indices are 64-bit counters split over two 32-bit words: a fill
 // starting just below 2^32 carries into the high word inside the first or
-// the second group of a pair (2^32 - 3, 2^32 - 12), at the second group's
-// first block (2^32 - 8), and at the first block of a lone last group or of
-// the scalar remainder (2^32 - 16).
+// the second eight-block group of a pair (2^32 - 3, 2^32 - 12), at the
+// second group's first block (2^32 - 8), and at the first block of a lone
+// last group or of the scalar remainder (2^32 - 16). Fills at 2^32 - k for
+// kCarryOffsets carry inside and at the edges of paired and lone
+// sixteen-block groups too.
 TEST(PhiloxStream, BulkFillAcrossCounterCarry) {
   const PhiloxStream stream(0x1234567890ABCDEFull, 3);
   const std::uint64_t carry = 1ull << 32;
@@ -199,7 +239,57 @@ TEST(PhiloxStream, BulkFillAcrossCounterCarry) {
       expect_bulk_fill_exact(stream, first, blocks);
     }
   }
+  for (const std::uint64_t k : kCarryOffsets) {
+    for (const std::int64_t blocks : {1, 8, 9, 24}) {
+      expect_bulk_fill_exact(stream, carry - k, blocks);
+    }
+    for (const std::int64_t blocks : kGroupBlockCounts) {
+      expect_bulk_fill_exact(stream, carry - k, blocks);
+    }
+  }
 }
+
+#ifdef FASTPSO_X86_SIMD
+// The bulk fill hands AVX2 only what the AVX-512F groups leave, so on an
+// AVX-512F host the paired AVX2 loop never runs. These tests call each
+// width directly; a width the CPU lacks is skipped.
+
+using FillForm = std::int64_t (*)(const PhiloxStream&, std::uint64_t,
+                                  std::int64_t, float, float, float*);
+
+/// `form` fills exactly the whole groups of `width` blocks, bit for bit,
+/// around the group counts and across the counter carry.
+void expect_width_exact(FillForm form, std::int64_t width) {
+  const PhiloxStream stream(0x1234567890ABCDEFull, 3);
+  std::vector<std::uint64_t> firsts = {0, 5};
+  for (const std::uint64_t k : kCarryOffsets) {
+    firsts.push_back((1ull << 32) - k);
+  }
+  for (const std::int64_t blocks : kGroupBlockCounts) {
+    for (const std::uint64_t first : firsts) {
+      expect_fill_exact(stream, first, blocks, blocks - blocks % width,
+                        [&](std::uint64_t f, std::int64_t count, float lo,
+                            float span, float* out) {
+                          return form(stream, f, count, lo, span, out);
+                        });
+    }
+  }
+}
+
+TEST(PhiloxStream, Avx512FillMatchesScalarPath) {
+  if (!cpu_has_avx512()) {
+    GTEST_SKIP() << "the CPU has no AVX-512F";
+  }
+  expect_width_exact(detail::fill_blocks_avx512, 16);
+}
+
+TEST(PhiloxStream, Avx2FillMatchesScalarPath) {
+  if (!cpu_has_avx2()) {
+    GTEST_SKIP() << "the CPU has no AVX2";
+  }
+  expect_width_exact(detail::fill_blocks_avx2, 8);
+}
+#endif  // FASTPSO_X86_SIMD
 
 TEST(PhiloxStream, DoubleHas53BitResolution) {
   const PhiloxStream stream(3, 0);

@@ -409,6 +409,23 @@ TEST(ServeScheduler, RejectsUnschedulableSpecs) {
   bad_ring.params.ring_neighbors = 2;  // 2*2+1 > 4 particles
   EXPECT_THROW(scheduler.submit(bad_ring), CheckError);
 
+  // The rest of PsoParams::validate(), one field per case.
+  EXPECT_THROW(scheduler.submit(make_spec("sphere", 0, 4, 5, 1)), CheckError);
+  EXPECT_THROW(scheduler.submit(make_spec("sphere", 16, 0, 5, 1)), CheckError);
+  EXPECT_THROW(scheduler.submit(make_spec("sphere", 16, 4, 0, 1)), CheckError);
+  JobSpec ring = make_spec("sphere", 16, 4, 5, 1);
+  ring.params.topology = core::Topology::kRing;
+  for (const core::UpdateTechnique technique :
+       {core::UpdateTechnique::kSharedMemory,
+        core::UpdateTechnique::kTensorCore}) {
+    JobSpec spec = ring;
+    spec.params.technique = technique;
+    EXPECT_THROW(scheduler.submit(spec), CheckError) << to_string(technique);
+  }
+  JobSpec no_neighbors = ring;
+  no_neighbors.params.ring_neighbors = 0;
+  EXPECT_THROW(scheduler.submit(no_neighbors), CheckError);
+
   JobSpec bad_arrival = make_spec("sphere", 16, 4, 5, 1);
   bad_arrival.arrival_seconds = -1.0;
   EXPECT_THROW(scheduler.submit(bad_arrival), CheckError);
